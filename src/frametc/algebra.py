@@ -197,9 +197,6 @@ class Algebra:
             self._by_degree = by
             return by
 
-    def basis_in_degree(self, d: int) -> list[Element]:
-        return [self.basis_element(i) for i in self.indices_by_degree().get(d, [])]
-
     def poincare_polynomial(self) -> list[int]:
         """Coefficient c_d = number of basis classes of degree d, d = 0..top."""
         out = [0] * (self.top_degree + 1)

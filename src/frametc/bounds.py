@@ -40,9 +40,9 @@ from dataclasses import dataclass, field as dc_field
 from math import ceil
 from typing import Optional
 
-from .algebra import Algebra, CapacityError, DEFAULT_CAPACITY
+from .algebra import Algebra, DEFAULT_CAPACITY
 from .catalog import parse_catalog_id, so_ring
-from .cuplength import DEFAULT_BUDGET, zcl_basic, zcl_full
+from .cuplength import DEFAULT_BUDGET, zcl_full
 from .fields import Field, parse_field
 from .manifold import DescriptorError, ManifoldDescriptor
 
@@ -91,6 +91,11 @@ _CLOSED_FORM_NOTE = (
     "stated closed-form fiber value; for SO(n) with n >= 4 in odd "
     "characteristic it is not reproduced by direct search over the tensor "
     "square (searched value n // 2)"
+)
+
+_BUDGET_NOTE = (
+    "zero-divisor search budget exhausted for {}; the searched value is a "
+    "valid lower bound"
 )
 
 
@@ -215,18 +220,10 @@ class _RingCache:
             if ring is None:
                 self._zcl[token] = None
             else:
-                notes: list = []
-                try:
-                    value = zcl_full(ring, capacity=self.capacity).value
-                except CapacityError:
-                    res = zcl_basic(ring, budget=self.budget, capacity=self.capacity)
-                    value = res.value
-                    notes.append(
-                        "full zero-divisor computation over capacity; using the "
-                        "basic search value, a valid lower bound"
-                        + ("" if res.exact else " (search budget exhausted)")
-                    )
-                self._zcl[token] = (value, notes)
+                res = zcl_full(ring, budget=self.budget, capacity=self.capacity)
+                self._zcl[token] = (
+                    res.value, [] if res.exact else [_BUDGET_NOTE.format("M")]
+                )
         return self._zcl[token]
 
 
@@ -407,17 +404,10 @@ def compute_bounds(
                 continue
             zm, notes = zres
             fld = parse_field(token)
-            so = so_ring(n, fld, capacity=capacity)
-            try:
-                zso = zcl_full(so, capacity=capacity).value
-                fiber_note = []
-            except CapacityError:
-                res = zcl_basic(so, budget=budget, capacity=capacity)
-                zso = res.value
-                fiber_note = [
-                    "fiber zero-divisor value over capacity; basic search "
-                    "lower bound used"
-                ]
+            fiber = zcl_full(
+                so_ring(n, fld, capacity=capacity), budget=budget, capacity=capacity
+            )
+            zso = fiber.value
             value = zso + zm + 1
             add(
                 BoundEntry(
@@ -432,7 +422,8 @@ def compute_bounds(
                     "bundles",
                     field=token,
                     assumptions=["M is parallelizable"],
-                    notes=list(notes) + fiber_note,
+                    notes=list(notes)
+                    + ([] if fiber.exact else [_BUDGET_NOTE.format(f"SO({n})")]),
                 )
             )
 

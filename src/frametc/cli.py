@@ -134,16 +134,12 @@ def _cmd_ring(args) -> int:
             results["cl"] = cup_length(
                 algebra, budget=args.budget, capacity=args.capacity
             ).describe()
-        elif w == "zcl-basic":
-            res = zcl_basic(algebra, budget=args.budget, capacity=args.capacity)
-            results["zcl-basic"] = res.describe()
+        elif w in ("zcl-basic", "zcl-full"):
+            engine = zcl_basic if w == "zcl-basic" else zcl_full
+            res = engine(algebra, budget=args.budget, capacity=args.capacity)
+            results[w] = res.describe()
             if not res.exact:
-                warnings.append(
-                    "zcl-basic budget exhausted; reported value is a lower bound"
-                )
-        elif w == "zcl-full":
-            res = zcl_full(algebra, capacity=args.capacity)
-            results["zcl-full"] = res.describe()
+                warnings.append(f"{w} budget exhausted; reported value is a lower bound")
     payload = {
         "ring": {
             "id": ring_id,
@@ -194,6 +190,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
+    if args.budget < 0:
+        parser.error("--budget must be >= 0")
+    if args.capacity < 1:
+        parser.error("--capacity must be >= 1")
     try:
         if args.command == "ring":
             return _cmd_ring(args)

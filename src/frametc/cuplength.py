@@ -9,18 +9,31 @@ Three quantities, in increasing strength on the zero-divisor side:
   ``method="search"`` as a cross-check).
 * ``zcl_basic(A)`` — longest nonzero product of *basic* zero-divisors
   ``m̄ = 1⊗m − m⊗1`` in A⊗A, m running over positive-degree basis classes.
-  Restricting to basis classes loses nothing: u ↦ ū is linear, so a product
-  of bars of arbitrary elements expands multilinearly into products of bars
-  of basis classes; if all of those vanish, so does the original.
 * ``zcl_full(A)`` — cup length of the whole zero-divisor ideal
-  Z = ker(A⊗A → A).  Computed per degree by exact kernel extraction and
-  iterated span products.  For monomial algebras there is a factorization
-  fast path: over a field, Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, and expanding a
-  product of more than zcl(A)+zcl(B) such elements binomially always
-  overruns one of the two factors, so zcl is additive across tensor factors
-  and a monomial algebra contributes the sum of its single-generator values.
-  The fast path is cross-checked against the direct route by the property
-  suite, never by itself.
+  Z = ker(A⊗A → A).
+
+Both zero-divisor values come from one engine, a search over products of
+*generator* bars.  Let Z = ker(μ: A⊗A → A).  Any kernel element
+Σ c·x⊗y equals Σ c·(x⊗1)·ȳ, so the bars of basis classes generate Z as an
+ideal, and the identity 1⊗ab − ab⊗1 = (1⊗a)·b̄ + ā·(b⊗1) reduces every bar
+to bars of algebra generators.  A⊗A is graded commutative, so Z^k ≠ 0
+exactly when some product of k generator bars is nonzero.  Generator bars
+are basic bars, hence zcl_basic = zcl_full = the longest nonzero product of
+generator bars (the basic zero-divisor setting of Farber, *Topological
+complexity of motion planning*, DCG 29, 2003).  The generators are the
+generator monomials of a monomial encoding, and otherwise the basis classes
+that stay independent of the decomposables A+·A+ in their degree
+(:func:`generator_indices`).  The search is a depth-first search over
+multisets of generator bars in (degree, index)-nondecreasing order.
+
+For monomial algebras ``zcl_full`` also has a factorization route: over a
+field, Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, and expanding a product of more than
+zcl(A)+zcl(B) such elements binomially always overruns one of the two
+factors, so zcl is additive across tensor factors and a monomial algebra
+contributes the sum of its single-generator values.  It keeps the search on
+tensor squares of one-generator algebras.  Both routes are cross-checked
+against the independent dense kernel-power oracle by the test suite, never
+only against each other.
 
 Every result carries a witness that is re-multiplied and checked nonzero
 before it is returned.  Budget-limited searches return ``exact=False`` and
@@ -209,56 +222,96 @@ class ZeroDivisorBasis:
         return [f"bar({self.algebra.labels[i]})" for i in self.sources]
 
 
-def zero_divisor_generators(
-    A: Algebra, capacity: int = DEFAULT_CAPACITY
-) -> ZeroDivisorBasis:
-    """Construct m̄ = 1⊗m − m⊗1 for each positive-degree basis class m.
-
-    Each element is verified to lie in the kernel of the multiplication map.
-    Bars are ordered by (degree, basis index), which is the deterministic
-    search order used by :func:`zcl_basic`.
-    """
-    T = tensor_square(A, capacity=capacity)
-    order = sorted(
-        (i for i in range(A.dim) if A.degrees[i] > 0),
-        key=lambda i: (A.degrees[i], i),
-    )
-    bars, sources = [], []
-    for i in order:
+def _bars(T: ProductAlgebra, sources: list[int]) -> list[Element]:
+    """Bars of the given basis classes, each checked to be a zero-divisor."""
+    A = T.left
+    bars = []
+    for i in sources:
         b = bar(T, A.basis_element(i))
         if diagonal_image(T, b.coeffs):
             raise AssertionError(
                 f"internal error: bar({A.labels[i]}) is not a zero-divisor"
             )
         bars.append(b)
-        sources.append(i)
-    return ZeroDivisorBasis(A, T, bars, sources)
+    return bars
 
 
-def zcl_basic(
-    A: Algebra,
-    budget: int = DEFAULT_BUDGET,
-    capacity: int = DEFAULT_CAPACITY,
-) -> CupLengthResult:
-    """Longest nonzero product of basic zero-divisors (repetition allowed).
+def zero_divisor_generators(
+    A: Algebra, capacity: int = DEFAULT_CAPACITY
+) -> ZeroDivisorBasis:
+    """Construct m̄ = 1⊗m − m⊗1 for each positive-degree basis class m.
 
-    Depth-first search over multisets of bars in (degree, index)-nondecreasing
-    order, pruning zero partial products and products whose degree cannot stay
-    within the tensor square's top degree.  If the node budget runs out the
-    best length found so far is returned with ``exact=False``.
+    Each element is verified to lie in the kernel of the multiplication map.
+    Bars are ordered by (degree, basis index).
     """
-    zdb = zero_divisor_generators(A, capacity=capacity)
-    T = zdb.square
-    bars = zdb.bars
-    if not bars:
-        return _checked(CupLengthResult(0, True, "search"))
+    T = tensor_square(A, capacity=capacity)
+    order = sorted(
+        (i for i in range(A.dim) if A.degrees[i] > 0),
+        key=lambda i: (A.degrees[i], i),
+    )
+    return ZeroDivisorBasis(A, T, _bars(T, order), order)
+
+
+def generator_indices(A: Algebra) -> list[int]:
+    """Basis classes that generate A as an algebra, in (degree, index) order.
+
+    For a monomial encoding these are the generator monomials.  Otherwise a
+    basis class of degree d is kept when it is independent of the products
+    A+·A+ of degree d and of the classes kept before it; the kept classes
+    span a complement of the decomposables, so they generate A.
+    """
+    if isinstance(A, MonomialAlgebra):
+        k = len(A.gens)
+        gens = [A.index_of[tuple(int(t == s) for t in range(k))] for s in range(k)]
+        return sorted(gens, key=lambda i: (A.degrees[i], i))
+    one = A.field.one()
+    top = A.top_degree
+    pos = [i for i in range(A.dim) if A.degrees[i] > 0]
+    decomposables: dict[int, list[dict]] = {}
+    for a, i in enumerate(pos):
+        for j in pos[a:]:  # graded commutativity: x·y = ±y·x
+            d = A.degrees[i] + A.degrees[j]
+            if d <= top:
+                prod = A.mul_basis(i, j)
+                if prod:
+                    decomposables.setdefault(d, []).append(prod)
+    gens: list[int] = []
+    for d, classes in sorted(A.indices_by_degree().items()):
+        if d == 0:
+            continue
+        ech = Echelon(A.field)
+        for prod in decomposables.get(d, []):
+            if ech.rank == len(classes):
+                break  # every class of degree d is decomposable
+            ech.insert(prod)
+        gens += [i for i in classes if ech.insert({i: one})[0]]
+    return gens
+
+
+def _generator_bar_search(A: Algebra, budget: int, capacity: int) -> CupLengthResult:
+    """Longest nonzero product of generator bars (repetition allowed).
+
+    Depth-first search over multisets of generator bars in (degree,
+    index)-nondecreasing order, pruning zero partial products and products
+    whose degree cannot stay within the tensor square's top degree.  If the
+    node budget runs out the best length found so far is returned with
+    ``exact=False``.
+    """
+    if A.dim * A.dim > capacity:
+        raise CapacityError(
+            f"zero-divisor search needs the {A.dim * A.dim}-dimensional tensor "
+            f"square, above capacity {capacity}; raise --capacity to at least "
+            f"{A.dim * A.dim}"
+        )
+    T = tensor_square(A, capacity=capacity)
+    bars = _bars(T, generator_indices(A))
     bar_vecs = [b.coeffs for b in bars]
     bar_degs = [T.degrees[next(iter(v))] for v in bar_vecs]
     max_deg = 2 * A.top_degree
     state = {"nodes": 0, "best": 0, "factors": (), "product": None}
 
     def dfs(start: int, vec: dict, deg: int, factors: tuple):
-        for t in range(start, len(bars)):
+        for t in range(start, len(bar_vecs)):
             if deg + bar_degs[t] > max_deg:
                 break  # bars are degree-sorted; later ones are no smaller
             state["nodes"] += 1
@@ -281,13 +334,34 @@ def zcl_basic(
         exact = False
     value = state["best"]
     if value == 0:
-        return _checked(CupLengthResult(0, exact, "search", nodes=state["nodes"]))
+        return _checked(
+            CupLengthResult(0, exact, "generator-bars", nodes=state["nodes"])
+        )
     witness = [bars[t] for t in state["factors"]]
     return _checked(
         CupLengthResult(
-            value, exact, "search", witness, Element(T, state["product"]), state["nodes"]
+            value,
+            exact,
+            "generator-bars",
+            witness,
+            Element(T, state["product"]),
+            state["nodes"],
         )
     )
+
+
+def zcl_basic(
+    A: Algebra,
+    budget: int = DEFAULT_BUDGET,
+    capacity: int = DEFAULT_CAPACITY,
+) -> CupLengthResult:
+    """Longest nonzero product of basic zero-divisors (repetition allowed).
+
+    Searched over generator bars only, which loses nothing (module
+    docstring).  Raises CapacityError when the tensor square exceeds the
+    cap; an exhausted node budget gives ``exact=False``.
+    """
+    return _generator_bar_search(A, budget, capacity)
 
 
 # -- full zero-divisor cup length ------------------------------------------------
@@ -298,7 +372,8 @@ def zero_divisor_ideal_basis(T: ProductAlgebra) -> tuple[list[dict], list[int]]:
 
     Returns (vectors, degrees), ordered by degree then by kernel extraction
     order.  Degree-0 (the unit line) is excluded: zero-divisors live in the
-    reduced part.
+    reduced part.  No cup-length engine needs it: the powers of this ideal
+    are searched through generator bars (module docstring).
     """
     A = T.left
     vectors: list[dict] = []
@@ -317,46 +392,6 @@ def zero_divisor_ideal_basis(T: ProductAlgebra) -> tuple[list[dict], list[int]]:
             vectors.append(vec)
             degrees.append(d)
     return vectors, degrees
-
-
-def _zcl_full_direct(
-    A: Algebra, capacity: int, collect_witness: bool = True
-) -> CupLengthResult:
-    if A.dim * A.dim > capacity:
-        raise CapacityError(
-            f"zcl-full needs exact linear algebra on the {A.dim * A.dim}-dimensional "
-            f"tensor square, above capacity {capacity}; use zcl-basic for a lower bound"
-        )
-    T = tensor_square(A, capacity=max(capacity, A.dim * A.dim))
-    z_vecs, z_degs = zero_divisor_ideal_basis(T)
-    if not z_vecs:
-        return _checked(CupLengthResult(0, True, "linear-algebra"))
-    max_deg = 2 * A.top_degree
-    members = [(vec, (i,), z_degs[i]) for i, vec in enumerate(z_vecs)]
-    value = 0
-    best = members
-    nodes = 0
-    while members:
-        value += 1
-        best = members
-        nxt = []
-        ech = Echelon(T.field)
-        for vec, factors, deg in members:
-            for t, zv in enumerate(z_vecs):
-                if deg + z_degs[t] > max_deg:
-                    break  # z_vecs are degree-sorted
-                nodes += 1
-                prod = T.mul_vec(vec, zv)
-                if prod and ech.insert(dict(prod))[0]:
-                    nxt.append((prod, factors + (t,), deg + z_degs[t]))
-        members = nxt
-    vec, factors, _ = best[0]
-    witness = [Element(T, z_vecs[t]) for t in factors]
-    return _checked(
-        CupLengthResult(
-            value, True, "linear-algebra", witness, Element(T, vec), nodes
-        )
-    )
 
 
 def _embed_square(
@@ -384,13 +419,17 @@ def _embed_square(
     return out
 
 
-def _zcl_full_factor(A: MonomialAlgebra, capacity: int) -> CupLengthResult:
+def _zcl_full_factor(
+    A: MonomialAlgebra, budget: int, capacity: int
+) -> CupLengthResult:
     """Sum of per-generator values, witnessed inside the full tensor square.
 
     Justified by additivity of zcl across tensor factors over a field (see
-    module docstring); the witness is assembled by embedding each factor's
-    witness and is re-multiplied in the big tensor square, which only needs
-    sparse products, so the capacity cap does not apply to it.
+    module docstring); each generator's value comes from the generator-bar
+    search on its one-generator algebra, with what is left of the node
+    budget.  The witness is assembled by embedding each factor's witness and
+    is re-multiplied in the big tensor square, which only needs sparse
+    products, so the capacity cap does not apply to it.
     """
     if not A.gens:
         return _checked(CupLengthResult(0, True, "factorization"))
@@ -398,42 +437,46 @@ def _zcl_full_factor(A: MonomialAlgebra, capacity: int) -> CupLengthResult:
     witness: list[Element] = []
     total = 0
     nodes = 0
+    exact = True
     for slot, g in enumerate(A.gens):
         Bg = MonomialAlgebra(A.field, [g], capacity=capacity)
-        part = _zcl_full_direct(Bg, capacity=capacity)
+        part = _generator_bar_search(Bg, max(budget - nodes, 0), capacity)
         total += part.value
         nodes += part.nodes
-        emb = _embed_square(big, A, slot, tensor_square(Bg, capacity=capacity))
-        for w in part.witness:
-            witness.append(Element(big, {emb[i]: c for i, c in w.coeffs.items()}))
+        exact = exact and part.exact
+        if part.witness:
+            emb = _embed_square(big, A, slot, part.witness[0].algebra)
+            for w in part.witness:
+                witness.append(Element(big, {emb[i]: c for i, c in w.coeffs.items()}))
     if total == 0:
-        return _checked(CupLengthResult(0, True, "factorization", nodes=nodes))
+        return _checked(CupLengthResult(0, exact, "factorization", nodes=nodes))
     prod = witness[0]
     for w in witness[1:]:
         prod = prod * w
     return _checked(
-        CupLengthResult(total, True, "factorization", witness, prod, nodes)
+        CupLengthResult(total, exact, "factorization", witness, prod, nodes)
     )
 
 
 def zcl_full(
     A: Algebra,
     method: str = "auto",
+    budget: int = DEFAULT_BUDGET,
     capacity: int = DEFAULT_CAPACITY,
 ) -> CupLengthResult:
     """Cup length of the full zero-divisor ideal Z = ker(A⊗A → A).
 
-    ``method``: "auto" (factorization for monomial encodings, direct linear
-    algebra otherwise), "direct", or "factor".  Raises CapacityError when the
-    direct route would need dense linear algebra beyond the cap; zcl_basic is
-    then the documented lower-bound fallback.
+    ``method``: "auto" (factorization for monomial encodings, the
+    generator-bar search otherwise), "direct" (the generator-bar search), or
+    "factor".  Raises CapacityError when a searched tensor square exceeds
+    the cap; an exhausted node budget gives ``exact=False``.
     """
     if method == "auto":
         method = "factor" if isinstance(A, MonomialAlgebra) else "direct"
     if method == "factor":
         if not isinstance(A, MonomialAlgebra):
             raise ValueError("factorization requires the monomial encoding")
-        return _zcl_full_factor(A, capacity)
+        return _zcl_full_factor(A, budget, capacity)
     if method != "direct":
         raise ValueError(f"unknown zcl_full method {method!r}")
-    return _zcl_full_direct(A, capacity)
+    return _generator_bar_search(A, budget, capacity)

@@ -33,22 +33,6 @@ def vec_is_zero(v: Vec) -> bool:
     return not v
 
 
-def _primitive(v: Vec) -> Vec:
-    """Scale a char-0 sparse vector to primitive integer form.
-
-    The leading (smallest-column) coefficient is made positive so that the
-    representation is canonical.
-    """
-    if not v:
-        return {}
-    den = lcm(*(c.denominator if isinstance(c, Fraction) else 1 for c in v.values()))
-    ints = {k: int(c * den) if isinstance(c, Fraction) else c * den for k, c in v.items()}
-    g = gcd(*ints.values())
-    if ints[min(ints)] < 0:
-        g = -g
-    return {k: c // g for k, c in ints.items()}
-
-
 class Echelon:
     """Incremental echelon basis of a growing span, with optional augmentation.
 

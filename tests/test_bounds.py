@@ -135,6 +135,24 @@ class TestRuleOutputs:
         assert entry.value == 7
         assert not any("closed-form" in note for note in entry.notes)
 
+    def test_exhausted_budget_is_noted_on_every_searched_entry(self, reports):
+        # A zero node budget leaves every zero-divisor value a lower bound:
+        # the entries that use one must say so, and the interval can only
+        # get weaker, never stronger.
+        rows = {r.key: r for r in example_rows()}
+        starved = compute_bounds(rows["t2"].descriptor, budget=0)
+        assert starved.lower <= reports["t2"].lower
+        assert starved.upper == reports["t2"].upper
+        for entry in starved.entries:
+            if entry.rule in ("lower-tncz", "lower-dim-theorem"):
+                assert any("budget exhausted for M" in n for n in entry.notes)
+        for field in ("char=0", "char=2"):
+            notes = by_rule(starved, "lower-parallelizable", field=field).notes
+            assert any("budget exhausted for M" in n for n in notes)
+            assert any("budget exhausted for SO(2)" in n for n in notes)
+        for entry in reports["t2"].entries:
+            assert not any("budget exhausted" in n for n in entry.notes)
+
     def test_bare_descriptor_defaults(self):
         rep = compute_bounds(ManifoldDescriptor(name="bare", dim=4))
         assert rep.interval == (1, 15)

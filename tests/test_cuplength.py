@@ -17,6 +17,7 @@ from frametc.algebra import (
     Element,
     GeneratorSpec,
     MonomialAlgebra,
+    TableAlgebra,
     tensor,
     tensor_square,
 )
@@ -33,6 +34,7 @@ from frametc.cuplength import (
     bar,
     cup_length,
     diagonal_image,
+    generator_indices,
     zcl_basic,
     zcl_full,
     zero_divisor_generators,
@@ -144,6 +146,39 @@ class TestZeroDivisorGenerators:
                     power = power * b
                 assert not power.is_zero, (n, g.name)
                 assert (power * b).is_zero, (n, g.name)
+
+
+class TestGeneratorIndices:
+    def test_monomial_generators_are_the_generator_monomials(self):
+        A = so_ring(5, F2)
+        assert [A.labels[i] for i in generator_indices(A)] == ["b1", "b3"]
+
+    def test_table_surface_generated_in_degree_one(self):
+        A = surface_ring(2, QQ)
+        gens = generator_indices(A)
+        assert [A.labels[i] for i in gens] == ["a1", "a2", "b1", "b2"]
+
+    def test_table_encoding_of_monomial_ring_finds_same_generators(self):
+        # A structure-constant copy of a monomial ring goes through the
+        # decomposables route and must land on the same basis classes.
+        for A in (so_ring(5, F2), so_ring(6, QQ), cp_ring(3, QQ), torus_ring(3, F2)):
+            table = TableAlgebra(
+                A.field,
+                A.labels,
+                A.degrees,
+                {(i, j): A.mul_basis(i, j) for i in range(A.dim) for j in range(A.dim)},
+            )
+            assert generator_indices(table) == generator_indices(A)
+
+    def test_product_algebra_generators_are_the_factor_generators(self):
+        A, B = surface_ring(1, F2), rp_ring(3)
+        P = tensor(A, B)
+        labels = [P.labels[i] for i in generator_indices(P)]
+        assert labels == ["1⊗a", "a1⊗1", "b1⊗1"]  # (degree, index) order
+
+    def test_point_has_no_generators(self):
+        assert generator_indices(so_ring(1, QQ)) == []
+        assert generator_indices(TableAlgebra(QQ, ["1"], [0], {})) == []
 
 
 class TestZclBasic:
@@ -261,9 +296,32 @@ class TestZclFull:
         assert len(vecs) == T.dim - A.dim
 
     def test_capacity_error_suggests_fallback(self):
-        with pytest.raises(CapacityError) as err:
-            zcl_full(surface_ring(2, F2), capacity=16)
-        assert "zcl-basic" in str(err.value)
+        # zcl-basic is no fallback: it needs the same tensor square and
+        # refuses at the same cap, so the hint is to raise the capacity.
+        for engine in (zcl_full, zcl_basic):
+            with pytest.raises(CapacityError) as err:
+                engine(surface_ring(2, F2), capacity=16)
+            assert "--capacity" in str(err.value)
+            assert "36" in str(err.value)
+        assert zcl_full(surface_ring(2, F2), capacity=36).value == 3
+
+    def test_budget_exhaustion_is_flagged(self):
+        for method in ("factor", "direct"):
+            res = zcl_full(so_ring(5, F2), method=method, budget=3)
+            assert not res.exact, method
+            assert res.value < 8 and res.verify(), method
+        res = zcl_full(surface_ring(2, QQ), budget=5)
+        assert not res.exact and res.value <= 4 and res.verify()
+        assert zcl_full(so_ring(5, F2), budget=0).value == 0
+
+    def test_factor_route_shares_the_budget(self):
+        # The two generator searches of so:5:char2 together need more nodes
+        # than either alone; a budget covering only the first must not be
+        # handed out again to the second.
+        full = zcl_full(so_ring(5, F2), method="factor")
+        assert full.exact and full.value == 8
+        res = zcl_full(so_ring(5, F2), method="factor", budget=full.nodes - 1)
+        assert not res.exact and res.verify()
 
     def test_method_validation(self):
         with pytest.raises(ValueError):

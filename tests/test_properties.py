@@ -8,7 +8,10 @@ Two layers:
 * exhaustive: the identities that admit a finite, affordable enumeration
   (the bar-square expansion on every basis class of every catalog ring, the
   invariant chain on every ring, tensor additivity on every small pair) are
-  additionally checked on every instance, not just sampled ones.
+  additionally checked on every instance, not just sampled ones.  The
+  generator-bar search on joint rings of dimension <= 12 is also checked
+  against the independent dense kernel-power oracle, since additivity alone
+  compares the search with itself.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from frametc.cuplength import (
     zcl_full,
     zero_divisor_generators,
 )
+from frametc.oracle import brute_force_cl
 
 # How many randomized examples each law receives.  Edit here, nowhere else;
 # the acceptance gate asserts the total stays at or above one thousand.
@@ -55,6 +59,13 @@ ADDITIVE_PAIRS = [
     for i, a in enumerate(ENTRIES)
     for b in ENTRIES[i:]
     if a.algebra.field is b.algebra.field and a.algebra.dim * b.algebra.dim <= 16
+]
+
+# Additive pairs whose joint ring is small enough for the dense oracle.
+ORACLE_PAIRS = [
+    (id_a, id_b)
+    for id_a, id_b in ADDITIVE_PAIRS
+    if BY_ID[id_a].algebra.dim * BY_ID[id_b].algebra.dim <= 12
 ]
 
 # Small same-field pairs for the Poincaré product check.
@@ -265,6 +276,16 @@ class TestExhaustive:
         for id_a, id_b in ADDITIVE_PAIRS:
             joint, split = additivity_sides(id_a, id_b)
             assert joint == split, (id_a, id_b)
+
+    def test_joint_rings_match_oracle(self):
+        # The direct route on the joint ring against the oracle's dense
+        # full-kernel powers, which share only the multiplication table.
+        assert len(ORACLE_PAIRS) >= 250
+        for id_a, id_b in ORACLE_PAIRS:
+            joint = tensor(BY_ID[id_a].algebra, BY_ID[id_b].algebra)
+            res = zcl_full(joint, method="direct")
+            assert res.exact, (id_a, id_b)
+            assert res.value == brute_force_cl(joint, "zero-divisor-full"), (id_a, id_b)
 
 
 def test_budget_floor():

@@ -71,6 +71,31 @@ class TestRingCommand:
         assert "budget exhausted" in out
 
 
+    def test_exhausted_budget_on_zcl_full_is_a_warning_exit(self, run_cli):
+        code, out, _ = run_cli(
+            ["ring", "so:5:char2", "--compute", "zcl-full",
+             "--budget", "3", "--no-timing"]
+        )
+        assert code == 2
+        assert "zcl-full budget exhausted" in out
+        assert "lower bound (budget exhausted)" in out
+
+    def test_budget_must_be_nonnegative(self, run_cli):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ring", "so:5:char2", "--compute", "zcl-basic", "--budget", "-5"])
+        assert exc.value.code == 2
+        code, _, _ = run_cli(["ring", "rp:3", "--compute", "cl", "--budget", "0"])
+        assert code == 0
+
+    def test_capacity_must_be_positive(self, run_cli):
+        for flag in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["frame-bundle", "s2", "--capacity", flag])
+            assert exc.value.code == 2
+        code, _, _ = run_cli(["ring", "rp:1", "--capacity", "1", "--compute", "poincare"])
+        assert code == 1  # rp:1 has dimension 2, above the cap: a clean error
+
+
 class TestFrameBundleCommand:
     def test_text_shape(self, run_cli):
         code, out, _ = run_cli(["frame-bundle", "s2", "--no-timing"])
