@@ -12,24 +12,30 @@ Three encodings share one interface (:class:`Algebra`):
   validated for unitality, grading, graded commutativity and associativity.
 * :class:`ProductAlgebra` — the graded tensor product of two algebras with
   structure constants computed lazily:
-  ``(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'``.
+  ``(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'``.  Its degrees and
+  labels are lazy too: basis class k = (i, j) is answered from the factors'
+  lists on demand, so a tensor square costs nothing per basis class until
+  it is multiplied in.
 
 Basis ordering is deterministic everywhere, so searches and reported
 witnesses are reproducible.  Elements are sparse maps from basis index to a
-nonzero field coefficient.  The default capacity cap refuses algebras with
-more than 4096 basis elements; operations that need exhaustive basis
-enumeration or dense linear algebra respect it.
+nonzero field coefficient.  The default capacity cap refuses to construct
+rings with more than 4096 basis elements, and ``cup_length`` search honours
+it; the zero-divisor searches multiply sparsely in an uncapped lazy tensor
+square.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .fields import Coeff, Field, field_from_json
 
@@ -172,8 +178,8 @@ class Algebra:
     """
 
     field: Field
-    degrees: list[int]
-    labels: list[str]
+    degrees: Sequence[int]
+    labels: Sequence[str]
     unit_index: int
 
     @property
@@ -412,31 +418,57 @@ class TableAlgebra(Algebra):
         return dict(self._table.get((i, j), {}))
 
 
-class ProductAlgebra(Algebra):
-    """Graded tensor product with lazily computed structure constants."""
+class _PairView(abc.Sequence):
+    """Read-only sequence whose entry i * len(right) + j is join(left[i], right[j])."""
 
-    def __init__(self, left: Algebra, right: Algebra, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, left: Sequence, right: Sequence, join: Callable):
+        self._left = left
+        self._right = right
+        self._join = join
+
+    def __len__(self) -> int:
+        return len(self._left) * len(self._right)
+
+    def __getitem__(self, k: int):
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"index {k} out of range for length {len(self)}")
+        i, j = divmod(k % len(self), len(self._right))
+        return self._join(self._left[i], self._right[j])
+
+    def __iter__(self):
+        return itertools.starmap(self._join, itertools.product(self._left, self._right))
+
+
+class ProductAlgebra(Algebra):
+    """Graded tensor product with lazily computed structure constants.
+
+    ``degrees`` and ``labels`` are read-only views: entry
+    ``pair_index(i, j)`` is computed from entries i and j of the factors'
+    lists when it is asked for, so construction and ``dim`` (the views'
+    length) are O(1) whatever the dimension.  ``capacity=None`` lifts the
+    dimension cap; the zero-divisor searches use that for tensor squares
+    they only multiply in.
+    """
+
+    def __init__(
+        self, left: Algebra, right: Algebra, capacity: Optional[int] = DEFAULT_CAPACITY
+    ):
         if left.field != right.field:
             raise DomainMismatchError("tensor factors must share the coefficient field")
         dim = left.dim * right.dim
-        if dim > capacity:
+        if capacity is not None and dim > capacity:
             raise CapacityError(f"dimension {dim} exceeds capacity {capacity}")
         self.field = left.field
         self.left = left
         self.right = right
-        rd = right.dim
-        self.degrees = [
-            left.degrees[i] + right.degrees[j]
-            for i in range(left.dim)
-            for j in range(right.dim)
-        ]
-        self.labels = [
-            f"{left.labels[i]}⊗{right.labels[j]}"
-            for i in range(left.dim)
-            for j in range(right.dim)
-        ]
-        self.unit_index = left.unit_index * rd + right.unit_index
+        self.degrees = _PairView(left.degrees, right.degrees, operator.add)
+        self.labels = _PairView(left.labels, right.labels, "{}⊗{}".format)
+        self.unit_index = self.pair_index(left.unit_index, right.unit_index)
         self._mul_cached = lru_cache(maxsize=1 << 18)(self._mul_uncached)
+
+    @property
+    def top_degree(self) -> int:
+        return self.left.top_degree + self.right.top_degree
 
     def pair_index(self, i: int, j: int) -> int:
         return i * self.right.dim + j
@@ -487,8 +519,13 @@ def tensor(
     return ProductAlgebra(left, right, capacity=capacity)
 
 
-def tensor_square(algebra: Algebra, capacity: int = DEFAULT_CAPACITY) -> ProductAlgebra:
-    """The tensor square A (x) A in product form (labels ``x⊗y``)."""
+def tensor_square(
+    algebra: Algebra, capacity: Optional[int] = DEFAULT_CAPACITY
+) -> ProductAlgebra:
+    """The tensor square A (x) A in product form (labels ``x⊗y``).
+
+    ``capacity=None`` builds it uncapped (see :class:`ProductAlgebra`).
+    """
     return ProductAlgebra(algebra, algebra, capacity=capacity)
 
 

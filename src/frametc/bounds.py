@@ -220,7 +220,7 @@ class _RingCache:
             if ring is None:
                 self._zcl[token] = None
             else:
-                res = zcl_full(ring, budget=self.budget, capacity=self.capacity)
+                res = zcl_full(ring, budget=self.budget)
                 self._zcl[token] = (
                     res.value, [] if res.exact else [_BUDGET_NOTE.format("M")]
                 )
@@ -404,9 +404,7 @@ def compute_bounds(
                 continue
             zm, notes = zres
             fld = parse_field(token)
-            fiber = zcl_full(
-                so_ring(n, fld, capacity=capacity), budget=budget, capacity=capacity
-            )
+            fiber = zcl_full(so_ring(n, fld, capacity=capacity), budget=budget)
             zso = fiber.value
             value = zso + zm + 1
             add(
@@ -497,6 +495,12 @@ def compute_bounds(
             )
         )
 
+    starved = {_BUDGET_NOTE.format(who) for who in ("M", f"SO({n})")}
+    if any(note in starved for e in report.entries for note in e.notes):
+        report.warnings.append(
+            "zero-divisor search budget exhausted: entries noting it use a "
+            "searched lower value, so the lower end may rise with a larger --budget"
+        )
     lo, hi = report.interval
     if hi is not None and lo > hi:
         report.warnings.append(

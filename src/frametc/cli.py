@@ -9,12 +9,12 @@ Three subcommands:
 * ``frametc examples [keys...]`` — built-in worked examples compared against
   their stated intervals.
 
-Exit codes: 0 on success, 1 on hard errors (bad input, capacity), 2 when the
-computation finished but produced warnings (inconsistent bounds, exhausted
-search budgets, disagreeing examples).  ``--threads`` is accepted for
-interface stability and validated, but computations are single-threaded and
-the flag never changes output; combined with ``--no-timing`` this makes runs
-byte-for-byte reproducible.
+Exit codes: 0 on success, 1 on hard errors (bad input, capacity, out of
+memory), 2 when the computation finished but produced warnings (inconsistent
+bounds, exhausted search budgets, disagreeing examples).  ``--threads`` is
+accepted for interface stability and validated, but computations are
+single-threaded and the flag never changes output; combined with
+``--no-timing`` this makes runs byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def _add_common(p: argparse.ArgumentParser):
         "--capacity",
         type=int,
         default=DEFAULT_CAPACITY,
-        help=f"dense linear-algebra dimension cap (default {DEFAULT_CAPACITY})",
+        help=f"dimension cap on rings and on cup-length search "
+        f"(default {DEFAULT_CAPACITY})",
     )
     p.add_argument(
         "--threads",
@@ -136,7 +137,7 @@ def _cmd_ring(args) -> int:
             ).describe()
         elif w in ("zcl-basic", "zcl-full"):
             engine = zcl_basic if w == "zcl-basic" else zcl_full
-            res = engine(algebra, budget=args.budget, capacity=args.capacity)
+            res = engine(algebra, budget=args.budget)
             results[w] = res.describe()
             if not res.exact:
                 warnings.append(f"{w} budget exhausted; reported value is a lower bound")
@@ -202,6 +203,12 @@ def main(argv: Optional[list] = None) -> int:
         return _cmd_examples(args)
     except (ValueError, KeyError, OSError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(
+            "error: out of memory; lower --capacity to refuse rings this large",
+            file=sys.stderr,
+        )
         return 1
     except Exception as exc:  # package-defined errors carry clean messages
         if type(exc).__module__.startswith("frametc"):

@@ -288,22 +288,17 @@ def generator_indices(A: Algebra) -> list[int]:
     return gens
 
 
-def _generator_bar_search(A: Algebra, budget: int, capacity: int) -> CupLengthResult:
+def _generator_bar_search(A: Algebra, budget: int) -> CupLengthResult:
     """Longest nonzero product of generator bars (repetition allowed).
 
     Depth-first search over multisets of generator bars in (degree,
     index)-nondecreasing order, pruning zero partial products and products
     whose degree cannot stay within the tensor square's top degree.  If the
     node budget runs out the best length found so far is returned with
-    ``exact=False``.
+    ``exact=False``.  The tensor square is lazy and only multiplied in
+    sparsely, so it is built without a dimension cap.
     """
-    if A.dim * A.dim > capacity:
-        raise CapacityError(
-            f"zero-divisor search needs the {A.dim * A.dim}-dimensional tensor "
-            f"square, above capacity {capacity}; raise --capacity to at least "
-            f"{A.dim * A.dim}"
-        )
-    T = tensor_square(A, capacity=capacity)
+    T = tensor_square(A, capacity=None)
     bars = _bars(T, generator_indices(A))
     bar_vecs = [b.coeffs for b in bars]
     bar_degs = [T.degrees[next(iter(v))] for v in bar_vecs]
@@ -350,18 +345,14 @@ def _generator_bar_search(A: Algebra, budget: int, capacity: int) -> CupLengthRe
     )
 
 
-def zcl_basic(
-    A: Algebra,
-    budget: int = DEFAULT_BUDGET,
-    capacity: int = DEFAULT_CAPACITY,
-) -> CupLengthResult:
+def zcl_basic(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     """Longest nonzero product of basic zero-divisors (repetition allowed).
 
     Searched over generator bars only, which loses nothing (module
-    docstring).  Raises CapacityError when the tensor square exceeds the
-    cap; an exhausted node budget gives ``exact=False``.
+    docstring).  No dimension cap applies beyond the one ``A`` was built
+    under; an exhausted node budget gives ``exact=False``.
     """
-    return _generator_bar_search(A, budget, capacity)
+    return _generator_bar_search(A, budget)
 
 
 # -- full zero-divisor cup length ------------------------------------------------
@@ -419,9 +410,7 @@ def _embed_square(
     return out
 
 
-def _zcl_full_factor(
-    A: MonomialAlgebra, budget: int, capacity: int
-) -> CupLengthResult:
+def _zcl_full_factor(A: MonomialAlgebra, budget: int) -> CupLengthResult:
     """Sum of per-generator values, witnessed inside the full tensor square.
 
     Justified by additivity of zcl across tensor factors over a field (see
@@ -429,18 +418,18 @@ def _zcl_full_factor(
     search on its one-generator algebra, with what is left of the node
     budget.  The witness is assembled by embedding each factor's witness and
     is re-multiplied in the big tensor square, which only needs sparse
-    products, so the capacity cap does not apply to it.
+    products.
     """
     if not A.gens:
         return _checked(CupLengthResult(0, True, "factorization"))
-    big = tensor_square(A, capacity=max(capacity, A.dim * A.dim))
+    big = tensor_square(A, capacity=None)
     witness: list[Element] = []
     total = 0
     nodes = 0
     exact = True
     for slot, g in enumerate(A.gens):
-        Bg = MonomialAlgebra(A.field, [g], capacity=capacity)
-        part = _generator_bar_search(Bg, max(budget - nodes, 0), capacity)
+        Bg = MonomialAlgebra(A.field, [g], capacity=A.dim)  # no larger than A
+        part = _generator_bar_search(Bg, max(budget - nodes, 0))
         total += part.value
         nodes += part.nodes
         exact = exact and part.exact
@@ -459,24 +448,21 @@ def _zcl_full_factor(
 
 
 def zcl_full(
-    A: Algebra,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-    capacity: int = DEFAULT_CAPACITY,
+    A: Algebra, method: str = "auto", budget: int = DEFAULT_BUDGET
 ) -> CupLengthResult:
     """Cup length of the full zero-divisor ideal Z = ker(A⊗A → A).
 
     ``method``: "auto" (factorization for monomial encodings, the
     generator-bar search otherwise), "direct" (the generator-bar search), or
-    "factor".  Raises CapacityError when a searched tensor square exceeds
-    the cap; an exhausted node budget gives ``exact=False``.
+    "factor".  No dimension cap applies beyond the one ``A`` was built
+    under; an exhausted node budget gives ``exact=False``.
     """
     if method == "auto":
         method = "factor" if isinstance(A, MonomialAlgebra) else "direct"
     if method == "factor":
         if not isinstance(A, MonomialAlgebra):
             raise ValueError("factorization requires the monomial encoding")
-        return _zcl_full_factor(A, budget, capacity)
+        return _zcl_full_factor(A, budget)
     if method != "direct":
         raise ValueError(f"unknown zcl_full method {method!r}")
-    return _generator_bar_search(A, budget, capacity)
+    return _generator_bar_search(A, budget)

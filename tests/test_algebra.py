@@ -299,6 +299,43 @@ class TestTensor:
         tensor_square(surface_ring(1, F2)).check_axioms()
         tensor_square(torus_ring(2, QQ)).check_axioms()
 
+    def test_lazy_degrees_and_labels_match_eager_lists(self, small_entries):
+        # The eager comprehensions are the lists ProductAlgebra used to build.
+        kinds = set()
+        for a in small_entries:
+            for b in small_entries:
+                A, B = a.algebra, b.algebra
+                if A.field != B.field:
+                    continue
+                kinds.add((type(A).__name__, type(B).__name__))
+                P = ProductAlgebra(A, B)
+                pairs = [(i, j) for i in range(A.dim) for j in range(B.dim)]
+                degrees = [A.degrees[i] + B.degrees[j] for i, j in pairs]
+                labels = [f"{A.labels[i]}⊗{B.labels[j]}" for i, j in pairs]
+                assert list(P.degrees) == degrees
+                assert [P.degrees[k] for k in range(len(pairs))] == degrees
+                assert list(P.labels) == labels
+                assert [P.labels[k] for k in range(len(pairs))] == labels
+                assert P.dim == len(P.degrees) == len(P.labels) == len(pairs)
+                assert P.top_degree == max(degrees)
+                poincare = [degrees.count(d) for d in range(max(degrees) + 1)]
+                assert P.poincare_polynomial() == poincare
+                assert tensor(A, B).poincare_polynomial() == poincare
+        both = ("MonomialAlgebra", "TableAlgebra")
+        assert {(x, y) for x in both for y in both} <= kinds
+
+    def test_lazy_views_index_like_lists(self):
+        T = tensor_square(surface_ring(1, F2))
+        labels = list(T.labels)
+        assert T.labels[-1] == labels[-1] and T.labels[-T.dim] == labels[0]
+        assert T.labels.index(labels[T.unit_index]) == T.unit_index
+        assert T.degrees[T.unit_index] == 0
+        for view in (T.degrees, T.labels):
+            with pytest.raises(IndexError):
+                view[T.dim]
+            with pytest.raises(IndexError):
+                view[-T.dim - 1]
+
 
 class TestRingJson:
     def test_monomial_round_trip(self):

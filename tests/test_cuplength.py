@@ -7,6 +7,7 @@ engine beyond the basis multiplication table), and binomial-coefficient
 identities checked symbolically in the tests themselves.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -41,6 +42,7 @@ from frametc.cuplength import (
     zero_divisor_ideal_basis,
 )
 from frametc.fields import F2, QQ, field_of
+from frametc.oracle import brute_force_cl
 
 
 class TestCupLength:
@@ -295,15 +297,36 @@ class TestZclFull:
         # summed; the multiplication map is onto (split by a (x) 1).
         assert len(vecs) == T.dim - A.dim
 
-    def test_capacity_error_suggests_fallback(self):
-        # zcl-basic is no fallback: it needs the same tensor square and
-        # refuses at the same cap, so the hint is to raise the capacity.
-        for engine in (zcl_full, zcl_basic):
-            with pytest.raises(CapacityError) as err:
-                engine(surface_ring(2, F2), capacity=16)
-            assert "--capacity" in str(err.value)
-            assert "36" in str(err.value)
-        assert zcl_full(surface_ring(2, F2), capacity=36).value == 3
+    def test_capacity_does_not_cap_the_tensor_square(self):
+        # The searches multiply sparsely in a lazy tensor square, so a ring
+        # built under capacity 16 is searched although its square has 36
+        # classes; the oracle builds its own dense square.
+        A = surface_ring(2, F2, capacity=16)
+        for engine, ideal in (
+            (zcl_full, "zero-divisor-full"),
+            (zcl_basic, "zero-divisor-basic"),
+        ):
+            res = engine(A)
+            assert (res.value, res.exact) == (3, True), ideal
+            assert res.verify(), ideal
+            assert res.value == brute_force_cl(A, ideal), ideal
+
+    def test_so8_char2_basic_search_at_default_capacity(self):
+        # Its tensor square has 65536 classes, far above the default cap.
+        res = zcl_basic(so_ring(8, F2))
+        assert (res.value, res.exact) == (12, True) and res.verify()
+
+    def test_so13_char2_in_little_memory(self):
+        # The largest SO ring the default capacity admits: a 2^24-class
+        # tensor square whose degrees and labels are never listed.
+        tracemalloc.start()
+        try:
+            res = zcl_full(so_ring(13, F2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (res.value, res.exact) == (28, True) and res.verify()
+        assert peak < 64 * 2**20, peak
 
     def test_budget_exhaustion_is_flagged(self):
         for method in ("factor", "direct"):

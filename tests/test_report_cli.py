@@ -126,6 +126,17 @@ class TestFrameBundleCommand:
         code, _, err = run_cli(["frame-bundle", "no/such/file.json"])
         assert code == 1 and "error:" in err
 
+    def test_exhausted_budget_is_a_warning_exit(self, run_cli):
+        path = os.path.join(os.path.dirname(DESCRIPTOR), "t2.json")
+        code, out, _ = run_cli(["frame-bundle", path, "--budget", "0", "--json"])
+        payload = json.loads(out)
+        assert code == 2
+        assert payload["interval"] == [2, 4]  # a valid but starved interval
+        assert len(payload["warnings"]) == 1
+        assert "budget exhausted" in payload["warnings"][0]
+        code, out, _ = run_cli(["frame-bundle", path, "--json"])
+        assert code == 0 and json.loads(out)["warnings"] == []
+
 
 class TestExamplesCommand:
     def test_agreeing_subset_exits_zero(self, run_cli):
@@ -180,6 +191,18 @@ class TestCommonFlags:
     def test_no_timing_removes_it(self, run_cli):
         _, out, _ = run_cli(["ring", "rp:3", "--json", "--no-timing"])
         assert "elapsed_seconds" not in json.loads(out)
+
+    def test_out_of_memory_is_a_clean_error(self, run_cli, monkeypatch):
+        import frametc.cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(frametc.cli, "zcl_full", exhausted)
+        code, out, err = run_cli(["ring", "so:4:char2", "--compute", "zcl-full"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: out of memory")
+        assert "--capacity" in err and "Traceback" not in err
 
 
 class TestEntryPoint:
