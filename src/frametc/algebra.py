@@ -31,7 +31,6 @@ import itertools
 import operator
 import random
 from collections import abc
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -54,25 +53,37 @@ class DomainMismatchError(ValueError):
     """Operands belong to different algebras or fields."""
 
 
-@dataclass(frozen=True)
 class GeneratorSpec:
-    """A truncated generator: ``name`` of ``degree`` with ``name**truncation = 0``."""
+    """A truncated generator: ``name`` of ``degree`` with ``name**truncation = 0``.
 
-    name: str
-    degree: int
-    truncation: int = 2
+    Specs are values: equal fields mean equal specs with equal hashes.
+    """
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, degree: int, truncation: int = 2):
+        self.name = name
+        self.degree = degree
+        self.truncation = truncation
+        if not name:
             raise InvalidPresentationError("generator name must be nonempty")
-        if self.degree < 1:
+        if degree < 1:
             raise InvalidPresentationError(
-                f"generator {self.name}: degree must be positive, got {self.degree}"
+                f"generator {name}: degree must be positive, got {degree}"
             )
-        if self.truncation < 2:
+        if truncation < 2:
             raise InvalidPresentationError(
-                f"generator {self.name}: truncation must be >= 2, got {self.truncation}"
+                f"generator {name}: truncation must be >= 2, got {truncation}"
             )
+
+    def _key(self) -> tuple:
+        return (self.name, self.degree, self.truncation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class Element:

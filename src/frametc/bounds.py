@@ -36,7 +36,6 @@ verifies it; for n >= 4 its entries carry a note saying so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from math import ceil
 from typing import Optional
 
@@ -99,18 +98,28 @@ _BUDGET_NOTE = (
 )
 
 
-@dataclass
 class BoundEntry:
     """One applied rule: a single inequality for TC(F(M))."""
 
-    rule: str
-    kind: str  # "upper" or "lower"
-    value: int
-    statement: str
-    citation: str
-    field: Optional[str] = None
-    assumptions: list = dc_field(default_factory=list)
-    notes: list = dc_field(default_factory=list)
+    def __init__(
+        self,
+        rule: str,
+        kind: str,  # "upper" or "lower"
+        value: int,
+        statement: str,
+        citation: str,
+        field: Optional[str] = None,
+        assumptions: Optional[list] = None,
+        notes: Optional[list] = None,
+    ):
+        self.rule = rule
+        self.kind = kind
+        self.value = value
+        self.statement = statement
+        self.citation = citation
+        self.field = field
+        self.assumptions = [] if assumptions is None else assumptions
+        self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         out = {
@@ -142,15 +151,22 @@ class BoundEntry:
         )
 
 
-@dataclass
 class BoundReport:
     """All applicable bounds for one manifold, plus the aggregate interval."""
 
-    manifold: dict
-    fiber: int
-    frame_bundle_dim: int
-    entries: list = dc_field(default_factory=list)
-    warnings: list = dc_field(default_factory=list)
+    def __init__(
+        self,
+        manifold: dict,
+        fiber: int,
+        frame_bundle_dim: int,
+        entries: Optional[list] = None,
+        warnings: Optional[list] = None,
+    ):
+        self.manifold = manifold
+        self.fiber = fiber
+        self.frame_bundle_dim = frame_bundle_dim
+        self.entries = [] if entries is None else entries
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def lower(self) -> int:

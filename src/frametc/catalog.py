@@ -15,7 +15,6 @@ Catalog entries are addressable by id strings of the form ``family:param`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 from .algebra import (
@@ -142,15 +141,32 @@ def surface_ring(g: int, field: Field = F2, capacity: int = DEFAULT_CAPACITY) ->
 # -- catalog ids -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    """A named ring instance: ``id`` is ``family:param:charP``."""
+    """A named ring instance: ``id`` is ``family:param:charP``.
 
-    family: str
-    param: int
-    field: Field
-    algebra: Algebra = dc_field(compare=False)
-    citation: str = dc_field(compare=False, default="")
+    Entries compare and hash by family, param and field only, not by the
+    built algebra or the citation.
+    """
+
+    def __init__(
+        self, family: str, param: int, field: Field, algebra: Algebra, citation: str = ""
+    ):
+        self.family = family
+        self.param = param
+        self.field = field
+        self.algebra = algebra
+        self.citation = citation
+
+    def _key(self) -> tuple:
+        return (self.family, self.param, self.field)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def entry_id(self) -> str:

@@ -43,7 +43,6 @@ reject inexact results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .algebra import (
@@ -64,16 +63,24 @@ class BudgetExceeded(Exception):
     """Internal signal: search node budget ran out."""
 
 
-@dataclass
 class CupLengthResult:
     """Value with witness; ``exact=False`` means lower bound only."""
 
-    value: int
-    exact: bool
-    method: str
-    witness: list[Element] = dc_field(default_factory=list)
-    witness_product: Optional[Element] = None
-    nodes: int = 0
+    def __init__(
+        self,
+        value: int,
+        exact: bool,
+        method: str,
+        witness: Optional[list[Element]] = None,
+        witness_product: Optional[Element] = None,
+        nodes: int = 0,
+    ):
+        self.value = value
+        self.exact = exact
+        self.method = method
+        self.witness = [] if witness is None else witness
+        self.witness_product = witness_product
+        self.nodes = nodes
 
     def verify(self) -> bool:
         """Re-multiply the witness and confirm a nonzero product of the stated length."""
@@ -208,14 +215,20 @@ def bar(T: ProductAlgebra, u: Element) -> Element:
     return Element(T, coeffs)
 
 
-@dataclass
 class ZeroDivisorBasis:
     """Basic zero-divisors m̄ for every positive-degree basis class m of A."""
 
-    algebra: Algebra
-    square: ProductAlgebra
-    bars: list[Element]
-    sources: list[int]  # basis index of A that each bar came from
+    def __init__(
+        self,
+        algebra: Algebra,
+        square: ProductAlgebra,
+        bars: list[Element],
+        sources: list[int],  # basis index of A that each bar came from
+    ):
+        self.algebra = algebra
+        self.square = square
+        self.bars = bars
+        self.sources = sources
 
     @property
     def labels(self) -> list[str]:
@@ -236,15 +249,14 @@ def _bars(T: ProductAlgebra, sources: list[int]) -> list[Element]:
     return bars
 
 
-def zero_divisor_generators(
-    A: Algebra, capacity: int = DEFAULT_CAPACITY
-) -> ZeroDivisorBasis:
+def zero_divisor_generators(A: Algebra) -> ZeroDivisorBasis:
     """Construct m̄ = 1⊗m − m⊗1 for each positive-degree basis class m.
 
     Each element is verified to lie in the kernel of the multiplication map.
-    Bars are ordered by (degree, basis index).
+    Bars are ordered by (degree, basis index).  The tensor square is lazy,
+    so it is built without a dimension cap.
     """
-    T = tensor_square(A, capacity=capacity)
+    T = tensor_square(A, capacity=None)
     order = sorted(
         (i for i in range(A.dim) if A.degrees[i] > 0),
         key=lambda i: (A.degrees[i], i),

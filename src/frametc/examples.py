@@ -11,7 +11,6 @@ a note to that effect instead of silently adopting either number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import DEFAULT_CAPACITY
@@ -22,13 +21,20 @@ from .manifold import ManifoldDescriptor
 Interval = tuple[Optional[int], Optional[int]]
 
 
-@dataclass
 class ExampleRow:
-    key: str
-    title: str
-    descriptor: ManifoldDescriptor
-    stated: Optional[Interval]
-    note: str = ""
+    def __init__(
+        self,
+        key: str,
+        title: str,
+        descriptor: ManifoldDescriptor,
+        stated: Optional[Interval],
+        note: str = "",
+    ):
+        self.key = key
+        self.title = title
+        self.descriptor = descriptor
+        self.stated = stated
+        self.note = note
 
 
 def torus_descriptor(n: int) -> ManifoldDescriptor:

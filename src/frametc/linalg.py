@@ -29,10 +29,6 @@ from .fields import Field
 Vec = dict  # {column: coefficient}
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return not v
-
-
 class Echelon:
     """Incremental echelon basis of a growing span, with optional augmentation.
 
@@ -44,8 +40,8 @@ class Echelon:
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows: dict[int, tuple[Vec, Vec]] = {}  # pivot column -> (main, aug)
-        self.pivot_order: list[int] = []
+        # pivot column -> (main, aug), in insertion order
+        self.rows: dict[int, tuple[Vec, Vec]] = {}
 
     @property
     def rank(self) -> int:
@@ -143,22 +139,7 @@ class Echelon:
             augr = {k: (c * inv) % p for k, c in augr.items()}
         piv = min(main)
         self.rows[piv] = (main, augr)
-        self.pivot_order.append(piv)
         return True, main, augr
-
-    def contains(self, vec: Vec) -> bool:
-        main, _ = self._reduce(vec, {})
-        return not main
-
-    def basis(self) -> list[Vec]:
-        return [self.rows[p][0] for p in self.pivot_order]
-
-
-def span_rank(vectors: list[Vec], field: Field) -> int:
-    ech = Echelon(field)
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
 
 
 def kernel_of_map(images: list[Vec], field: Field) -> list[Vec]:

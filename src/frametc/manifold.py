@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
 from .algebra import Algebra, DEFAULT_CAPACITY, ring_from_json
@@ -56,26 +55,44 @@ def _as_interval(value, what: str) -> Optional[Interval]:
     raise DescriptorError(f"{what} must be an integer or [lo, hi], got {value!r}")
 
 
-@dataclass
 class ManifoldDescriptor:
     """Structural facts about a closed oriented manifold."""
 
-    name: str
-    dim: int
-    orientable: bool = True
-    parallelizable: bool = False
-    spin: bool = False
-    lie_group: bool = False
-    frame_bundle_lie_group: Optional[str] = None
-    tncz_fields: tuple[str, ...] = ()
-    cohomology: dict = dc_field(default_factory=dict)
-    known_tc_base: Optional[Interval] = None
-    known_cat_base: Optional[Interval] = None
-    free_action_dim: Optional[int] = None
-    connectivity: int = 0
-    base_dir: Optional[str] = None  # resolves relative ring paths
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        orientable: bool = True,
+        parallelizable: bool = False,
+        spin: bool = False,
+        lie_group: bool = False,
+        frame_bundle_lie_group: Optional[str] = None,
+        tncz_fields: tuple[str, ...] = (),
+        cohomology: Optional[dict] = None,
+        known_tc_base: Optional[Interval] = None,
+        known_cat_base: Optional[Interval] = None,
+        free_action_dim: Optional[int] = None,
+        connectivity: int = 0,
+        base_dir: Optional[str] = None,  # resolves relative ring paths
+    ):
+        self.name = name
+        self.dim = dim
+        self.orientable = orientable
+        self.parallelizable = parallelizable
+        self.spin = spin
+        self.lie_group = lie_group
+        self.frame_bundle_lie_group = frame_bundle_lie_group
+        self.tncz_fields = tncz_fields
+        self.cohomology = {} if cohomology is None else cohomology
+        self.known_tc_base = known_tc_base
+        self.known_cat_base = known_cat_base
+        self.free_action_dim = free_action_dim
+        self.connectivity = connectivity
+        self.base_dir = base_dir
+        self._check()
 
-    def __post_init__(self):
+    def _check(self):
+        """Validate the facts and close them under their implications."""
         if not self.name:
             raise DescriptorError("descriptor needs a name")
         if self.dim < 1:

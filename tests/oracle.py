@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra
+from frametc.algebra import Algebra
 
 _NODE_LIMIT = 20_000_000
 

@@ -52,6 +52,17 @@ class TestGeneratorSpec:
         with pytest.raises(InvalidPresentationError):
             GeneratorSpec("a", 1, truncation=1)
 
+    def test_value_equality_and_hash(self):
+        spec = GeneratorSpec("a", 2, 3)
+        assert spec == GeneratorSpec("a", 2, 3)
+        assert hash(spec) == hash(GeneratorSpec("a", 2, 3))
+        assert GeneratorSpec("a", 1) == GeneratorSpec("a", 1, 2)  # default truncation
+        assert spec != GeneratorSpec("b", 2, 3)
+        assert spec != GeneratorSpec("a", 4, 3)
+        assert spec != GeneratorSpec("a", 2, 4)
+        assert spec != ("a", 2, 3)
+        assert len({spec, GeneratorSpec("a", 2, 3), GeneratorSpec("a", 2)}) == 2
+
 
 class TestMonomialAlgebra:
     def test_basis_order_is_lexicographic(self):

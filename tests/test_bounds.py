@@ -22,7 +22,7 @@ from frametc.catalog import so_ring
 from frametc.examples import example_rows
 from frametc.fields import F2, QQ, field_of
 from frametc.manifold import DescriptorError, ManifoldDescriptor
-from frametc.oracle import brute_force_cl
+from oracle import brute_force_cl
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import pytest
 
 from frametc.catalog import (
+    CatalogEntry,
     CatalogError,
     catalog_entries,
     catalog_ring,
@@ -154,6 +155,15 @@ class TestCatalogIds:
             again = catalog_ring(entry.entry_id)
             assert again.algebra.dim == entry.algebra.dim
             assert again.algebra.degrees == entry.algebra.degrees
+
+    def test_entry_equality_ignores_algebra_and_citation(self):
+        entry = catalog_ring("t:2:char0")
+        same = CatalogEntry("t", 2, QQ, torus_ring(3, QQ), citation="other")
+        assert entry == same and hash(entry) == hash(same)
+        assert entry != CatalogEntry("t", 3, QQ, entry.algebra, entry.citation)
+        assert entry != CatalogEntry("s", 2, QQ, entry.algebra, entry.citation)
+        assert entry != CatalogEntry("t", 2, F2, entry.algebra, entry.citation)
+        assert len({entry, same}) == 1
 
     def test_citations_present(self, entries):
         for entry in entries:

@@ -2,7 +2,7 @@
 
 Expected numbers fall in three groups: hand-checkable values (truncated
 polynomial and exterior algebras), values frozen from the independent
-brute-force oracle in ``frametc.oracle`` (which shares nothing with the
+brute-force oracle in ``tests/oracle.py`` (which shares nothing with the
 engine beyond the basis multiplication table), and binomial-coefficient
 identities checked symbolically in the tests themselves.
 """
@@ -42,7 +42,7 @@ from frametc.cuplength import (
     zero_divisor_ideal_basis,
 )
 from frametc.fields import F2, QQ, field_of
-from frametc.oracle import brute_force_cl
+from oracle import brute_force_cl
 
 
 class TestCupLength:

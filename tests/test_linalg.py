@@ -3,7 +3,27 @@
 from fractions import Fraction
 
 from frametc.fields import F2, QQ, field_of
-from frametc.linalg import Echelon, kernel_of_map, span_rank, vec_is_zero
+from frametc.linalg import Echelon, kernel_of_map
+
+
+def span_rank(vectors, field):
+    ech = Echelon(field)
+    for v in vectors:
+        ech.insert(v)
+    return ech.rank
+
+
+def basis(ech):
+    """Stored rows of an echelon, in insertion order."""
+    return [main for main, _ in ech.rows.values()]
+
+
+def contains(ech, vec):
+    """Span membership, probed on a copy so ``ech`` is left unchanged."""
+    probe = Echelon(ech.field)
+    for row in basis(ech):
+        probe.insert(row)
+    return not probe.insert(vec)[0]
 
 
 def _recombine(combo, images, field):
@@ -25,7 +45,7 @@ class TestEchelon:
         added, _, _ = ech.insert({0: Fraction(1), 1: Fraction(2)})
         assert added and ech.rank == 1
         added, residual, _ = ech.insert({0: Fraction(2), 1: Fraction(4)})
-        assert not added and vec_is_zero(residual)
+        assert not added and not residual
         added, _, _ = ech.insert({1: Fraction(1)})
         assert added and ech.rank == 2
 
@@ -33,27 +53,27 @@ class TestEchelon:
         ech = Echelon(QQ)
         ech.insert({0: Fraction(1), 1: Fraction(1)})
         ech.insert({1: Fraction(1), 2: Fraction(1)})
-        assert ech.contains({0: Fraction(1), 2: Fraction(-1)})
-        assert not ech.contains({2: Fraction(1), 3: Fraction(1)})
-        assert ech.contains({})
+        assert contains(ech, {0: Fraction(1), 2: Fraction(-1)})
+        assert not contains(ech, {2: Fraction(1), 3: Fraction(1)})
+        assert contains(ech, {})
 
     def test_char0_rows_stored_as_primitive_integers(self):
         ech = Echelon(QQ)
         ech.insert({0: Fraction(1, 2), 2: Fraction(1, 3)})
-        (row,) = ech.basis()
+        (row,) = basis(ech)
         assert row == {0: 3, 2: 2}
 
     def test_leading_coefficient_positive(self):
         ech = Echelon(QQ)
         ech.insert({0: Fraction(-2), 1: Fraction(4)})
-        (row,) = ech.basis()
+        (row,) = basis(ech)
         assert row == {0: 1, 1: -2}
 
     def test_mod_p_pivot_normalized(self):
         F5 = field_of(5)
         ech = Echelon(F5)
         ech.insert({0: 3, 1: 1})
-        (row,) = ech.basis()
+        (row,) = basis(ech)
         assert row[0] == 1  # 3 * inverse(3) = 1
 
     def test_deterministic_given_order(self):
@@ -63,7 +83,7 @@ class TestEchelon:
             ech = Echelon(F2)
             for v in vecs:
                 ech.insert(dict(v))
-            runs.append(ech.basis())
+            runs.append(basis(ech))
         assert runs[0] == runs[1]
 
     def test_span_rank(self):

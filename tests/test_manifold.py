@@ -148,6 +148,13 @@ class TestJson:
         with pytest.raises(DescriptorError):
             ManifoldDescriptor.from_json([1, 2])
 
+    @pytest.mark.parametrize(
+        "bad", [{"dim": "3"}, {"connectivity": None}, {"free_action_dim": "1"}]
+    )
+    def test_mistyped_values_rejected(self, bad):
+        with pytest.raises(DescriptorError):
+            ManifoldDescriptor.from_json({"name": "M", "dim": 3, **bad})
+
     def test_shipped_descriptors_load(self):
         files = sorted(os.listdir(DESCRIPTOR_DIR))
         assert len([f for f in files if f.endswith(".json")]) == 12

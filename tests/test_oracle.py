@@ -9,7 +9,7 @@ import pytest
 
 from frametc.catalog import cp_ring, rp_ring, so_ring, surface_ring, torus_ring
 from frametc.fields import F2, QQ
-from frametc.oracle import OracleError, brute_force_cl
+from oracle import OracleError, brute_force_cl
 
 
 class TestSelectors:

@@ -1,0 +1,55 @@
+"""Package-wide contracts: what ``import frametc.cli`` loads, and the fresh
+default containers of the hand-written record classes."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import frametc
+from frametc.bounds import BoundEntry, BoundReport
+from frametc.cuplength import CupLengthResult
+from frametc.manifold import ManifoldDescriptor
+
+# Modules that ``dataclasses`` pulls in behind it; none is needed at start-up.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# The benchmark's tracer relies on ``import frametc.cli`` loading every layer.
+LAYERS = (
+    "algebra", "bounds", "catalog", "cuplength", "examples",
+    "fields", "linalg", "manifold", "report",
+)
+
+
+def test_cli_import_loads_every_layer_and_no_heavy_module():
+    probe = (
+        "import json, sys; import frametc.cli; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frametc.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    loaded = set(json.loads(out))
+    assert not loaded & set(HEAVY_MODULES)
+    assert {f"frametc.{name}" for name in LAYERS} <= loaded
+
+
+@pytest.mark.parametrize(
+    "make, attrs",
+    [
+        (lambda: BoundEntry("r", "lower", 1, "s", "c"), ("assumptions", "notes")),
+        (lambda: BoundReport({}, 1, 1), ("entries", "warnings")),
+        (lambda: CupLengthResult(0, True, "m"), ("witness",)),
+        (lambda: ManifoldDescriptor(name="M", dim=3), ("cohomology",)),
+    ],
+    ids=["BoundEntry", "BoundReport", "CupLengthResult", "ManifoldDescriptor"],
+)
+def test_default_containers_are_not_shared(make, attrs):
+    first, second = make(), make()
+    for attr in attrs:
+        assert getattr(first, attr) is not getattr(second, attr)
+        assert not getattr(first, attr)

@@ -31,7 +31,7 @@ from frametc.cuplength import (
     zcl_full,
     zero_divisor_generators,
 )
-from frametc.oracle import brute_force_cl
+from oracle import brute_force_cl
 
 # How many randomized examples each law receives.  Edit here, nowhere else;
 # the acceptance gate asserts the total stays at or above one thousand.
@@ -112,7 +112,7 @@ def draw_element(data, A, indices, max_terms=3):
 @lru_cache(maxsize=None)
 def bar_basis(entry_id):
     A = BY_ID[entry_id].algebra
-    return zero_divisor_generators(A, capacity=A.dim * A.dim)
+    return zero_divisor_generators(A)
 
 
 @lru_cache(maxsize=None)

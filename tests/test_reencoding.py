@@ -18,7 +18,7 @@ import pytest
 from frametc.algebra import TableAlgebra
 from frametc.catalog import catalog_ring
 from frametc.cuplength import generator_indices, zcl_basic, zcl_full
-from frametc.oracle import brute_force_cl
+from oracle import brute_force_cl
 
 SOURCES = [
     "sigma:2:char0",
