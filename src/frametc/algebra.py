@@ -5,9 +5,11 @@ Three encodings share one interface (:class:`Algebra`):
 * :class:`MonomialAlgebra` — generators ``g_i`` with degrees ``d_i`` and
   truncations ``q_i`` (the relation ``g_i**q_i = 0``), basis = exponent
   vectors ``e`` with ``0 <= e_i < q_i`` in lexicographic order over the
-  declared generator order.  Multiplication adds exponents, truncates, and
-  picks up the Koszul sign from counting transpositions of odd-degree
-  factors.
+  declared generator order.  Basis class k is the mixed-radix number with
+  digits ``e``, so nothing is stored per basis class: multiplication adds
+  digits, is zero when one overflows its truncation, and otherwise lands on
+  index i + j with the Koszul sign from counting transpositions of
+  odd-degree factors.
 * :class:`TableAlgebra` — explicit graded basis plus structure constants,
   validated for unitality, grading, graded commutativity and associativity.
 * :class:`ProductAlgebra` — the graded tensor product of two algebras with
@@ -19,22 +21,21 @@ Three encodings share one interface (:class:`Algebra`):
 
 Basis ordering is deterministic everywhere, so searches and reported
 witnesses are reproducible.  Elements are sparse maps from basis index to a
-nonzero field coefficient.  The default capacity cap refuses to construct
-rings with more than 4096 basis elements, and ``cup_length`` search honours
-it; the zero-divisor searches multiply sparsely in an uncapped lazy tensor
-square.
+nonzero field coefficient.  Only encodings that store every basis class are
+capped: the default capacity refuses table algebras with more than 4096
+basis elements, and ``cup_length`` search honours the same cap.  Monomial
+and product encodings store nothing per basis class and take no cap.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from collections import abc
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .fields import Coeff, Field, field_from_json
 
@@ -303,15 +304,44 @@ class Algebra:
                 )
 
 
-class MonomialAlgebra(Algebra):
-    """Truncated-generator encoding (tensor product of one-generator algebras)."""
+class _LazySeq(abc.Sequence):
+    """Read-only sequence whose entry k is ``entry(k)``, computed when read.
 
-    def __init__(
-        self,
-        field: Field,
-        gens: Sequence[GeneratorSpec],
-        capacity: int = DEFAULT_CAPACITY,
-    ):
+    It compares equal to a list with the same entries, as the list it
+    stands for would.
+    """
+
+    def __init__(self, length: int, entry: Callable):
+        self._length = length
+        self._entry = entry
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, k: int):
+        if not -self._length <= k < self._length:
+            raise IndexError(f"index {k} out of range for length {self._length}")
+        return self._entry(k % self._length)
+
+    def __iter__(self):
+        return map(self._entry, range(self._length))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _LazySeq)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+class MonomialAlgebra(Algebra):
+    """Truncated-generator encoding (tensor product of one-generator algebras).
+
+    Basis index k has digits e_i in the mixed radix (q_1, ..., q_r), the
+    last generator least significant, so generator i sits at index
+    ``strides[i]`` and the top monomial at index dim - 1.  ``degrees`` and
+    ``labels`` are lazy views decoded from the digits.
+    """
+
+    def __init__(self, field: Field, gens: Sequence[GeneratorSpec]):
         gens = tuple(gens)
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
@@ -323,55 +353,62 @@ class MonomialAlgebra(Algebra):
                         f"generator {g.name} has odd degree {g.degree}; truncation "
                         f"must be 2 over a field of characteristic != 2"
                     )
-        dim = prod(g.truncation for g in gens)
-        if dim > capacity:
-            raise CapacityError(f"dimension {dim} exceeds capacity {capacity}")
         self.field = field
         self.gens = gens
-        self.exponents: list[tuple[int, ...]] = list(
-            itertools.product(*(range(g.truncation) for g in gens))
+        self.strides = tuple(
+            prod(g.truncation for g in gens[t + 1 :]) for t in range(len(gens))
         )
-        self.index_of = {e: i for i, e in enumerate(self.exponents)}
-        self.degrees = [
-            sum(e * g.degree for e, g in zip(exp, gens)) for exp in self.exponents
-        ]
-        self.labels = [self._label(exp) for exp in self.exponents]
-        self.unit_index = self.index_of[(0,) * len(gens)]
-        self._odd = [g.degree % 2 == 1 for g in gens]
+        dim = prod(g.truncation for g in gens)
+        self.degrees = _LazySeq(dim, self._degree)
+        self.labels = _LazySeq(dim, self._label)
+        self.unit_index = 0
+        self._radix = [(g.truncation, g.degree % 2 == 1) for g in reversed(gens)]
 
-    def _label(self, exp: tuple[int, ...]) -> str:
+    @property
+    def top_degree(self) -> int:
+        return sum((g.truncation - 1) * g.degree for g in self.gens)
+
+    def _digits(self, k: int) -> list[int]:
+        """Exponent of each generator in basis class k, in declared order."""
+        out = []
+        for g in reversed(self.gens):
+            k, e = divmod(k, g.truncation)
+            out.append(e)
+        return out[::-1]
+
+    def _degree(self, k: int) -> int:
+        return sum(e * g.degree for e, g in zip(self._digits(k), self.gens))
+
+    def _label(self, k: int) -> str:
         parts = [
             g.name if e == 1 else f"{g.name}^{e}"
-            for e, g in zip(exp, self.gens)
+            for e, g in zip(self._digits(k), self.gens)
             if e > 0
         ]
         return "·".join(parts) if parts else "1"
 
     def generator_element(self, name: str) -> Element:
-        for pos, g in enumerate(self.gens):
+        for g, stride in zip(self.gens, self.strides):
             if g.name == name:
-                exp = tuple(1 if t == pos else 0 for t in range(len(self.gens)))
-                return self.basis_element(self.index_of[exp])
+                return self.basis_element(stride)
         raise KeyError(f"no generator named {name!r}")
 
     def mul_basis(self, i: int, j: int) -> dict:
-        e, f = self.exponents[i], self.exponents[j]
-        out = []
-        for a, (ea, fa, g) in enumerate(zip(e, f, self.gens)):
-            s = ea + fa
-            if s >= g.truncation:
-                return {}
-            out.append(s)
+        # Digits add without carry, so a nonzero product is class i + j.
         # Koszul sign: each of the f_a copies of generator a crosses each of
-        # the e_b copies of generator b, for every pair a < b; a transposition
-        # of two odd-degree factors contributes -1.
-        exponent = 0
-        for a in range(len(e)):
-            if f[a] and self._odd[a]:
-                for b in range(a + 1, len(e)):
-                    if e[b] and self._odd[b]:
-                        exponent += f[a] * e[b]
-        return {self.index_of[tuple(out)]: self.field.sign_to_coeff(exponent)}
+        # the e_b copies of generator b > a; ``later`` counts those e_b, over
+        # odd-degree generators only, as digits are read from the last one.
+        x, y = i, j
+        exponent = later = 0
+        for q, odd in self._radix:
+            x, e = divmod(x, q)
+            y, f = divmod(y, q)
+            if e + f >= q:
+                return {}
+            if odd:
+                exponent += f * later
+                later += e
+        return {i + j: self.field.sign_to_coeff(exponent)}
 
 
 class TableAlgebra(Algebra):
@@ -429,51 +466,28 @@ class TableAlgebra(Algebra):
         return dict(self._table.get((i, j), {}))
 
 
-class _PairView(abc.Sequence):
-    """Read-only sequence whose entry i * len(right) + j is join(left[i], right[j])."""
-
-    def __init__(self, left: Sequence, right: Sequence, join: Callable):
-        self._left = left
-        self._right = right
-        self._join = join
-
-    def __len__(self) -> int:
-        return len(self._left) * len(self._right)
-
-    def __getitem__(self, k: int):
-        if not -len(self) <= k < len(self):
-            raise IndexError(f"index {k} out of range for length {len(self)}")
-        i, j = divmod(k % len(self), len(self._right))
-        return self._join(self._left[i], self._right[j])
-
-    def __iter__(self):
-        return itertools.starmap(self._join, itertools.product(self._left, self._right))
-
-
 class ProductAlgebra(Algebra):
     """Graded tensor product with lazily computed structure constants.
 
     ``degrees`` and ``labels`` are read-only views: entry
     ``pair_index(i, j)`` is computed from entries i and j of the factors'
-    lists when it is asked for, so construction and ``dim`` (the views'
-    length) are O(1) whatever the dimension.  ``capacity=None`` lifts the
-    dimension cap; the zero-divisor searches use that for tensor squares
-    they only multiply in.
+    sequences when it is asked for, so construction and ``dim`` (the
+    views' length) are O(1) whatever the dimension.
     """
 
-    def __init__(
-        self, left: Algebra, right: Algebra, capacity: Optional[int] = DEFAULT_CAPACITY
-    ):
+    def __init__(self, left: Algebra, right: Algebra):
         if left.field != right.field:
             raise DomainMismatchError("tensor factors must share the coefficient field")
-        dim = left.dim * right.dim
-        if capacity is not None and dim > capacity:
-            raise CapacityError(f"dimension {dim} exceeds capacity {capacity}")
         self.field = left.field
         self.left = left
         self.right = right
-        self.degrees = _PairView(left.degrees, right.degrees, operator.add)
-        self.labels = _PairView(left.labels, right.labels, "{}⊗{}".format)
+        n = right.dim
+        self.degrees = _LazySeq(
+            left.dim * n, lambda k: left.degrees[k // n] + right.degrees[k % n]
+        )
+        self.labels = _LazySeq(
+            left.dim * n, lambda k: f"{left.labels[k // n]}⊗{right.labels[k % n]}"
+        )
         self.unit_index = self.pair_index(left.unit_index, right.unit_index)
         self._mul_cached = lru_cache(maxsize=1 << 18)(self._mul_uncached)
 
@@ -505,9 +519,7 @@ class ProductAlgebra(Algebra):
         return dict(self._mul_cached(i, j))
 
 
-def tensor(
-    left: Algebra, right: Algebra, capacity: int = DEFAULT_CAPACITY
-) -> Algebra:
+def tensor(left: Algebra, right: Algebra) -> Algebra:
     """Graded (Künneth) tensor product.
 
     Two monomial algebras tensor to a monomial algebra by concatenating the
@@ -526,18 +538,13 @@ def tensor(
                 name += "'"
             taken.add(name)
             gens.append(GeneratorSpec(name, g.degree, g.truncation))
-        return MonomialAlgebra(left.field, gens, capacity=capacity)
-    return ProductAlgebra(left, right, capacity=capacity)
+        return MonomialAlgebra(left.field, gens)
+    return ProductAlgebra(left, right)
 
 
-def tensor_square(
-    algebra: Algebra, capacity: Optional[int] = DEFAULT_CAPACITY
-) -> ProductAlgebra:
-    """The tensor square A (x) A in product form (labels ``x⊗y``).
-
-    ``capacity=None`` builds it uncapped (see :class:`ProductAlgebra`).
-    """
-    return ProductAlgebra(algebra, algebra, capacity=capacity)
+def tensor_square(algebra: Algebra) -> ProductAlgebra:
+    """The tensor square A (x) A in product form (labels ``x⊗y``)."""
+    return ProductAlgebra(algebra, algebra)
 
 
 # -- descriptor files ---------------------------------------------------------
@@ -567,7 +574,10 @@ def _coeff_from_json(c, field: Field) -> Coeff:
 def ring_from_json(
     obj: dict, field: Optional[Field] = None, capacity: int = DEFAULT_CAPACITY
 ) -> Algebra:
-    """Build an algebra from its JSON descriptor (see module comment)."""
+    """Build an algebra from its JSON descriptor (see module comment).
+
+    ``capacity`` caps table descriptors only; they list every basis class.
+    """
     if not isinstance(obj, dict):
         raise InvalidPresentationError("ring descriptor must be a JSON object")
     if "field" in obj:
@@ -585,7 +595,7 @@ def ring_from_json(
             GeneratorSpec(g["name"], g["degree"], g.get("truncation", 2))
             for g in obj.get("generators", [])
         ]
-        return MonomialAlgebra(field, gens, capacity=capacity)
+        return MonomialAlgebra(field, gens)
     if kind == "table":
         basis = obj.get("basis", [])
         names = [b["name"] for b in basis]

@@ -420,7 +420,7 @@ def compute_bounds(
                 continue
             zm, notes = zres
             fld = parse_field(token)
-            fiber = zcl_full(so_ring(n, fld, capacity=capacity), budget=budget)
+            fiber = zcl_full(so_ring(n, fld), budget=budget)
             zso = fiber.value
             value = zso + zm + 1
             add(

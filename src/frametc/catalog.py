@@ -35,7 +35,7 @@ class CatalogError(ValueError):
 def pi_exponent(i: int, n: int) -> int:
     """Smallest power of two ``2**k`` with ``i * 2**k >= n`` (i odd, i < n).
 
-    These are the truncation exponents of the characteristic-2 cohomology of
+    These are the truncation heights of the characteristic-2 cohomology of
     SO(n): one truncated polynomial generator of degree i per odd i < n.
     """
     if i % 2 == 0 or i < 1:
@@ -48,7 +48,7 @@ def pi_exponent(i: int, n: int) -> int:
     return p
 
 
-def so_ring(n: int, field: Field, capacity: int = DEFAULT_CAPACITY) -> Algebra:
+def so_ring(n: int, field: Field) -> Algebra:
     """Cohomology ring of SO(n) over the given field.
 
     Characteristic != 2: an exterior algebra on ``n // 2`` odd-degree
@@ -64,7 +64,7 @@ def so_ring(n: int, field: Field, capacity: int = DEFAULT_CAPACITY) -> Algebra:
         gens = [
             GeneratorSpec(f"b{i}", i, pi_exponent(i, n)) for i in range(1, n, 2)
         ]
-        return MonomialAlgebra(field, gens, capacity=capacity)
+        return MonomialAlgebra(field, gens)
     m = n // 2
     if n % 2 == 1:
         degrees = [4 * k - 1 for k in range(1, m + 1)]
@@ -73,10 +73,10 @@ def so_ring(n: int, field: Field, capacity: int = DEFAULT_CAPACITY) -> Algebra:
         degrees = [4 * k - 1 for k in range(1, m)]
         gens = [GeneratorSpec(f"a{d}", d, 2) for d in degrees]
         gens.append(GeneratorSpec(f"a'{2 * m - 1}", 2 * m - 1, 2))
-    return MonomialAlgebra(field, gens, capacity=capacity)
+    return MonomialAlgebra(field, gens)
 
 
-def rp_ring(n: int, field: Field = F2, capacity: int = DEFAULT_CAPACITY) -> Algebra:
+def rp_ring(n: int, field: Field = F2) -> Algebra:
     """F2[a]/(a^{n+1}) with ``a`` of degree 1 — real projective n-space.
 
     Only characteristic 2 is supported; other coefficients are rejected
@@ -86,17 +86,17 @@ def rp_ring(n: int, field: Field = F2, capacity: int = DEFAULT_CAPACITY) -> Alge
         raise CatalogError(f"rp requires n >= 1, got {n}")
     if field.characteristic != 2:
         raise CatalogError("rp ring is only available over characteristic 2")
-    return MonomialAlgebra(field, [GeneratorSpec("a", 1, n + 1)], capacity=capacity)
+    return MonomialAlgebra(field, [GeneratorSpec("a", 1, n + 1)])
 
 
-def cp_ring(n: int, field: Field = QQ, capacity: int = DEFAULT_CAPACITY) -> Algebra:
+def cp_ring(n: int, field: Field = QQ) -> Algebra:
     """K[u]/(u^{n+1}) with ``u`` of degree 2 — complex projective n-space."""
     if n < 1:
         raise CatalogError(f"cp requires n >= 1, got {n}")
-    return MonomialAlgebra(field, [GeneratorSpec("u", 2, n + 1)], capacity=capacity)
+    return MonomialAlgebra(field, [GeneratorSpec("u", 2, n + 1)])
 
 
-def torus_ring(n: int, field: Field = QQ, capacity: int = DEFAULT_CAPACITY) -> Algebra:
+def torus_ring(n: int, field: Field = QQ) -> Algebra:
     """Exterior algebra on n degree-1 generators — the n-torus.
 
     The square-zero truncation is imposed explicitly so the same presentation
@@ -105,14 +105,14 @@ def torus_ring(n: int, field: Field = QQ, capacity: int = DEFAULT_CAPACITY) -> A
     if n < 1:
         raise CatalogError(f"t requires n >= 1, got {n}")
     gens = [GeneratorSpec(f"u{i}", 1, 2) for i in range(1, n + 1)]
-    return MonomialAlgebra(field, gens, capacity=capacity)
+    return MonomialAlgebra(field, gens)
 
 
-def sphere_ring(n: int, field: Field = QQ, capacity: int = DEFAULT_CAPACITY) -> Algebra:
+def sphere_ring(n: int, field: Field = QQ) -> Algebra:
     """K[x]/(x^2) with ``x`` of degree n — the n-sphere."""
     if n < 1:
         raise CatalogError(f"s requires n >= 1, got {n}")
-    return MonomialAlgebra(field, [GeneratorSpec("x", n, 2)], capacity=capacity)
+    return MonomialAlgebra(field, [GeneratorSpec("x", n, 2)])
 
 
 def surface_ring(g: int, field: Field = F2, capacity: int = DEFAULT_CAPACITY) -> Algebra:
@@ -219,7 +219,8 @@ def catalog_ring(
     if use is None:
         raise CatalogError(f"catalog id {text!r} needs a field (append :charP)")
     ctor, citation = _FAMILIES[family]
-    algebra = ctor(param, use, capacity=capacity)
+    # Only the table-encoded family lists its basis and takes the cap.
+    algebra = ctor(param, use, capacity) if ctor is surface_ring else ctor(param, use)
     return CatalogEntry(family, param, use, algebra, citation)
 
 

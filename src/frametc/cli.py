@@ -26,10 +26,10 @@ import sys
 import time
 from typing import Optional
 
-from .algebra import DEFAULT_CAPACITY, ring_from_json
+from .algebra import DEFAULT_CAPACITY, CapacityError, ring_from_json
 from .bounds import compute_bounds
 from .catalog import CatalogError, catalog_ring
-from .cuplength import DEFAULT_BUDGET, cup_length, zcl_basic, zcl_full
+from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
 from .examples import evaluate_examples, example_keys, example_rows
 from .fields import parse_field
 from .manifold import load_descriptor
@@ -50,8 +50,8 @@ def _add_common(p: argparse.ArgumentParser):
         "--capacity",
         type=int,
         default=DEFAULT_CAPACITY,
-        help=f"dimension cap on rings and on cup-length search "
-        f"(default {DEFAULT_CAPACITY})",
+        help="dimension cap on whatever lists every basis class: table rings, "
+        f"cup-length search and --compute basis,poincare (default {DEFAULT_CAPACITY})",
     )
     p.add_argument(
         "--threads",
@@ -123,7 +123,12 @@ def _cmd_ring(args) -> int:
             )
     results: dict = {}
     warnings: list = []
+    zcl = None  # zcl-basic and zcl-full are equal; one search answers both
     for w in wanted:
+        if w in ("basis", "poincare") and algebra.dim > args.capacity:
+            raise CapacityError(
+                f"--compute {w}: dimension {algebra.dim} exceeds capacity {args.capacity}"
+            )
         if w == "basis":
             results["basis"] = [
                 {"index": i, "degree": algebra.degrees[i], "label": algebra.labels[i]}
@@ -136,10 +141,10 @@ def _cmd_ring(args) -> int:
                 algebra, budget=args.budget, capacity=args.capacity
             ).describe()
         elif w in ("zcl-basic", "zcl-full"):
-            engine = zcl_basic if w == "zcl-basic" else zcl_full
-            res = engine(algebra, budget=args.budget)
-            results[w] = res.describe()
-            if not res.exact:
+            if zcl is None:
+                zcl = zcl_full(algebra, budget=args.budget)
+            results[w] = zcl.describe()
+            if not zcl.exact:
                 warnings.append(f"{w} budget exhausted; reported value is a lower bound")
     payload = {
         "ring": {

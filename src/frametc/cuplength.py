@@ -3,7 +3,7 @@
 Three quantities, in increasing strength on the zero-divisor side:
 
 * ``cup_length(A)`` — longest nonzero product from the positive-degree part.
-  Closed form for monomial encodings (sum of truncation exponents minus one
+  Closed form for monomial encodings (sum of truncation heights minus one
   per generator, witnessed by the top monomial); an independent level-set
   span search otherwise (also available for monomial algebras via
   ``method="search"`` as a cross-check).
@@ -31,7 +31,10 @@ field, Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, and expanding a product of more t
 zcl(A)+zcl(B) such elements binomially always overruns one of the two
 factors, so zcl is additive across tensor factors and a monomial algebra
 contributes the sum of its single-generator values.  It keeps the search on
-tensor squares of one-generator algebras.  Both routes are cross-checked
+tensor squares of one-generator algebras and never builds A⊗A: each
+generator's witness is checked in its own square, which is exact because
+A⊗A is the tensor product of those squares and, over a field, a tensor
+product of nonzero elements is nonzero.  Both routes are cross-checked
 against the independent dense kernel-power oracle by the test suite, never
 only against each other.
 
@@ -63,8 +66,18 @@ class BudgetExceeded(Exception):
     """Internal signal: search node budget ran out."""
 
 
+def join_factors(factors: list[str]) -> str:
+    """Printed factors joined by `` * ``, multi-term ones in parentheses."""
+    return " * ".join(f"({w})" if " + " in w or " - " in w else w for w in factors)
+
+
 class CupLengthResult:
-    """Value with witness; ``exact=False`` means lower bound only."""
+    """Value with witness; ``exact=False`` means lower bound only.
+
+    A factored result has ``parts``, one result per tensor factor with its
+    witness in its own algebra; its value is their sum, its witness their
+    concatenation, and it prints their products as one factored product.
+    """
 
     def __init__(
         self,
@@ -74,6 +87,7 @@ class CupLengthResult:
         witness: Optional[list[Element]] = None,
         witness_product: Optional[Element] = None,
         nodes: int = 0,
+        parts: Optional[list["CupLengthResult"]] = None,
     ):
         self.value = value
         self.exact = exact
@@ -81,9 +95,19 @@ class CupLengthResult:
         self.witness = [] if witness is None else witness
         self.witness_product = witness_product
         self.nodes = nodes
+        self.parts = [] if parts is None else parts
 
     def verify(self) -> bool:
-        """Re-multiply the witness and confirm a nonzero product of the stated length."""
+        """Re-multiply the witness and confirm a nonzero product of the stated length.
+
+        A factored result re-verifies its parts and checks that they add up.
+        """
+        if self.parts:
+            return (
+                sum(p.value for p in self.parts) == self.value
+                and self.witness == [w for p in self.parts for w in p.witness]
+                and all(p.verify() for p in self.parts)
+            )
         if self.value == 0:
             return not self.witness
         if len(self.witness) != self.value:
@@ -104,8 +128,15 @@ class CupLengthResult:
             "method": self.method,
             "witness": [str(w) for w in self.witness],
         }
-        if self.witness_product is not None:
-            out["witness_product"] = str(self.witness_product)
+        products = [
+            str(p.witness_product)
+            for p in self.parts or [self]
+            if p.witness_product is not None
+        ]
+        if products:
+            out["witness_product"] = (
+                products[0] if len(products) == 1 else join_factors(products)
+            )
         if self.nodes:
             out["nodes"] = self.nodes
         return out
@@ -138,14 +169,14 @@ def cup_length(
     if method == "closed-form":
         if not isinstance(A, MonomialAlgebra):
             raise ValueError("closed form requires the monomial encoding")
-        # The top monomial (all exponents maximal) is a nonzero basis class,
+        # The top monomial (each generator at its top power) is a nonzero class,
         # and total exponent weight is additive and capped, so the value is
         # exactly the sum of (truncation - 1).
         witness: list[Element] = []
         for g in A.gens:
             witness += [A.generator_element(g.name)] * (g.truncation - 1)
         value = len(witness)
-        top = A.basis_element(A.index_of[tuple(g.truncation - 1 for g in A.gens)])
+        top = A.basis_element(A.dim - 1)
         return _checked(
             CupLengthResult(value, True, "closed-form", witness, top if value else None)
         )
@@ -253,10 +284,9 @@ def zero_divisor_generators(A: Algebra) -> ZeroDivisorBasis:
     """Construct m̄ = 1⊗m − m⊗1 for each positive-degree basis class m.
 
     Each element is verified to lie in the kernel of the multiplication map.
-    Bars are ordered by (degree, basis index).  The tensor square is lazy,
-    so it is built without a dimension cap.
+    Bars are ordered by (degree, basis index).
     """
-    T = tensor_square(A, capacity=None)
+    T = tensor_square(A)
     order = sorted(
         (i for i in range(A.dim) if A.degrees[i] > 0),
         key=lambda i: (A.degrees[i], i),
@@ -273,9 +303,7 @@ def generator_indices(A: Algebra) -> list[int]:
     span a complement of the decomposables, so they generate A.
     """
     if isinstance(A, MonomialAlgebra):
-        k = len(A.gens)
-        gens = [A.index_of[tuple(int(t == s) for t in range(k))] for s in range(k)]
-        return sorted(gens, key=lambda i: (A.degrees[i], i))
+        return sorted(A.strides, key=lambda i: (A.degrees[i], i))
     one = A.field.one()
     top = A.top_degree
     pos = [i for i in range(A.dim) if A.degrees[i] > 0]
@@ -308,9 +336,9 @@ def _generator_bar_search(A: Algebra, budget: int) -> CupLengthResult:
     whose degree cannot stay within the tensor square's top degree.  If the
     node budget runs out the best length found so far is returned with
     ``exact=False``.  The tensor square is lazy and only multiplied in
-    sparsely, so it is built without a dimension cap.
+    sparsely.
     """
-    T = tensor_square(A, capacity=None)
+    T = tensor_square(A)
     bars = _bars(T, generator_indices(A))
     bar_vecs = [b.coeffs for b in bars]
     bar_degs = [T.degrees[next(iter(v))] for v in bar_vecs]
@@ -397,84 +425,39 @@ def zero_divisor_ideal_basis(T: ProductAlgebra) -> tuple[list[dict], list[int]]:
     return vectors, degrees
 
 
-def _embed_square(
-    big: ProductAlgebra, A: MonomialAlgebra, slot: int, small: ProductAlgebra
-) -> dict:
-    """Index map from (B_g ⊗ B_g) into (A ⊗ A) for generator slot ``slot``.
-
-    B_g is the single-generator algebra of A's generator ``slot``; exponent e
-    maps to the exponent vector of A with e in that slot.  The map
-    x⊗y ↦ (x·1)⊗(y·1) is a ring embedding (unit factors carry no sign).
-    """
-    k = len(A.gens)
-
-    def lift(e: int) -> int:
-        exp = [0] * k
-        exp[slot] = e
-        return A.index_of[tuple(exp)]
-
-    out = {}
-    for idx in range(small.dim):
-        i, j = small.split_index(idx)
-        ei = small.left.exponents[i][0]
-        ej = small.right.exponents[j][0]
-        out[idx] = big.pair_index(lift(ei), lift(ej))
-    return out
-
-
 def _zcl_full_factor(A: MonomialAlgebra, budget: int) -> CupLengthResult:
-    """Sum of per-generator values, witnessed inside the full tensor square.
+    """Sum of per-generator values, one part per generator.
 
     Justified by additivity of zcl across tensor factors over a field (see
-    module docstring); each generator's value comes from the generator-bar
+    module docstring); each generator's part comes from the generator-bar
     search on its one-generator algebra, with what is left of the node
-    budget.  The witness is assembled by embedding each factor's witness and
-    is re-multiplied in the big tensor square, which only needs sparse
-    products.
+    budget, and is checked there.
     """
-    if not A.gens:
-        return _checked(CupLengthResult(0, True, "factorization"))
-    big = tensor_square(A, capacity=None)
-    witness: list[Element] = []
-    total = 0
+    parts: list[CupLengthResult] = []
     nodes = 0
-    exact = True
-    for slot, g in enumerate(A.gens):
-        Bg = MonomialAlgebra(A.field, [g], capacity=A.dim)  # no larger than A
-        part = _generator_bar_search(Bg, max(budget - nodes, 0))
-        total += part.value
+    for g in A.gens:
+        part = _generator_bar_search(MonomialAlgebra(A.field, [g]), max(budget - nodes, 0))
         nodes += part.nodes
-        exact = exact and part.exact
-        if part.witness:
-            emb = _embed_square(big, A, slot, part.witness[0].algebra)
-            for w in part.witness:
-                witness.append(Element(big, {emb[i]: c for i, c in w.coeffs.items()}))
-    if total == 0:
-        return _checked(CupLengthResult(0, exact, "factorization", nodes=nodes))
-    prod = witness[0]
-    for w in witness[1:]:
-        prod = prod * w
+        parts.append(part)
     return _checked(
-        CupLengthResult(total, exact, "factorization", witness, prod, nodes)
+        CupLengthResult(
+            sum(p.value for p in parts),
+            all(p.exact for p in parts),
+            "factorization",
+            [w for p in parts for w in p.witness],
+            nodes=nodes,
+            parts=parts,
+        )
     )
 
 
-def zcl_full(
-    A: Algebra, method: str = "auto", budget: int = DEFAULT_BUDGET
-) -> CupLengthResult:
+def zcl_full(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     """Cup length of the full zero-divisor ideal Z = ker(A⊗A → A).
 
-    ``method``: "auto" (factorization for monomial encodings, the
-    generator-bar search otherwise), "direct" (the generator-bar search), or
-    "factor".  No dimension cap applies beyond the one ``A`` was built
-    under; an exhausted node budget gives ``exact=False``.
+    Monomial encodings take the factorization route, any other encoding the
+    generator-bar search.  No dimension cap applies beyond the one ``A`` was
+    built under; an exhausted node budget gives ``exact=False``.
     """
-    if method == "auto":
-        method = "factor" if isinstance(A, MonomialAlgebra) else "direct"
-    if method == "factor":
-        if not isinstance(A, MonomialAlgebra):
-            raise ValueError("factorization requires the monomial encoding")
+    if isinstance(A, MonomialAlgebra):
         return _zcl_full_factor(A, budget)
-    if method != "direct":
-        raise ValueError(f"unknown zcl_full method {method!r}")
     return _generator_bar_search(A, budget)

@@ -14,6 +14,7 @@ import json
 from typing import Optional
 
 from .bounds import BoundReport
+from .cuplength import join_factors
 
 
 def _finish(payload: dict, elapsed: Optional[float], json_mode: bool, lines: list) -> str:
@@ -52,8 +53,7 @@ def render_ring(payload: dict, json_mode: bool = False, elapsed: Optional[float]
         exact = "exact" if res["exact"] else "lower bound (budget exhausted)"
         lines.append(f"{key}: {res['value']} ({exact}; method {res['method']})")
         if res.get("witness"):
-            factors = [f"({w})" if " + " in w or " - " in w else w for w in res["witness"]]
-            lines.append(f"{key} witness: " + " * ".join(factors))
+            lines.append(f"{key} witness: " + join_factors(res["witness"]))
         if res.get("witness_product"):
             lines.append(f"{key} witness product: {res['witness_product']}")
     for w in payload.get("warnings", []):

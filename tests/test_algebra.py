@@ -1,5 +1,6 @@
 """Algebra encodings: monomial, table, tensor product; axioms and JSON forms."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -67,10 +68,46 @@ class TestGeneratorSpec:
 class TestMonomialAlgebra:
     def test_basis_order_is_lexicographic(self):
         A = torus_ring(2, QQ)
-        assert A.exponents == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert A.strides == (2, 1)  # exponent vectors (0,0), (0,1), (1,0), (1,1)
         assert A.labels == ["1", "u2", "u1", "u1·u2"]
         assert A.degrees == [0, 1, 1, 2]
         assert A.degrees[A.unit_index] == 0
+
+    def test_index_arithmetic_matches_exponent_table(self, entries):
+        # The reference is the exponent table MonomialAlgebra used to build:
+        # every exponent vector in lexicographic order, with the Koszul sign
+        # counted pair by pair.
+        checked = 0
+        for entry in entries:
+            A = entry.algebra
+            if not isinstance(A, MonomialAlgebra) or A.dim > 64:
+                continue
+            exps = list(itertools.product(*(range(g.truncation) for g in A.gens)))
+            index_of = {e: i for i, e in enumerate(exps)}
+            odd = [g.degree % 2 == 1 for g in A.gens]
+            assert A.degrees == [sum(e * g.degree for e, g in zip(x, A.gens)) for x in exps]
+            assert A.labels == [
+                "·".join(g.name if e == 1 else f"{g.name}^{e}" for e, g in zip(x, A.gens) if e)
+                or "1"
+                for x in exps
+            ]
+            assert A.top_degree == max(A.degrees) and A.unit_index == index_of[exps[0]]
+            for i, e in enumerate(exps):
+                for j, f in enumerate(exps):
+                    s = tuple(a + b for a, b in zip(e, f))
+                    if any(t >= g.truncation for t, g in zip(s, A.gens)):
+                        assert A.mul_basis(i, j) == {}, (entry.entry_id, e, f)
+                        continue
+                    sign = sum(
+                        f[a] * e[b]
+                        for a in range(len(e))
+                        for b in range(a + 1, len(e))
+                        if odd[a] and odd[b]
+                    )
+                    expected = {index_of[s]: A.field.sign_to_coeff(sign)}
+                    assert A.mul_basis(i, j) == expected, (entry.entry_id, e, f)
+            checked += 1
+        assert checked == 41
 
     def test_dim_is_product_of_truncations(self):
         A = MonomialAlgebra(
@@ -127,8 +164,13 @@ class TestMonomialAlgebra:
             MonomialAlgebra(QQ, [GeneratorSpec("a", 2), GeneratorSpec("a", 4)])
 
     def test_capacity(self):
+        # Monomial rings store nothing per basis class and take no cap; the
+        # same ring as a table lists its basis and is refused.
+        A = MonomialAlgebra(F2, [GeneratorSpec("x", 1, 100)])
+        assert A.dim == 100 and A.labels[-1] == "x^99"
         with pytest.raises(CapacityError):
-            MonomialAlgebra(F2, [GeneratorSpec("x", 1, 100)], capacity=50)
+            TableAlgebra(F2, A.labels, A.degrees, {}, capacity=50, validate=False)
+        assert table_from(A).dim == 100  # under the default cap
 
     def test_generator_element_unknown(self):
         with pytest.raises(KeyError):
@@ -303,8 +345,13 @@ class TestTensor:
             tensor(torus_ring(1, QQ), torus_ring(1, F2))
 
     def test_capacity(self):
+        # Tensor products are lazy and take no cap; the cap stays on the
+        # table factor, which lists its basis.
+        S = surface_ring(2, F2, capacity=6)
+        assert tensor_square(S).dim == 36 and tensor(S, S).dim == 36
+        assert tensor_square(so_ring(24, F2)).dim == 2**46
         with pytest.raises(CapacityError):
-            tensor_square(so_ring(5, F2), capacity=100)
+            surface_ring(2, F2, capacity=5)
 
     def test_tensor_square_axioms(self):
         tensor_square(surface_ring(1, F2)).check_axioms()

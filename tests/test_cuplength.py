@@ -18,10 +18,12 @@ from frametc.algebra import (
     Element,
     GeneratorSpec,
     MonomialAlgebra,
+    ProductAlgebra,
     TableAlgebra,
     tensor,
     tensor_square,
 )
+from frametc.bounds import korbas_cl
 from frametc.catalog import (
     cp_ring,
     rp_ring,
@@ -140,7 +142,7 @@ class TestZeroDivisorGenerators:
         # nilpotent of exponent exactly its truncation.
         for n in range(2, 7):
             A = so_ring(n, F2)
-            T = tensor_square(A, capacity=A.dim * A.dim)
+            T = tensor_square(A)
             for g in A.gens:
                 b = bar(T, A.generator_element(g.name))
                 power = T.one()
@@ -268,21 +270,20 @@ class TestZclFull:
             assert res.verify()
 
     def test_direct_and_factor_agree(self, small_entries):
+        # The whole-ring search (zcl_basic) against the factor split.
         for entry in small_entries:
             if not isinstance(entry.algebra, MonomialAlgebra):
                 continue
-            direct = zcl_full(entry.algebra, method="direct")
-            factored = zcl_full(entry.algebra, method="factor")
+            direct = zcl_basic(entry.algebra)
+            factored = zcl_full(entry.algebra)
+            assert factored.method == "factorization", entry.entry_id
             assert direct.value == factored.value, entry.entry_id
             assert direct.verify() and factored.verify()
 
     def test_additive_across_tensor_factors(self):
         A, B = rp_ring(3), so_ring(3, F2)
         AB = tensor(A, B)
-        assert (
-            zcl_full(AB, method="direct").value
-            == zcl_full(A).value + zcl_full(B).value
-        )
+        assert zcl_basic(AB).value == zcl_full(A).value + zcl_full(B).value
 
     def test_ideal_basis_is_kernel(self):
         A = surface_ring(1, QQ)
@@ -317,8 +318,7 @@ class TestZclFull:
         assert (res.value, res.exact) == (12, True) and res.verify()
 
     def test_so13_char2_in_little_memory(self):
-        # The largest SO ring the default capacity admits: a 2^24-class
-        # tensor square whose degrees and labels are never listed.
+        # A 2^24-class tensor square whose degrees and labels are never listed.
         tracemalloc.start()
         try:
             res = zcl_full(so_ring(13, F2))
@@ -328,11 +328,33 @@ class TestZclFull:
         assert (res.value, res.exact) == (28, True) and res.verify()
         assert peak < 64 * 2**20, peak
 
+    def test_so_char2_scaling_matches_closed_formula(self):
+        # so:14 (8192 classes) and up were refused under the old monomial
+        # cap; the values come from Korbaš's closed formula, not a search.
+        for n in range(14, 25):
+            A = so_ring(n, F2)
+            for res in (cup_length(A), zcl_full(A)):
+                assert (res.value, res.exact) == (korbas_cl(n), True), (n, res.method)
+                assert res.verify(), (n, res.method)
+
+    def test_so24_char2_in_little_memory(self):
+        # 2^23 basis classes, a 2^46-class tensor square: nothing is listed.
+        tracemalloc.start()
+        try:
+            A = so_ring(24, F2)
+            cl, zf = cup_length(A), zcl_full(A)
+            assert zf.verify()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cl.value == zf.value == korbas_cl(24) == 60
+        assert peak < 64 * 2**20, peak
+
     def test_budget_exhaustion_is_flagged(self):
-        for method in ("factor", "direct"):
-            res = zcl_full(so_ring(5, F2), method=method, budget=3)
-            assert not res.exact, method
-            assert res.value < 8 and res.verify(), method
+        for engine in (zcl_full, zcl_basic):
+            res = engine(so_ring(5, F2), budget=3)
+            assert not res.exact, engine.__name__
+            assert res.value < 8 and res.verify(), engine.__name__
         res = zcl_full(surface_ring(2, QQ), budget=5)
         assert not res.exact and res.value <= 4 and res.verify()
         assert zcl_full(so_ring(5, F2), budget=0).value == 0
@@ -341,20 +363,109 @@ class TestZclFull:
         # The two generator searches of so:5:char2 together need more nodes
         # than either alone; a budget covering only the first must not be
         # handed out again to the second.
-        full = zcl_full(so_ring(5, F2), method="factor")
+        full = zcl_full(so_ring(5, F2))
         assert full.exact and full.value == 8
-        res = zcl_full(so_ring(5, F2), method="factor", budget=full.nodes - 1)
+        res = zcl_full(so_ring(5, F2), budget=full.nodes - 1)
         assert not res.exact and res.verify()
-
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            zcl_full(surface_ring(1, QQ), method="factor")
-        with pytest.raises(ValueError):
-            zcl_full(rp_ring(3), method="nonsense")
 
     def test_point_is_zero(self):
         assert zcl_full(so_ring(1, QQ)).value == 0
-        assert zcl_full(so_ring(1, QQ), method="direct").value == 0
+        assert zcl_basic(so_ring(1, QQ)).value == 0
+
+
+def embedded_witness_product(A: MonomialAlgebra, res):
+    """Re-multiply a factored witness inside the full tensor square of A.
+
+    Each part's witness lives in the square of a one-generator algebra;
+    its classes are matched to A's basis by label, independently of how
+    either encoding indexes its basis.
+    """
+    index = {label: k for k, label in enumerate(A.labels)}
+    T = tensor_square(A)
+    product = T.one()
+    for w in res.witness:
+        P = w.algebra
+        embedded = {}
+        for k, c in w.coeffs.items():
+            i, j = P.split_index(k)
+            embedded[T.pair_index(index[P.left.labels[i]], index[P.right.labels[j]])] = c
+        product = product * T.element(embedded)
+    return product
+
+
+class TestFactorWitnesses:
+    def test_embedded_witness_is_nonzero_in_the_full_square(self, entries):
+        checked = 0
+        for entry in entries:
+            A = entry.algebra
+            if not isinstance(A, MonomialAlgebra) or A.dim > 64:
+                continue
+            res = zcl_full(A)
+            assert res.method == "factorization" and res.verify(), entry.entry_id
+            assert len(res.parts) == len(A.gens), entry.entry_id
+            product = embedded_witness_product(A, res)
+            if res.value == 0:
+                continue
+            assert not product.is_zero, entry.entry_id
+            assert product.degree() == sum(w.degree() for w in res.witness), entry.entry_id
+            checked += 1
+        assert checked == 39  # all but the point so:1, over both fields
+
+    def test_factor_route_builds_no_square_of_the_ring(self, monkeypatch):
+        built = []
+        init = ProductAlgebra.__init__
+
+        def recording(self, left, right):
+            built.append((left, right))
+            init(self, left, right)
+
+        monkeypatch.setattr(ProductAlgebra, "__init__", recording)
+        A = so_ring(8, F2)
+        res = zcl_full(A)
+        assert res.value == 12 and res.verify()
+        assert len(built) == len(A.gens)
+        for left, right in built:
+            assert left is right and left is not A
+            assert len(left.gens) == 1
+
+    def test_tampered_part_fails_verification(self):
+        res = zcl_full(so_ring(5, F2))
+        assert res.verify() and [p.value for p in res.parts] == [7, 1]
+        b1, b3 = res.parts
+
+        def factored(parts, value=None):
+            return CupLengthResult(
+                sum(p.value for p in parts) if value is None else value,
+                True,
+                res.method,
+                [w for p in parts for w in p.witness],
+                parts=parts,
+            )
+
+        assert factored([b1, b3]).verify()
+        # bar(b3)^2 = 0: the part claims a product that is zero.
+        dead = CupLengthResult(2, True, b3.method, b3.witness * 2)
+        assert not factored([b1, dead]).verify()
+        # A part whose stated product is not its witness product.
+        wrong = CupLengthResult(1, True, b3.method, b3.witness, b1.witness_product)
+        assert not factored([b1, wrong]).verify()
+        # Values that do not add up, and a witness that is not the parts'.
+        assert not factored([b1, b3], value=9).verify()
+        mixed = factored([b1, b3])
+        mixed.witness = list(reversed(mixed.witness))
+        assert not mixed.verify()
+
+    def test_factored_witness_product_is_printed_per_part(self):
+        d = zcl_full(so_ring(5, F2)).describe()
+        assert d["witness_product"] == (
+            "(1⊗b1^7 + b1⊗b1^6 + b1^2⊗b1^5 + b1^3⊗b1^4 + b1^4⊗b1^3"
+            " + b1^5⊗b1^2 + b1^6⊗b1 + b1^7⊗1) * (1⊗b3 + b3⊗1)"
+        )
+        assert d["witness"] == ["1⊗b1 + b1⊗1"] * 7 + ["1⊗b3 + b3⊗1"]
+        # One generator: the part's product, without parentheses.
+        d = zcl_full(rp_ring(3)).describe()
+        assert d["witness_product"] == "1⊗a^3 + a⊗a^2 + a^2⊗a + a^3⊗1"
+        assert "witness_product" not in zcl_full(so_ring(1, F2)).describe()
 
 
 class TestChain:

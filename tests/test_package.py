@@ -43,7 +43,7 @@ def test_cli_import_loads_every_layer_and_no_heavy_module():
     [
         (lambda: BoundEntry("r", "lower", 1, "s", "c"), ("assumptions", "notes")),
         (lambda: BoundReport({}, 1, 1), ("entries", "warnings")),
-        (lambda: CupLengthResult(0, True, "m"), ("witness",)),
+        (lambda: CupLengthResult(0, True, "m"), ("witness", "parts")),
         (lambda: ManifoldDescriptor(name="M", dim=3), ("cohomology",)),
     ],
     ids=["BoundEntry", "BoundReport", "CupLengthResult", "ManifoldDescriptor"],

@@ -9,6 +9,7 @@ import pytest
 
 from frametc.algebra import ring_to_json
 from frametc.catalog import rp_ring
+from frametc.cuplength import zcl_full
 
 DESCRIPTOR = os.path.join(os.path.dirname(__file__), "..", "descriptors", "s2.json")
 
@@ -65,7 +66,7 @@ class TestRingCommand:
     def test_exhausted_budget_is_a_warning_exit(self, run_cli):
         code, out, _ = run_cli(
             ["ring", "so:5:char2", "--compute", "zcl-basic",
-             "--budget", "10", "--no-timing"]
+             "--budget", "3", "--no-timing"]
         )
         assert code == 2
         assert "budget exhausted" in out
@@ -94,6 +95,51 @@ class TestRingCommand:
             assert exc.value.code == 2
         code, _, _ = run_cli(["ring", "rp:1", "--capacity", "1", "--compute", "poincare"])
         assert code == 1  # rp:1 has dimension 2, above the cap: a clean error
+
+
+    def test_both_zero_divisor_items_come_from_one_search(self, run_cli, monkeypatch):
+        import frametc.cli
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return zcl_full(*args, **kwargs)
+
+        monkeypatch.setattr(frametc.cli, "zcl_full", counted)
+        code, out, _ = run_cli(
+            ["ring", "so:13:char2", "--compute", "zcl-basic,zcl-full", "--json", "--no-timing"]
+        )
+        assert code == 0 and len(calls) == 1
+        results = json.loads(out)["results"]
+        assert results["zcl-basic"] == results["zcl-full"]
+        assert results["zcl-basic"]["value"] == 28
+        assert results["zcl-basic"]["method"] == "factorization"
+
+    def test_rings_beyond_the_old_cap_answer_at_default_flags(self, run_cli):
+        code, out, err = run_cli(
+            ["ring", "so:24:char2", "--compute", "cl,zcl-full", "--json", "--no-timing"]
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["ring"]["dimension"] == 2**23
+        assert payload["ring"]["top_degree"] == 276  # dim SO(24)
+        for item in ("cl", "zcl-full"):
+            assert payload["results"][item]["value"] == 60
+            assert payload["results"][item]["exact"] is True
+
+    def test_basis_listing_is_capped(self, run_cli):
+        for item in ("basis", "poincare"):
+            code, out, err = run_cli(["ring", "so:24:char2", "--compute", item])
+            assert code == 1 and out == ""
+            assert "dimension 8388608 exceeds capacity 4096" in err, item
+            assert "Traceback" not in err
+        # The flag lifts the cap: so:14 lists 8192 classes.
+        code, out, _ = run_cli(
+            ["ring", "so:14:char2", "--compute", "poincare", "--capacity", "8192",
+             "--json", "--no-timing"]
+        )
+        assert code == 0 and sum(json.loads(out)["results"]["poincare"]) == 2**13
 
 
 class TestFrameBundleCommand:
@@ -125,6 +171,32 @@ class TestFrameBundleCommand:
     def test_missing_file(self, run_cli):
         code, _, err = run_cli(["frame-bundle", "no/such/file.json"])
         assert code == 1 and "error:" in err
+
+    def test_torus13_beyond_the_old_cap(self, run_cli, tmp_path):
+        # H*(T^13) has 8192 classes, above the default capacity of 4096,
+        # which used to refuse the monomial ring and lose the whole report.
+        t3 = os.path.join(os.path.dirname(DESCRIPTOR), "t3.json")
+        with open(t3, encoding="utf-8") as fh:
+            descriptor = json.load(fh)
+        descriptor.update(
+            name="T^13",
+            dim=13,
+            free_action_dim=13,
+            cohomology={"char=0": "t:13:char0", "char=2": "t:13:char2"},
+            known_tc_base=[14, 14],
+            known_cat_base=[14, 14],
+        )
+        path = tmp_path / "t13.json"
+        path.write_text(json.dumps(descriptor))
+        code, out, err = run_cli(["frame-bundle", str(path), "--json", "--no-timing"])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["interval"] == [42, 92] and report["warnings"] == []
+        # zcl(SO(13)) is 28 over F2 and 6 over Q; zcl(T^13) = 13; all searched.
+        values = {(e["rule"], e.get("field")): e["value"] for e in report["entries"]}
+        assert values[("lower-parallelizable", "char=2")] == 28 + 13 + 1
+        assert values[("lower-parallelizable", "char=0")] == 6 + 13 + 1
+        assert len(report["entries"]) == 9
 
     def test_exhausted_budget_is_a_warning_exit(self, run_cli):
         path = os.path.join(os.path.dirname(DESCRIPTOR), "t2.json")
