@@ -23,8 +23,8 @@ Basis ordering is deterministic everywhere, so searches and reported
 witnesses are reproducible.  Elements are sparse maps from basis index to a
 nonzero field coefficient.  Only encodings that store every basis class are
 capped: the default capacity refuses table algebras with more than 4096
-basis elements, and ``cup_length`` search honours the same cap.  Monomial
-and product encodings store nothing per basis class and take no cap.
+basis elements.  Monomial and product encodings store nothing per basis
+class and take no cap.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from typing import Callable, Iterable, Optional, Sequence
 from .fields import Coeff, Field, field_from_json
 
 DEFAULT_CAPACITY = 4096
+# Associativity above 32 basis classes: this many triples, drawn reproducibly.
+AXIOM_SAMPLE = 2048
+AXIOM_SEED = 0
 
 
 class InvalidPresentationError(ValueError):
@@ -64,16 +67,15 @@ class GeneratorSpec:
         self.name = name
         self.degree = degree
         self.truncation = truncation
-        if not name:
-            raise InvalidPresentationError("generator name must be nonempty")
-        if degree < 1:
+        if not isinstance(name, str) or not name:
             raise InvalidPresentationError(
-                f"generator {name}: degree must be positive, got {degree}"
+                f"generator name must be a nonempty string, got {name!r}"
             )
-        if truncation < 2:
-            raise InvalidPresentationError(
-                f"generator {name}: truncation must be >= 2, got {truncation}"
-            )
+        for what, value, least in (("degree", degree, 1), ("truncation", truncation, 2)):
+            if type(value) is not int or value < least:  # JSON true is no integer
+                raise InvalidPresentationError(
+                    f"generator {name}: {what} must be an integer >= {least}, got {value!r}"
+                )
 
     def _key(self) -> tuple:
         return (self.name, self.degree, self.truncation)
@@ -254,11 +256,12 @@ class Algebra:
 
     # -- axiom checking --------------------------------------------------------
 
-    def check_axioms(self, seed: int = 0, sample: int = 2048) -> None:
+    def check_axioms(self) -> None:
         """Verify unit, grading, graded commutativity, associativity.
 
         Commutativity is checked on all basis pairs; associativity on all
-        triples when dim <= 32 and on a seeded random sample otherwise.
+        triples when dim <= 32 and on AXIOM_SAMPLE seeded random triples
+        otherwise.
         Raises InvalidPresentationError naming the first offender.
         """
         f = self.field
@@ -289,10 +292,10 @@ class Algebra:
         if n <= 32:
             triples: Iterable = itertools.product(range(n), repeat=3)
         else:
-            rng = random.Random(seed)
+            rng = random.Random(AXIOM_SEED)
             triples = (
                 (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(sample)
+                for _ in range(AXIOM_SAMPLE)
             )
         for i, j, k in triples:
             left = self.mul_vec(self.mul_basis(i, j), {k: f.one()})
@@ -421,7 +424,6 @@ class TableAlgebra(Algebra):
         degrees: Sequence[int],
         products: dict,
         capacity: int = DEFAULT_CAPACITY,
-        validate: bool = True,
     ):
         if len(names) != len(degrees):
             raise InvalidPresentationError("names and degrees differ in length")
@@ -429,6 +431,11 @@ class TableAlgebra(Algebra):
             raise InvalidPresentationError("duplicate basis names")
         if len(names) > capacity:
             raise CapacityError(f"dimension {len(names)} exceeds capacity {capacity}")
+        for name, d in zip(names, degrees):
+            if type(d) is not int or d < 0:
+                raise InvalidPresentationError(
+                    f"basis class {name}: degree must be a nonnegative integer, got {d!r}"
+                )
         units = [i for i, d in enumerate(degrees) if d == 0]
         if len(units) != 1:
             raise InvalidPresentationError(
@@ -455,8 +462,7 @@ class TableAlgebra(Algebra):
             if clean:
                 table[(i, j)] = clean
         self._table = table
-        if validate:
-            self.check_axioms()
+        self.check_axioms()
 
     def mul_basis(self, i: int, j: int) -> dict:
         if i == self.unit_index:
@@ -564,11 +570,24 @@ def tensor_square(algebra: Algebra) -> ProductAlgebra:
 
 
 def _coeff_from_json(c, field: Field) -> Coeff:
-    if isinstance(c, str):
-        return field.coerce(Fraction(c))
-    if isinstance(c, int):
-        return field.coerce(c)
+    try:
+        if isinstance(c, str):
+            return field.coerce(Fraction(c))
+        if type(c) is int:
+            return field.coerce(c)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidPresentationError(f"bad coefficient {c!r}: {exc}") from None
     raise InvalidPresentationError(f"bad coefficient {c!r} (int or 'p/q' string)")
+
+
+def _json_list(obj: dict, key: str, kind: type) -> list:
+    """Entry ``key`` of a descriptor (default empty): a list of ``kind`` items."""
+    value = obj.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise InvalidPresentationError(
+            f"'{key}' must be a list of JSON {'objects' if kind is dict else 'arrays'}"
+        )
+    return value
 
 
 def ring_from_json(
@@ -592,18 +611,20 @@ def ring_from_json(
     kind = obj.get("type")
     if kind == "monomial":
         gens = [
-            GeneratorSpec(g["name"], g["degree"], g.get("truncation", 2))
-            for g in obj.get("generators", [])
+            GeneratorSpec(g.get("name"), g.get("degree"), g.get("truncation", 2))
+            for g in _json_list(obj, "generators", dict)
         ]
         return MonomialAlgebra(field, gens)
     if kind == "table":
-        basis = obj.get("basis", [])
-        names = [b["name"] for b in basis]
-        degrees = [b["degree"] for b in basis]
+        basis = _json_list(obj, "basis", dict)
+        names = [b.get("name") for b in basis]
+        degrees = [b.get("degree") for b in basis]
+        if not all(isinstance(n, str) and n for n in names):
+            raise InvalidPresentationError(f"basis names must be nonempty strings: {names!r}")
         index = {n: i for i, n in enumerate(names)}
         products: dict[tuple[int, int], dict] = {}
-        for row in obj.get("products", []):
-            if len(row) != 4:
+        for row in _json_list(obj, "products", list):
+            if len(row) != 4 or not all(isinstance(v, str) for v in row[:3]):
                 raise InvalidPresentationError(f"product row {row!r} is not [x,y,z,coeff]")
             x, y, z, c = row
             try:

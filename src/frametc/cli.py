@@ -50,8 +50,8 @@ def _add_common(p: argparse.ArgumentParser):
         "--capacity",
         type=int,
         default=DEFAULT_CAPACITY,
-        help="dimension cap on whatever lists every basis class: table rings, "
-        f"cup-length search and --compute basis,poincare (default {DEFAULT_CAPACITY})",
+        help="dimension cap on whatever lists every basis class: table rings "
+        f"and --compute basis,poincare (default {DEFAULT_CAPACITY})",
     )
     p.add_argument(
         "--threads",
@@ -136,15 +136,15 @@ def _cmd_ring(args) -> int:
             ]
         elif w == "poincare":
             results["poincare"] = algebra.poincare_polynomial()
-        elif w == "cl":
-            results["cl"] = cup_length(
-                algebra, budget=args.budget, capacity=args.capacity
-            ).describe()
-        elif w in ("zcl-basic", "zcl-full"):
-            if zcl is None:
-                zcl = zcl_full(algebra, budget=args.budget)
-            results[w] = zcl.describe()
-            if not zcl.exact:
+        else:
+            if w == "cl":
+                res = cup_length(algebra, budget=args.budget)
+            elif zcl is None:
+                res = zcl = zcl_full(algebra, budget=args.budget)
+            else:
+                res = zcl
+            results[w] = res.describe()
+            if not res.exact:
                 warnings.append(f"{w} budget exhausted; reported value is a lower bound")
     payload = {
         "ring": {

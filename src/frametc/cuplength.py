@@ -4,8 +4,8 @@ Three quantities, in increasing strength on the zero-divisor side:
 
 * ``cup_length(A)`` — longest nonzero product from the positive-degree part.
   Closed form for monomial encodings (sum of truncation heights minus one
-  per generator, witnessed by the top monomial); an independent level-set
-  span search otherwise (also available for monomial algebras via
+  per generator, witnessed by the top monomial); the generator-product
+  search below otherwise (also available for monomial algebras via
   ``method="search"`` as a cross-check).
 * ``zcl_basic(A)`` — longest nonzero product of *basic* zero-divisors
   ``m̄ = 1⊗m − m⊗1`` in A⊗A, m running over positive-degree basis classes.
@@ -23,8 +23,15 @@ generator bars (the basic zero-divisor setting of Farber, *Topological
 complexity of motion planning*, DCG 29, 2003).  The generators are the
 generator monomials of a monomial encoding, and otherwise the basis classes
 that stay independent of the decomposables A+·A+ in their degree
-(:func:`generator_indices`).  The search is a depth-first search over
-multisets of generator bars in (degree, index)-nondecreasing order.
+(:func:`generator_indices`).
+
+One search answers both sides.  Every product of positive-degree classes
+is a sum of products of generators, and a nonzero product of k or more
+generators has a nonzero prefix of k of them, so cl(A) is the longest
+nonzero product of algebra generators, just as zcl is the longest nonzero
+product of generator bars.  :func:`_longest_product` finds either: a
+depth-first search, on an explicit stack, over multisets of degree-sorted
+elements in nondecreasing order, run on A for cl and on A⊗A for zcl.
 
 For monomial algebras ``zcl_full`` also has a factorization route: over a
 field, Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, and expanding a product of more than
@@ -46,12 +53,11 @@ reject inexact results.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 from .algebra import (
     Algebra,
-    CapacityError,
-    DEFAULT_CAPACITY,
     Element,
     MonomialAlgebra,
     ProductAlgebra,
@@ -60,10 +66,6 @@ from .algebra import (
 from .linalg import Echelon, kernel_of_map
 
 DEFAULT_BUDGET = 500_000
-
-
-class BudgetExceeded(Exception):
-    """Internal signal: search node budget ran out."""
 
 
 def join_factors(factors: list[str]) -> str:
@@ -154,15 +156,14 @@ def _checked(result: CupLengthResult) -> CupLengthResult:
 
 
 def cup_length(
-    A: Algebra,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-    capacity: int = DEFAULT_CAPACITY,
+    A: Algebra, method: str = "auto", budget: int = DEFAULT_BUDGET
 ) -> CupLengthResult:
     """Longest nonzero product of positive-degree classes.
 
     ``method``: "auto" (closed form for monomial encodings, search otherwise),
-    "closed-form", or "search".
+    "closed-form", or "search".  The search runs over products of algebra
+    generators, which loses nothing (module docstring); an exhausted node
+    budget gives ``exact=False``.
     """
     if method == "auto":
         method = "closed-form" if isinstance(A, MonomialAlgebra) else "search"
@@ -182,35 +183,8 @@ def cup_length(
         )
     if method != "search":
         raise ValueError(f"unknown cup_length method {method!r}")
-    if A.dim > capacity:
-        raise CapacityError(
-            f"cup-length search on dimension {A.dim} exceeds capacity {capacity}"
-        )
-    one = A.field.one()
-    pos = [i for i in range(A.dim) if A.degrees[i] > 0]
-    members = [({i: one}, (i,)) for i in pos]
-    best: list[tuple[dict, tuple]] = []
-    value = 0
-    nodes = 0
-    while members:
-        value += 1
-        best = members
-        nxt = []
-        ech = Echelon(A.field)
-        for vec, factors in members:
-            for g in pos:
-                nodes += 1
-                prod = A.mul_vec(vec, {g: one})
-                if prod and ech.insert(dict(prod))[0]:
-                    nxt.append((prod, factors + (g,)))
-        members = nxt
-    if value == 0:
-        return _checked(CupLengthResult(0, True, "search", nodes=nodes))
-    vec, factors = best[0]
-    witness = [A.basis_element(i) for i in factors]
-    return _checked(
-        CupLengthResult(value, True, "search", witness, A.element(vec), nodes)
-    )
+    gens = [A.basis_element(i) for i in generator_indices(A)]
+    return _longest_product(A, gens, budget, "search")
 
 
 # -- zero-divisors ----------------------------------------------------------------
@@ -328,61 +302,59 @@ def generator_indices(A: Algebra) -> list[int]:
     return gens
 
 
-def _generator_bar_search(A: Algebra, budget: int) -> CupLengthResult:
-    """Longest nonzero product of generator bars (repetition allowed).
+def _longest_product(
+    T: Algebra, elements: list[Element], budget: int, method: str
+) -> CupLengthResult:
+    """Longest nonzero product of ``elements`` (repetition allowed) in ``T``.
 
-    Depth-first search over multisets of generator bars in (degree,
-    index)-nondecreasing order, pruning zero partial products and products
-    whose degree cannot stay within the tensor square's top degree.  If the
-    node budget runs out the best length found so far is returned with
-    ``exact=False``.  The tensor square is lazy and only multiplied in
-    sparsely.
+    ``elements`` are homogeneous and sorted by degree.  Depth-first search,
+    on an explicit stack, over multisets of them in nondecreasing index
+    order, pruning zero partial products and products whose degree would
+    pass ``T.top_degree``.  If the node budget runs out the best length found
+    so far is returned with ``exact=False``.
     """
-    T = tensor_square(A)
-    bars = _bars(T, generator_indices(A))
-    bar_vecs = [b.coeffs for b in bars]
-    bar_degs = [T.degrees[next(iter(v))] for v in bar_vecs]
-    max_deg = 2 * A.top_degree
-    state = {"nodes": 0, "best": 0, "factors": (), "product": None}
-
-    def dfs(start: int, vec: dict, deg: int, factors: tuple):
-        for t in range(start, len(bar_vecs)):
-            if deg + bar_degs[t] > max_deg:
-                break  # bars are degree-sorted; later ones are no smaller
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise BudgetExceeded
-            prod = T.mul_vec(vec, bar_vecs[t])
-            if not prod:
-                continue
-            new_factors = factors + (t,)
-            if len(new_factors) > state["best"]:
-                state["best"] = len(new_factors)
-                state["factors"] = new_factors
-                state["product"] = prod
-            dfs(t, prod, deg + bar_degs[t], new_factors)
-
+    vecs = [e.coeffs for e in elements]
+    degs = [e.degree() for e in elements]
+    top = T.top_degree
+    nodes = 0
     exact = True
-    try:
-        dfs(0, {T.unit_index: T.field.one()}, 0, ())
-    except BudgetExceeded:
-        exact = False
-    value = state["best"]
-    if value == 0:
-        return _checked(
-            CupLengthResult(0, exact, "generator-bars", nodes=state["nodes"])
-        )
-    witness = [bars[t] for t in state["factors"]]
-    return _checked(
-        CupLengthResult(
-            value,
-            exact,
-            "generator-bars",
-            witness,
-            Element(T, state["product"]),
-            state["nodes"],
-        )
-    )
+    best: tuple = ()
+    best_product = None
+    path: list[int] = []  # the factor each frame above the root extended by
+    # A frame is (indices still to try, product, degree).  ``degs`` is sorted,
+    # so the indices that keep the degree within ``top`` form a prefix.
+    stack = [(iter(range(bisect_right(degs, top))), {T.unit_index: T.field.one()}, 0)]
+    while stack:
+        candidates, vec, deg = stack[-1]
+        for t in candidates:
+            nodes += 1
+            if nodes > budget:
+                exact = False
+                break
+            prod = T.mul_vec(vec, vecs[t])
+            if prod:
+                path.append(t)
+                if len(path) > len(best):
+                    best, best_product = tuple(path), prod
+                d = deg + degs[t]
+                stack.append((iter(range(t, bisect_right(degs, top - d, t))), prod, d))
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        if not exact:
+            break
+    witness = [elements[t] for t in best]
+    product = Element(T, best_product) if best else None
+    return _checked(CupLengthResult(len(best), exact, method, witness, product, nodes))
+
+
+def _generator_bar_search(A: Algebra, budget: int) -> CupLengthResult:
+    """Longest nonzero product of generator bars, in the lazy tensor square."""
+    T = tensor_square(A)
+    return _longest_product(T, _bars(T, generator_indices(A)), budget, "generator-bars")
 
 
 def zcl_basic(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:

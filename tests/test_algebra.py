@@ -169,7 +169,7 @@ class TestMonomialAlgebra:
         A = MonomialAlgebra(F2, [GeneratorSpec("x", 1, 100)])
         assert A.dim == 100 and A.labels[-1] == "x^99"
         with pytest.raises(CapacityError):
-            TableAlgebra(F2, A.labels, A.degrees, {}, capacity=50, validate=False)
+            TableAlgebra(F2, A.labels, A.degrees, {}, capacity=50)
         assert table_from(A).dim == 100  # under the default cap
 
     def test_generator_element_unknown(self):

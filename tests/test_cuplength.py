@@ -1,4 +1,4 @@
-"""Cup-length engine: frozen values, witnesses, budgets, and capacity limits.
+"""Cup-length engine: frozen values, witnesses, budgets and search depth.
 
 Expected numbers fall in three groups: hand-checkable values (truncated
 polynomial and exterior algebras), values frozen from the independent
@@ -14,7 +14,6 @@ from math import comb
 import pytest
 
 from frametc.algebra import (
-    CapacityError,
     Element,
     GeneratorSpec,
     MonomialAlgebra,
@@ -81,9 +80,16 @@ class TestCupLength:
         with pytest.raises(ValueError):
             cup_length(rp_ring(3), method="nonsense")
 
-    def test_search_capacity(self):
-        with pytest.raises(CapacityError):
-            cup_length(surface_ring(2, F2), method="search", capacity=3)
+    def test_search_budget_exhaustion_is_flagged(self):
+        res = cup_length(surface_ring(3, F2), method="search", budget=3)
+        assert not res.exact and res.nodes == 4
+        assert res.value < 2 and res.verify()
+
+    def test_search_past_the_recursion_limit(self):
+        # The search keeps its own stack: 1500 factors deep, no RecursionError.
+        res = cup_length(rp_ring(1500), method="search")
+        assert (res.value, res.exact) == (1500, True)
+        assert str(res.witness_product) == "a^1500" and res.verify()
 
 
 class TestZeroDivisorGenerators:
@@ -371,6 +377,12 @@ class TestZclFull:
     def test_point_is_zero(self):
         assert zcl_full(so_ring(1, QQ)).value == 0
         assert zcl_basic(so_ring(1, QQ)).value == 0
+
+    def test_rp600_past_the_recursion_limit(self):
+        # zcl(RP^n) over F2 is 2^k - 1 with 2^(k-1) <= n < 2^k: 1023 bars deep.
+        res = zcl_full(rp_ring(600))
+        assert (res.value, res.exact) == (1023, True)
+        assert res.verify()
 
 
 def embedded_witness_product(A: MonomialAlgebra, res):

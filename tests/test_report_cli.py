@@ -63,6 +63,34 @@ class TestRingCommand:
         )
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            {"type": "monomial", "generators": [{"name": "a", "degree": "1"}]},
+            {"type": "monomial", "generators": [{"degree": 1}]},
+            {"type": "monomial", "generators": [{"name": "a", "degree": True}]},
+            {"type": "monomial", "generators": {"name": "a", "degree": 1}},
+            {"type": "table", "basis": [{"name": "1", "degree": 0}], "products": 5},
+            {"type": "table", "basis": [{"name": "1", "degree": 0}], "products": [[["1"], "1", "1", 1]]},
+            {"type": "table", "basis": [{"name": "1", "degree": 0}, {"name": "x", "degree": -1}]},
+            {"type": "table", "basis": [{"name": "1", "degree": 0}, {"name": "x", "degree": 1.5}]},
+            {"type": "table", "basis": [{"name": "1", "degree": 0}, 7]},
+            {"type": "table", "basis": [{"name": "1", "degree": 0}, {"degree": 1}]},
+            {"type": "table", "basis": [{"name": "1", "degree": 0}], "products": [["1", "1", "1", "1/0"]]},
+        ],
+        ids=[
+            "string-degree", "missing-name", "bool-degree", "generators-object",
+            "products-number", "unhashable-name", "negative-degree", "float-degree",
+            "basis-number", "missing-basis-name", "zero-denominator",
+        ],
+    )
+    def test_malformed_ring_json_is_a_clean_error(self, run_cli, tmp_path, ring):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"field": {"char": 0}, **ring}))
+        code, out, err = run_cli(["ring", str(path), "--compute", "zcl-full"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_exhausted_budget_is_a_warning_exit(self, run_cli):
         code, out, _ = run_cli(
             ["ring", "so:5:char2", "--compute", "zcl-basic",
@@ -80,6 +108,23 @@ class TestRingCommand:
         assert code == 2
         assert "zcl-full budget exhausted" in out
         assert "lower bound (budget exhausted)" in out
+
+    def test_exhausted_budget_on_cl_is_a_warning_exit(self, run_cli):
+        code, out, _ = run_cli(
+            ["ring", "sigma:3:char2", "--compute", "cl",
+             "--budget", "3", "--no-timing"]
+        )
+        assert code == 2
+        assert "cl budget exhausted" in out
+        assert "lower bound (budget exhausted)" in out
+
+    def test_deep_zcl_search_answers(self, run_cli):
+        code, out, err = run_cli(
+            ["ring", "rp:1000", "--compute", "zcl-full", "--json", "--no-timing"]
+        )
+        assert code == 0 and err == ""
+        res = json.loads(out)["results"]["zcl-full"]
+        assert (res["value"], res["exact"]) == (1023, True)
 
     def test_budget_must_be_nonnegative(self, run_cli):
         with pytest.raises(SystemExit) as exc:
