@@ -32,6 +32,10 @@ nonzero product of algebra generators, just as zcl is the longest nonzero
 product of generator bars.  :func:`_longest_product` finds either: a
 depth-first search, on an explicit stack, over multisets of degree-sorted
 elements in nondecreasing order, run on A for cl and on A⊗A for zcl.
+Degree counting bounds it: a product of k elements of degree at least d
+is zero once k·d passes the top degree, so no product is longer than
+top degree // (least element degree), and the search stops when it finds
+one of that length.
 
 For monomial algebras ``zcl_full`` also has a factorization route: over a
 field, Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, and expanding a product of more than
@@ -307,15 +311,20 @@ def _longest_product(
 ) -> CupLengthResult:
     """Longest nonzero product of ``elements`` (repetition allowed) in ``T``.
 
-    ``elements`` are homogeneous and sorted by degree.  Depth-first search,
-    on an explicit stack, over multisets of them in nondecreasing index
-    order, pruning zero partial products and products whose degree would
-    pass ``T.top_degree``.  If the node budget runs out the best length found
-    so far is returned with ``exact=False``.
+    ``elements`` are homogeneous, of positive degree and sorted by degree.
+    Depth-first search, on an explicit stack, over multisets of them in
+    nondecreasing index order, pruning zero partial products and products
+    whose degree would pass ``T.top_degree``.  The search stops as soon as
+    a product reaches the degree bound ``T.top_degree // (least degree)``,
+    past which no product is nonzero; the best product only changes when a
+    strictly longer one is found, so the value and witness are those of
+    the full search.  If the node budget runs out the best length found so
+    far is returned with ``exact=False``.
     """
     vecs = [e.coeffs for e in elements]
     degs = [e.degree() for e in elements]
     top = T.top_degree
+    bound = top // degs[0] if degs else 0
     nodes = 0
     exact = True
     best: tuple = ()
@@ -324,7 +333,7 @@ def _longest_product(
     # A frame is (indices still to try, product, degree).  ``degs`` is sorted,
     # so the indices that keep the degree within ``top`` form a prefix.
     stack = [(iter(range(bisect_right(degs, top))), {T.unit_index: T.field.one()}, 0)]
-    while stack:
+    while stack and len(best) < bound:
         candidates, vec, deg = stack[-1]
         for t in candidates:
             nodes += 1

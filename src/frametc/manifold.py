@@ -103,6 +103,21 @@ class ManifoldDescriptor:
             )
         if self.connectivity < 0:
             raise DescriptorError("connectivity must be >= 0")
+        if self.frame_bundle_lie_group is not None and not isinstance(
+            self.frame_bundle_lie_group, str
+        ):
+            raise DescriptorError(
+                "frame_bundle_lie_group must be an so:k id string, got "
+                f"{self.frame_bundle_lie_group!r}"
+            )
+        if not all(isinstance(t, str) for t in self.tncz_fields):
+            raise DescriptorError(
+                f"tncz_fields must list field tokens like char=2, got {list(self.tncz_fields)!r}"
+            )
+        if not isinstance(self.cohomology, dict):
+            raise DescriptorError(
+                f"cohomology must map field tokens to rings, got {self.cohomology!r}"
+            )
         # implication closure
         if self.lie_group:
             self.parallelizable = True

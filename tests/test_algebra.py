@@ -1,11 +1,14 @@
 """Algebra encodings: monomial, table, tensor product; axioms and JSON forms."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from frametc.algebra import (
+    AXIOM_SAMPLE,
+    AXIOM_SEED,
     CapacityError,
     DomainMismatchError,
     GeneratorSpec,
@@ -18,8 +21,9 @@ from frametc.algebra import (
     tensor,
     tensor_square,
 )
-from frametc.catalog import rp_ring, so_ring, surface_ring, torus_ring
+from frametc.catalog import catalog_ring, rp_ring, so_ring, surface_ring, torus_ring
 from frametc.fields import F2, QQ, field_of
+from test_reencoding import SEEDS, SOURCES, reencode
 
 
 def exterior_pair(field=QQ):
@@ -473,7 +477,150 @@ class TestRingJson:
             )
 
 
+def reference_check_axioms(A) -> None:
+    """The axiom check as it was before it skipped any associativity triple.
+
+    An independent reference: every triple it draws, the unit and
+    degree-settled ones included, is multiplied out on both sides.
+    """
+    f = A.field
+    n = A.dim
+    if A.degrees[A.unit_index] != 0:
+        raise InvalidPresentationError("unit must have degree 0")
+    for i in range(n):
+        if A.mul_basis(A.unit_index, i) != {i: f.one()} or A.mul_basis(
+            i, A.unit_index
+        ) != {i: f.one()}:
+            raise InvalidPresentationError(f"unit fails on basis class {A.labels[i]}")
+    for i in range(n):
+        for j in range(n):
+            prod_ij = A.mul_basis(i, j)
+            d = A.degrees[i] + A.degrees[j]
+            for k in prod_ij:
+                if A.degrees[k] != d:
+                    raise InvalidPresentationError(
+                        f"product {A.labels[i]}·{A.labels[j]} violates grading"
+                    )
+            sign = f.sign_to_coeff(A.degrees[i] * A.degrees[j])
+            expect = {k: f.mul(sign, c) for k, c in A.mul_basis(j, i).items()}
+            if prod_ij != expect:
+                raise InvalidPresentationError(
+                    f"graded commutativity fails on {A.labels[i]}, {A.labels[j]}"
+                )
+    if n <= 32:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(AXIOM_SEED)
+        triples = (
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            for _ in range(AXIOM_SAMPLE)
+        )
+    for i, j, k in triples:
+        left = A.mul_vec(A.mul_basis(i, j), {k: f.one()})
+        right = A.mul_vec({i: f.one()}, A.mul_basis(j, k))
+        if left != right:
+            raise InvalidPresentationError(
+                f"associativity fails on {A.labels[i]}, {A.labels[j]}, {A.labels[k]}"
+            )
+
+
+class UncheckedTable(TableAlgebra):
+    """A table algebra whose constructor leaves the axioms unchecked."""
+
+    def check_axioms(self) -> None:
+        pass
+
+
+def unchecked(A, table=None) -> UncheckedTable:
+    """Copy of table algebra A, optionally with other structure constants."""
+    return UncheckedTable(
+        A.field, A.labels, A.degrees, A._table if table is None else table
+    )
+
+
+def outcome(check, A):
+    """None if ``check(A)`` passes, else the message it raises."""
+    try:
+        check(A)
+    except InvalidPresentationError as exc:
+        return str(exc)
+    return None
+
+
+def assert_same_outcome(A) -> None:
+    assert outcome(TableAlgebra.check_axioms, A) == outcome(reference_check_axioms, A)
+
+
+def perturbed(A, count: int, seed: int):
+    """Copies of table A, each with one structure constant c_ij^k raised by 1.
+
+    k is a class of degree |i| + |j| and c_ji^k moves by the graded sign with
+    it, so most copies pass the grading and commutativity checks and reach
+    associativity.
+    """
+    rng = random.Random(seed)
+    f = A.field
+    by_degree = A.indices_by_degree()
+    pos = [i for i in range(A.dim) if A.degrees[i] > 0]
+    slots = [
+        (i, j, k)
+        for i in pos
+        for j in pos
+        for k in by_degree.get(A.degrees[i] + A.degrees[j], [])
+    ]
+    for i, j, k in rng.sample(slots, min(count, len(slots))):
+        table = {key: dict(terms) for key, terms in A._table.items()}
+        sign = f.sign_to_coeff(A.degrees[i] * A.degrees[j])
+        for key, step in {(j, i): sign, (i, j): f.one()}.items():
+            terms = table.setdefault(key, {})
+            terms[k] = f.add(terms.get(k, f.zero()), step)
+        yield unchecked(A, table)
+
+
+def nonassociative(width: int):
+    """x·y_t = u and u·z = v but y_t·z = 0, so (x·y_t)·z = v and x·(y_t·z) = 0.
+
+    Every class has even degree and every product is listed both ways, so
+    the table is unital, graded and graded commutative over any field; v
+    fills degree 6, the degree of the failing triples.
+    """
+    names = ["1", "x"] + [f"y{t}" for t in range(width)] + ["z", "u", "v"]
+    degrees = [0] + [2] * (width + 2) + [4, 6]
+    x, z, u, v = 1, width + 2, width + 3, width + 4
+    products = {(u, z): {v: 1}, (z, u): {v: 1}}
+    for y in range(2, width + 2):
+        products[(x, y)] = products[(y, x)] = {u: 1}
+    return names, degrees, products
+
+
 class TestAxiomChecker:
     def test_all_catalog_rings_pass(self, small_entries):
         for entry in small_entries:
             entry.algebra.check_axioms()
+
+    @pytest.mark.parametrize("field", [QQ, F2])
+    @pytest.mark.parametrize("width", [1, 30])
+    def test_associativity_failure_raises(self, field, width):
+        # width 30 gives 35 classes: the sampled path, which draws enough of
+        # the failing triples (x, y_t, z) to find one.
+        names, degrees, products = nonassociative(width)
+        with pytest.raises(InvalidPresentationError, match="associativity fails on") as exc:
+            TableAlgebra(field, names, degrees, products)
+        A = UncheckedTable(field, names, degrees, products)
+        assert (A.dim > 32) == (width == 30)
+        assert str(exc.value) == outcome(reference_check_axioms, A)
+
+    def test_skipped_triples_change_no_outcome(self):
+        tables = [catalog_ring(f"sigma:{g}:char{p}").algebra for g in (1, 2, 3) for p in (0, 2)]
+        tables += [reencode(catalog_ring(r).algebra, seed) for r in SOURCES for seed in SEEDS]
+        tables.append(table_from(torus_ring(6, QQ)))  # 64 classes: the sampled path
+        assert tables[-1].dim > 32
+        outcomes = []
+        for t, A in enumerate(tables):
+            for B in [unchecked(A), *perturbed(A, 6, t)]:
+                assert_same_outcome(B)
+                outcomes.append(outcome(reference_check_axioms, B))
+        # The perturbed copies reach every kind of outcome.
+        assert None in outcomes
+        for kind in ("graded commutativity", "associativity"):
+            assert any(o and o.startswith(kind) for o in outcomes), kind

@@ -480,6 +480,56 @@ class TestFactorWitnesses:
         assert "witness_product" not in zcl_full(so_ring(1, F2)).describe()
 
 
+def exhaustive_longest_product(T, elements):
+    """First longest nonzero product of ``elements``, walking every node.
+
+    A reference for the search's early stop at its degree bound: plain
+    recursion in the same nondecreasing-index preorder, pruning only zero
+    products and degrees above ``T.top_degree``.  Returns (factor indices,
+    nodes).
+    """
+    vecs = [e.coeffs for e in elements]
+    degs = [e.degree() for e in elements]
+    best: list = []
+    nodes = 0
+
+    def extend(start, vec, deg, path):
+        nonlocal best, nodes
+        for t in range(start, len(elements)):
+            if deg + degs[t] > T.top_degree:
+                continue
+            nodes += 1
+            prod = T.mul_vec(vec, vecs[t])
+            if prod:
+                path.append(t)
+                if len(path) > len(best):
+                    best = list(path)
+                extend(t, prod, deg + degs[t], path)
+                path.pop()
+
+    extend(0, {T.unit_index: T.field.one()}, 0, [])
+    return best, nodes
+
+
+class TestDegreeBoundStop:
+    def test_same_value_and_witness_as_the_exhaustive_walk(self, small_entries):
+        algebras = [e.algebra for e in small_entries] + [surface_ring(5, QQ)]
+        fewer = 0
+        for A in algebras:
+            gens = generator_indices(A)
+            T = tensor_square(A)
+            for res, S, elements in (
+                (cup_length(A, method="search"), A, [A.basis_element(i) for i in gens]),
+                (zcl_basic(A), T, [bar(T, A.basis_element(i)) for i in gens]),
+            ):
+                best, nodes = exhaustive_longest_product(S, elements)
+                assert res.exact and res.value == len(best), A.labels
+                assert [str(w) for w in res.witness] == [str(elements[t]) for t in best]
+                assert res.nodes <= nodes
+                fewer += res.nodes < nodes
+        assert fewer  # the surfaces stop early
+
+
 class TestChain:
     def test_chain_inequality_on_small_rings(self, small_entries):
         for entry in small_entries:

@@ -126,6 +126,45 @@ class TestRingCommand:
         res = json.loads(out)["results"]["zcl-full"]
         assert (res["value"], res["exact"]) == (1023, True)
 
+    def test_surface_cl_stops_at_its_degree_bound(self, run_cli):
+        # cl = 2 = top degree // 1 is reached at a1·b1, node g + 2; walking
+        # every pair instead would exhaust the default budget.
+        code, out, err = run_cli(
+            ["ring", "sigma:600:char0", "--compute", "cl", "--json", "--no-timing"]
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["warnings"] == []
+        cl = payload["results"]["cl"]
+        assert (cl["value"], cl["exact"], cl["nodes"]) == (2, True, 602)
+        assert (cl["witness"], cl["witness_product"]) == (["a1", "b1"], "w")
+
+    def test_surface_zcl_witness_survives_the_degree_bound(self, run_cli):
+        code, out, _ = run_cli(
+            ["ring", "sigma:12:char0", "--compute", "zcl-basic,zcl-full",
+             "--json", "--no-timing"]
+        )
+        assert code == 0
+        for res in json.loads(out)["results"].values():
+            assert (res["value"], res["exact"], res["nodes"]) == (4, True, 17)
+            assert res["witness"] == [
+                f"1⊗{x} - {x}⊗1" for x in ("a1", "a2", "b1", "b2")
+            ]
+            assert res["witness_product"] == "-2·w⊗w"
+
+    def test_point_table_ring_is_zero(self, run_cli, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(
+            {"field": {"char": 0}, "type": "table", "basis": [{"name": "1", "degree": 0}]}
+        ))
+        code, out, _ = run_cli(
+            ["ring", str(path), "--compute", "cl,zcl-basic,zcl-full", "--json", "--no-timing"]
+        )
+        assert code == 0
+        for res in json.loads(out)["results"].values():
+            assert (res["value"], res["exact"], res["witness"]) == (0, True, [])
+            assert "nodes" not in res
+
     def test_budget_must_be_nonnegative(self, run_cli):
         with pytest.raises(SystemExit) as exc:
             run_cli(["ring", "so:5:char2", "--compute", "zcl-basic", "--budget", "-5"])
@@ -216,6 +255,26 @@ class TestFrameBundleCommand:
     def test_missing_file(self, run_cli):
         code, _, err = run_cli(["frame-bundle", "no/such/file.json"])
         assert code == 1 and "error:" in err
+
+    def test_mistyped_descriptor_fields_are_clean_errors(self, run_cli, tmp_path):
+        with open(DESCRIPTOR, encoding="utf-8") as fh:
+            base = json.load(fh)
+        wrong = [5, -1, 2.5, True, None, "x", [], [1], ["char=2"], [None, 3], {}, {"a": 1}]
+        path = tmp_path / "m.json"
+        for field in base:
+            for value in wrong:
+                if value == base[field]:
+                    continue
+                path.write_text(json.dumps({**base, field: value}))
+                # main re-raises any error it has no message for, failing here
+                code, out, err = run_cli(["frame-bundle", str(path), "--no-timing"])
+                assert "Traceback" not in err, (field, value)
+                if code == 1:
+                    assert out == "" and err.startswith("error: "), (field, value)
+        for value in (5, True, ["so:3"]):
+            path.write_text(json.dumps({**base, "frame_bundle_lie_group": value}))
+            code, _, err = run_cli(["frame-bundle", str(path), "--no-timing"])
+            assert code == 1 and "frame_bundle_lie_group must be an so:k id" in err
 
     def test_torus13_beyond_the_old_cap(self, run_cli, tmp_path):
         # H*(T^13) has 8192 classes, above the default capacity of 4096,
