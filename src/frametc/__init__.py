@@ -28,12 +28,10 @@ from .bounds import (
 from .catalog import CatalogError, catalog_entries, catalog_ring, parse_catalog_id
 from .cuplength import (
     CupLengthResult,
-    ZeroDivisorBasis,
     bar,
     cup_length,
     zcl_basic,
     zcl_full,
-    zero_divisor_generators,
 )
 from .examples import evaluate_examples, example_rows, torus_descriptor
 from .fields import F2, Field, FieldError, QQ, field_of, parse_field
@@ -60,7 +58,6 @@ __all__ = [
     "ProductAlgebra",
     "QQ",
     "TableAlgebra",
-    "ZeroDivisorBasis",
     "bar",
     "cat_so",
     "cat_so_lower",
@@ -83,7 +80,6 @@ __all__ = [
     "zcl_basic",
     "zcl_full",
     "zcl_so_closed_form",
-    "zero_divisor_generators",
 ]
 
 __version__ = "0.1.0"

@@ -53,6 +53,12 @@ class CapacityError(RuntimeError):
     """Construction or computation would exceed the configured dimension cap."""
 
 
+def check_capacity(dim: int, capacity: int) -> None:
+    """Refuse an encoding that would store ``dim`` basis classes above ``capacity``."""
+    if dim > capacity:
+        raise CapacityError(f"dimension {dim} exceeds capacity {capacity}")
+
+
 class DomainMismatchError(ValueError):
     """Operands belong to different algebras or fields."""
 
@@ -439,8 +445,7 @@ class TableAlgebra(Algebra):
             raise InvalidPresentationError("names and degrees differ in length")
         if len(set(names)) != len(names):
             raise InvalidPresentationError("duplicate basis names")
-        if len(names) > capacity:
-            raise CapacityError(f"dimension {len(names)} exceeds capacity {capacity}")
+        check_capacity(len(names), capacity)
         for name, d in zip(names, degrees):
             if type(d) is not int or d < 0:
                 raise InvalidPresentationError(

@@ -24,6 +24,7 @@ from .algebra import (
     InvalidPresentationError,
     MonomialAlgebra,
     TableAlgebra,
+    check_capacity,
 )
 from .fields import F2, QQ, Field, field_of, parse_field
 
@@ -125,6 +126,7 @@ def surface_ring(g: int, field: Field = F2, capacity: int = DEFAULT_CAPACITY) ->
     """
     if g < 1:
         raise CatalogError(f"sigma requires genus >= 1, got {g}")
+    check_capacity(2 * g + 2, capacity)  # before building a table that size
     names = ["1"] + [f"a{i}" for i in range(1, g + 1)] + [
         f"b{i}" for i in range(1, g + 1)
     ] + ["w"]
@@ -227,8 +229,8 @@ def catalog_ring(
 def catalog_entries(capacity: int = DEFAULT_CAPACITY) -> list[CatalogEntry]:
     """The canonical registry of shipped ring instances.
 
-    Used by the oracle-equivalence and property suites and by the CLI's id
-    listing.  Order is deterministic.
+    Used by the oracle-equivalence and property suites.  Order is
+    deterministic.
     """
     ids = []
     ids += [f"so:{n}:char0" for n in range(1, 9)]

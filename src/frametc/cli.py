@@ -30,7 +30,7 @@ from .algebra import DEFAULT_CAPACITY, CapacityError, ring_from_json
 from .bounds import compute_bounds
 from .catalog import CatalogError, catalog_ring
 from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
-from .examples import evaluate_examples, example_keys, example_rows
+from .examples import evaluate_examples, example_rows
 from .fields import parse_field
 from .manifold import load_descriptor
 from .report import render_bounds, render_examples, render_ring
@@ -166,13 +166,13 @@ def _cmd_frame_bundle(args) -> int:
     if os.path.exists(args.manifold) or args.manifold.endswith(".json"):
         descriptor = load_descriptor(args.manifold)
     else:
-        match = [r for r in example_rows() if r.key == args.manifold]
-        if not match:
+        rows = {r.key: r for r in example_rows()}
+        if args.manifold not in rows:
             raise ValueError(
                 f"{args.manifold!r} is neither a descriptor file nor a built-in key "
-                f"({', '.join(example_keys())})"
+                f"({', '.join(rows)})"
             )
-        descriptor = match[0].descriptor
+        descriptor = rows[args.manifold].descriptor
     report = compute_bounds(descriptor, capacity=args.capacity, budget=args.budget)
     elapsed = None if args.no_timing else time.monotonic() - t0
     print(render_bounds(report, json_mode=args.json, elapsed=elapsed))

@@ -224,26 +224,6 @@ def bar(T: ProductAlgebra, u: Element) -> Element:
     return Element(T, coeffs)
 
 
-class ZeroDivisorBasis:
-    """Basic zero-divisors m̄ for every positive-degree basis class m of A."""
-
-    def __init__(
-        self,
-        algebra: Algebra,
-        square: ProductAlgebra,
-        bars: list[Element],
-        sources: list[int],  # basis index of A that each bar came from
-    ):
-        self.algebra = algebra
-        self.square = square
-        self.bars = bars
-        self.sources = sources
-
-    @property
-    def labels(self) -> list[str]:
-        return [f"bar({self.algebra.labels[i]})" for i in self.sources]
-
-
 def _bars(T: ProductAlgebra, sources: list[int]) -> list[Element]:
     """Bars of the given basis classes, each checked to be a zero-divisor."""
     A = T.left
@@ -256,20 +236,6 @@ def _bars(T: ProductAlgebra, sources: list[int]) -> list[Element]:
             )
         bars.append(b)
     return bars
-
-
-def zero_divisor_generators(A: Algebra) -> ZeroDivisorBasis:
-    """Construct m̄ = 1⊗m − m⊗1 for each positive-degree basis class m.
-
-    Each element is verified to lie in the kernel of the multiplication map.
-    Bars are ordered by (degree, basis index).
-    """
-    T = tensor_square(A)
-    order = sorted(
-        (i for i in range(A.dim) if A.degrees[i] > 0),
-        key=lambda i: (A.degrees[i], i),
-    )
-    return ZeroDivisorBasis(A, T, _bars(T, order), order)
 
 
 def generator_indices(A: Algebra) -> list[int]:

@@ -51,7 +51,7 @@ def torus_descriptor(n: int) -> ManifoldDescriptor:
     )
 
 
-def _rows() -> list[ExampleRow]:
+def example_rows() -> list[ExampleRow]:
     rows = [
         ExampleRow(
             key="rp1",
@@ -200,14 +200,6 @@ def _rows() -> list[ExampleRow]:
     return rows
 
 
-def example_rows() -> list[ExampleRow]:
-    return _rows()
-
-
-def example_keys() -> list[str]:
-    return [row.key for row in _rows()]
-
-
 def _agrees(stated: Optional[Interval], derived: tuple) -> Optional[bool]:
     if stated is None:
         return None
@@ -241,7 +233,7 @@ def evaluate_examples(
     capacity: int = DEFAULT_CAPACITY,
     budget: int = DEFAULT_BUDGET,
 ) -> list[dict]:
-    rows = _rows()
+    rows = example_rows()
     if keys:
         wanted = set(keys)
         unknown = wanted - {r.key for r in rows}

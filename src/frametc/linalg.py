@@ -15,14 +15,14 @@ loops while staying exact.  Over char p pivots are normalized to 1.
 
 The echelon keeps one row per pivot column (pivot = smallest column index of
 the row), which is enough for exact rank and span-membership tests; rows are
-not back-substituted into each other.
+not back-substituted into each other.  :func:`kernel_of_map` tracks each
+domain vector as one more column past the image columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
 
 from .fields import Field
 
@@ -30,18 +30,18 @@ Vec = dict  # {column: coefficient}
 
 
 class Echelon:
-    """Incremental echelon basis of a growing span, with optional augmentation.
+    """Incremental echelon basis of a growing span.
 
-    ``insert(vec, aug)`` reduces ``vec`` against the rows stored so far (the
-    same operations being applied to the augmented part) and stores the
-    residual if it is nonzero.  Insertion order is the only source of
-    ordering, so results are deterministic for deterministic input order.
+    ``insert(vec)`` reduces ``vec`` against the rows stored so far and stores
+    the residual if it is nonzero; ``reduce(vec)`` only reduces.  Insertion
+    order is the only source of ordering, so results are deterministic for
+    deterministic input order.
     """
 
     def __init__(self, field: Field):
         self.field = field
-        # pivot column -> (main, aug), in insertion order
-        self.rows: dict[int, tuple[Vec, Vec]] = {}
+        # pivot column -> row, in insertion order
+        self.rows: dict[int, Vec] = {}
 
     @property
     def rank(self) -> int:
@@ -49,113 +49,83 @@ class Echelon:
 
     # -- internal helpers ----------------------------------------------------
 
-    def _norm_pair(self, main: Vec, aug: Vec) -> tuple[Vec, Vec]:
+    def _norm(self, vec: Vec) -> Vec:
         p = self.field.characteristic
         if p == 0:
-            both = {("m", k): c for k, c in main.items() if c}
-            both.update({("a", k): c for k, c in aug.items() if c})
-            if not both:
-                return {}, {}
-            den = lcm(
-                *(c.denominator if isinstance(c, Fraction) else 1 for c in both.values())
-            )
+            den = lcm(*(c.denominator if isinstance(c, Fraction) else 1 for c in vec.values()))
             ints = {
                 k: int(c * den) if isinstance(c, Fraction) else c * den
-                for k, c in both.items()
+                for k, c in vec.items() if c
             }
+            if not ints:
+                return ints
             g = gcd(*ints.values())
-            main_keys = [k for (t, k) in ints if t == "m"]
-            if main_keys:
-                leadkey = ("m", min(main_keys))
-            else:
-                leadkey = ("a", min(k for (t, k) in ints if t == "a"))
-            if ints[leadkey] < 0:
+            if ints[min(ints)] < 0:
                 g = -g
-            main_n = {k: v // g for (t, k), v in ints.items() if t == "m"}
-            aug_n = {k: v // g for (t, k), v in ints.items() if t == "a"}
-            return main_n, aug_n
-        main_n = {k: c % p for k, c in main.items() if c % p}
-        aug_n = {k: c % p for k, c in aug.items() if c % p}
-        return main_n, aug_n
+            return {k: v // g for k, v in ints.items()}
+        return {k: c % p for k, c in vec.items() if c % p}
 
-    def _eliminate(self, main: Vec, aug: Vec, col: int) -> tuple[Vec, Vec]:
-        piv_main, piv_aug = self.rows[col]
+    def _eliminate(self, vec: Vec, col: int) -> Vec:
+        piv = self.rows[col]
         p = self.field.characteristic
         if p == 0:
-            a, b = main[col], piv_main[col]
-            new_main = {}
-            for k in main.keys() | piv_main.keys():
-                c = b * main.get(k, 0) - a * piv_main.get(k, 0)
+            a, b = vec[col], piv[col]
+            out = {}
+            for k in vec.keys() | piv.keys():
+                c = b * vec.get(k, 0) - a * piv.get(k, 0)
                 if c:
-                    new_main[k] = c
-            new_aug = {}
-            for k in aug.keys() | piv_aug.keys():
-                c = b * aug.get(k, 0) - a * piv_aug.get(k, 0)
-                if c:
-                    new_aug[k] = c
-            return new_main, new_aug
-        f = main[col]  # pivot is normalized to 1
-        new_main = dict(main)
-        for k, c in piv_main.items():
-            r = (new_main.get(k, 0) - f * c) % p
+                    out[k] = c
+            return out
+        f = vec[col]  # pivot is normalized to 1
+        out = dict(vec)
+        for k, c in piv.items():
+            r = (out.get(k, 0) - f * c) % p
             if r:
-                new_main[k] = r
+                out[k] = r
             else:
-                new_main.pop(k, None)
-        new_aug = dict(aug)
-        for k, c in piv_aug.items():
-            r = (new_aug.get(k, 0) - f * c) % p
-            if r:
-                new_aug[k] = r
-            else:
-                new_aug.pop(k, None)
-        return new_main, new_aug
-
-    def _reduce(self, main: Vec, aug: Vec) -> tuple[Vec, Vec]:
-        main, aug = self._norm_pair(main, aug)
-        while main:
-            hit = None
-            for k in main:
-                if k in self.rows and (hit is None or k < hit):
-                    hit = k
-            if hit is None:
-                break
-            main, aug = self._eliminate(main, aug, hit)
-            main, aug = self._norm_pair(main, aug)
-        return main, aug
+                out.pop(k, None)
+        return out
 
     # -- public API ------------------------------------------------------------
 
-    def insert(self, vec: Vec, aug: Optional[Vec] = None) -> tuple[bool, Vec, Vec]:
-        """Reduce and, if independent, store.  Returns (added, residual, aug)."""
-        main, augr = self._reduce(vec, aug or {})
-        if not main:
-            return False, main, augr
+    def reduce(self, vec: Vec) -> Vec:
+        """Residual of ``vec`` against the stored rows; stores nothing."""
+        vec = self._norm(vec)
+        while (hit := min(filter(self.rows.__contains__, vec), default=None)) is not None:
+            vec = self._norm(self._eliminate(vec, hit))
+        return vec
+
+    def insert(self, vec: Vec) -> tuple[bool, Vec]:
+        """Reduce and, if independent, store.  Returns (added, residual)."""
+        vec = self.reduce(vec)
+        if not vec:
+            return False, vec
+        piv = min(vec)
         p = self.field.characteristic
         if p != 0:
-            piv = min(main)
-            inv = pow(main[piv], -1, p)
-            main = {k: (c * inv) % p for k, c in main.items()}
-            augr = {k: (c * inv) % p for k, c in augr.items()}
-        piv = min(main)
-        self.rows[piv] = (main, augr)
-        return True, main, augr
+            inv = pow(vec[piv], -1, p)
+            vec = {k: (c * inv) % p for k, c in vec.items()}
+        self.rows[piv] = vec
+        return True, vec
 
 
 def kernel_of_map(images: list[Vec], field: Field) -> list[Vec]:
     """Kernel of the map sending domain basis vector i to ``images[i]``.
 
     Returns sparse coefficient vectors (over domain indices 0..len-1) spanning
-    the kernel, in deterministic order.  Domain vectors are processed in
-    order; whenever an image reduces to zero, the tracked combination is a
-    kernel element.
+    the kernel, in deterministic order.  Domain vector i is reduced as its
+    image plus e_i, placed in column ``width + i`` past every image column.
+    A residual with no image column left is a kernel vector.  It is never
+    stored: its pivot would be a domain column that later reductions reach.
+    Any other residual is inserted.
     """
+    width = 1 + max((k for img in images for k in img), default=-1)
     ech = Echelon(field)
     kernel: list[Vec] = []
     for i, img in enumerate(images):
-        added, residual, combo = ech.insert(dict(img), {i: field.one()})
-        if not added:
-            # residual is zero; combo expresses 0 as a combination including e_i
-            if not residual:
-                kernel.append(combo)
+        residual = ech.reduce({**img, width + i: field.one()})
+        if min(residual) >= width:
+            kernel.append({k - width: c for k, c in residual.items()})
+        else:
+            ech.insert(residual)
     return kernel

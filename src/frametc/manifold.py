@@ -93,8 +93,18 @@ class ManifoldDescriptor:
 
     def _check(self):
         """Validate the facts and close them under their implications."""
-        if not self.name:
-            raise DescriptorError("descriptor needs a name")
+        if self.free_action_dim is None:  # the default is checked like a given value
+            self.free_action_dim = self.dim if self.lie_group else 0
+        if not isinstance(self.name, str) or not self.name:
+            raise DescriptorError(f"descriptor needs a name string, got {self.name!r}")
+        for what in ("orientable", "parallelizable", "spin", "lie_group"):
+            value = getattr(self, what)
+            if type(value) is not bool:
+                raise DescriptorError(f"{what} must be true or false, got {value!r}")
+        for what in ("dim", "connectivity", "free_action_dim"):
+            value = getattr(self, what)
+            if type(value) is not int:  # JSON true is no integer
+                raise DescriptorError(f"{what} must be an integer, got {value!r}")
         if self.dim < 1:
             raise DescriptorError(f"dim must be >= 1, got {self.dim}")
         if not self.orientable:
@@ -110,9 +120,11 @@ class ManifoldDescriptor:
                 "frame_bundle_lie_group must be an so:k id string, got "
                 f"{self.frame_bundle_lie_group!r}"
             )
-        if not all(isinstance(t, str) for t in self.tncz_fields):
+        if not isinstance(self.tncz_fields, (list, tuple)) or not all(
+            isinstance(t, str) for t in self.tncz_fields
+        ):
             raise DescriptorError(
-                f"tncz_fields must list field tokens like char=2, got {list(self.tncz_fields)!r}"
+                f"tncz_fields must list field tokens like char=2, got {self.tncz_fields!r}"
             )
         if not isinstance(self.cohomology, dict):
             raise DescriptorError(
@@ -123,20 +135,17 @@ class ManifoldDescriptor:
             self.parallelizable = True
         if self.parallelizable:
             self.spin = True
-        if self.free_action_dim is None:
-            self.free_action_dim = self.dim if self.lie_group else 0
-        else:
-            if self.free_action_dim < 0:
-                raise DescriptorError("free_action_dim must be >= 0")
-            if self.free_action_dim > self.dim:
-                raise DescriptorError(
-                    "a group acting freely cannot have dimension above the manifold's"
-                )
-            if self.lie_group and self.free_action_dim < self.dim:
-                raise DescriptorError(
-                    "a Lie group acts freely on itself; free_action_dim below dim "
-                    "contradicts lie_group"
-                )
+        if self.free_action_dim < 0:
+            raise DescriptorError("free_action_dim must be >= 0")
+        if self.free_action_dim > self.dim:
+            raise DescriptorError(
+                "a group acting freely cannot have dimension above the manifold's"
+            )
+        if self.lie_group and self.free_action_dim < self.dim:
+            raise DescriptorError(
+                "a Lie group acts freely on itself; free_action_dim below dim "
+                "contradicts lie_group"
+            )
         # normalize field tokens (validates them) and intervals
         self.tncz_fields = tuple(parse_field(t).token() for t in self.tncz_fields)
         self.known_tc_base = _as_interval(self.known_tc_base, "known_tc_base")
@@ -148,9 +157,6 @@ class ManifoldDescriptor:
 
     def tc_base_upper(self) -> Optional[int]:
         return self.known_tc_base[1] if self.known_tc_base else None
-
-    def tc_base_lower(self) -> Optional[int]:
-        return self.known_tc_base[0] if self.known_tc_base else None
 
     def cat_base_upper(self) -> Optional[int]:
         return self.known_cat_base[1] if self.known_cat_base else None
@@ -226,6 +232,9 @@ class ManifoldDescriptor:
         unknown = set(obj) - known
         if unknown:
             raise DescriptorError(f"unknown descriptor keys: {sorted(unknown)}")
+        # null leaves these flags at their default, as an absent key does
+        nullable = ("parallelizable", "spin", "lie_group")
+        obj = {k: v for k, v in obj.items() if v is not None or k not in nullable}
         try:
             return cls(
                 name=obj.get("name", ""),
@@ -235,7 +244,7 @@ class ManifoldDescriptor:
                 spin=obj.get("spin", False),
                 lie_group=obj.get("lie_group", False),
                 frame_bundle_lie_group=obj.get("frame_bundle_lie_group"),
-                tncz_fields=tuple(obj.get("tncz_fields", ())),
+                tncz_fields=obj.get("tncz_fields", ()),
                 cohomology=obj.get("cohomology", {}),
                 known_tc_base=obj.get("known_tc_base"),
                 known_cat_base=obj.get("known_cat_base"),

@@ -1,7 +1,10 @@
 """The shipped ring catalog: presentations, ids, and frozen invariants."""
 
+import tracemalloc
+
 import pytest
 
+from frametc.algebra import CapacityError
 from frametc.catalog import (
     CatalogEntry,
     CatalogError,
@@ -121,6 +124,18 @@ class TestOtherFamilies:
         assert (a2 * A.basis_element(4)).is_zero  # a2 * b1 = 0
         with pytest.raises(CatalogError):
             surface_ring(0)
+
+    def test_surface_over_capacity_refused_before_building(self):
+        # 2g + 2 classes: the table is refused before any name or product exists.
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as exc:
+                surface_ring(100_000, F2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "dimension 200002 exceeds capacity 4096"
+        assert peak < 2**20, peak
 
 
 class TestCatalogIds:

@@ -39,11 +39,11 @@ from frametc.cuplength import (
     generator_indices,
     zcl_basic,
     zcl_full,
-    zero_divisor_generators,
     zero_divisor_ideal_basis,
 )
 from frametc.fields import F2, QQ, field_of
 from oracle import brute_force_cl
+from zero_divisors import zero_divisor_generators
 
 
 class TestCupLength:

@@ -82,7 +82,6 @@ class TestImplicationClosure:
 class TestAccessors:
     def test_tc_and_cat_accessors(self):
         d = minimal(known_tc_base=[4, 6], known_cat_base=5)
-        assert d.tc_base_lower() == 4
         assert d.tc_base_upper() == 6
         assert d.cat_base_upper() == 5
         assert minimal().tc_base_upper() is None

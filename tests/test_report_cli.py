@@ -256,7 +256,9 @@ class TestFrameBundleCommand:
         code, _, err = run_cli(["frame-bundle", "no/such/file.json"])
         assert code == 1 and "error:" in err
 
-    def test_mistyped_descriptor_fields_are_clean_errors(self, run_cli, tmp_path):
+    def test_mistyped_descriptor_fields_are_clean_errors(self, run_cli, schema_validator, tmp_path):
+        validator = schema_validator("manifold.schema.json")
+        required = set(validator.schema["required"])
         with open(DESCRIPTOR, encoding="utf-8") as fh:
             base = json.load(fh)
         wrong = [5, -1, 2.5, True, None, "x", [], [1], ["char=2"], [None, 3], {}, {"a": 1}]
@@ -265,12 +267,21 @@ class TestFrameBundleCommand:
             for value in wrong:
                 if value == base[field]:
                     continue
-                path.write_text(json.dumps({**base, field: value}))
+                doc = {**base, field: value}
+                path.write_text(json.dumps(doc))
                 # main re-raises any error it has no message for, failing here
                 code, out, err = run_cli(["frame-bundle", str(path), "--no-timing"])
                 assert "Traceback" not in err, (field, value)
                 if code == 1:
                     assert out == "" and err.startswith("error: "), (field, value)
+                if value is None and field not in required:
+                    # null on an optional field is refused or means the field is absent
+                    if code != 1:
+                        path.write_text(json.dumps({k: v for k, v in base.items() if k != field}))
+                        absent = run_cli(["frame-bundle", str(path), "--no-timing"])
+                        assert (code, out, err) == absent, field
+                elif not validator.is_valid(doc):
+                    assert code == 1, (field, value)
         for value in (5, True, ["so:3"]):
             path.write_text(json.dumps({**base, "frame_bundle_lie_group": value}))
             code, _, err = run_cli(["frame-bundle", str(path), "--no-timing"])

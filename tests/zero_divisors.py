@@ -1,0 +1,46 @@
+"""Basic zero-divisors of every positive-degree basis class, for the tests.
+
+The engine searches over generator bars only (``frametc.cuplength``); the
+tests also look at the bar of every positive-degree class.  Built with the
+engine's own ``bar`` and ``tensor_square``, so unlike ``tests/oracle.py``
+this is not an independent reference.
+"""
+
+from __future__ import annotations
+
+from frametc.algebra import Algebra, Element, ProductAlgebra, tensor_square
+from frametc.cuplength import _bars
+
+
+class ZeroDivisorBasis:
+    """Basic zero-divisors m̄ for every positive-degree basis class m of A."""
+
+    def __init__(
+        self,
+        algebra: Algebra,
+        square: ProductAlgebra,
+        bars: list[Element],
+        sources: list[int],  # basis index of A that each bar came from
+    ):
+        self.algebra = algebra
+        self.square = square
+        self.bars = bars
+        self.sources = sources
+
+    @property
+    def labels(self) -> list[str]:
+        return [f"bar({self.algebra.labels[i]})" for i in self.sources]
+
+
+def zero_divisor_generators(A: Algebra) -> ZeroDivisorBasis:
+    """Construct m̄ = 1⊗m − m⊗1 for each positive-degree basis class m.
+
+    Each element is verified to lie in the kernel of the multiplication map.
+    Bars are ordered by (degree, basis index).
+    """
+    T = tensor_square(A)
+    order = sorted(
+        (i for i in range(A.dim) if A.degrees[i] > 0),
+        key=lambda i: (A.degrees[i], i),
+    )
+    return ZeroDivisorBasis(A, T, _bars(T, order), order)
