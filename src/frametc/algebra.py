@@ -33,7 +33,6 @@ import itertools
 import random
 from collections import abc
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -510,7 +509,6 @@ class ProductAlgebra(Algebra):
             left.dim * n, lambda k: f"{left.labels[k // n]}⊗{right.labels[k % n]}"
         )
         self.unit_index = self.pair_index(left.unit_index, right.unit_index)
-        self._mul_cached = lru_cache(maxsize=1 << 18)(self._mul_uncached)
 
     @property
     def top_degree(self) -> int:
@@ -522,22 +520,62 @@ class ProductAlgebra(Algebra):
     def split_index(self, k: int) -> tuple[int, int]:
         return divmod(k, self.right.dim)
 
-    def _mul_uncached(self, x: int, y: int) -> tuple:
-        f = self.field
-        i1, j1 = self.split_index(x)
-        i2, j2 = self.split_index(y)
-        sign = f.sign_to_coeff(self.right.degrees[j1] * self.left.degrees[i2])
-        out = {}
-        lterms = self.left.mul_basis(i1, i2)
-        if lterms:
-            rterms = self.right.mul_basis(j1, j2)
-            for k, ca in lterms.items():
-                for l, cb in rterms.items():
-                    out[self.pair_index(k, l)] = f.mul(sign, f.mul(ca, cb))
-        return tuple(out.items())
-
     def mul_basis(self, i: int, j: int) -> dict:
-        return dict(self._mul_cached(i, j))
+        one = self.field.one()
+        return self.mul_vec({i: one}, {j: one})
+
+    def mul_vec(self, u: dict, v: dict) -> dict:
+        """Product of two vectors, multiplied factor by factor.
+
+        Each pair of terms gives (x1⊗y1)(x2⊗y2) = (-1)^{|y1||x2|} x1x2⊗y1y2
+        from the factors' ``mul_basis``.  Nothing is stored per pair: a
+        factor product with the unit is not looked up (every bar term has
+        one) and a coefficient 1 is not multiplied by.
+        """
+        f = self.field
+        left, right = self.left, self.right
+        n = right.dim
+        zero = f.zero()
+        vterms = []
+        for y, cy in v.items():
+            i2, j2 = divmod(y, n)
+            vterms.append((i2, j2, left.degrees[i2] % 2, cy))
+        out: dict = {}
+        for x, cx in u.items():
+            i1, j1 = divmod(x, n)
+            odd = right.degrees[j1] % 2
+            for i2, j2, odd2, cy in vterms:
+                lterms = _factor_terms(left, i1, i2)
+                if not lterms:
+                    continue
+                rterms = _factor_terms(right, j1, j2)
+                c = _times(f, cx, cy)
+                if odd and odd2:
+                    c = f.neg(c)
+                for k, a in lterms:
+                    ca = _times(f, c, a)
+                    for l, b in rterms:
+                        key = k * n + l
+                        acc = f.add(out.get(key, zero), _times(f, ca, b))
+                        if f.is_zero(acc):
+                            out.pop(key, None)
+                        else:
+                            out[key] = acc
+        return out
+
+
+def _factor_terms(A: Algebra, i: int, j: int):
+    """Terms (k, c) of the basis product i·j in A; a unit factor is not looked up."""
+    if i == A.unit_index:
+        return ((j, 1),)
+    if j == A.unit_index:
+        return ((i, 1),)
+    return A.mul_basis(i, j).items()
+
+
+def _times(f: Field, c: Coeff, a: Coeff) -> Coeff:
+    """c·a, without multiplying when a is 1."""
+    return c if a == 1 else f.mul(c, a)
 
 
 def tensor(left: Algebra, right: Algebra) -> Algebra:

@@ -244,8 +244,17 @@ def generator_indices(A: Algebra) -> list[int]:
     For a monomial encoding these are the generator monomials.  Otherwise a
     basis class of degree d is kept when it is independent of the products
     A+·A+ of degree d and of the classes kept before it; the kept classes
-    span a complement of the decomposables, so they generate A.
+    span a complement of the decomposables, so they generate A.  The result
+    is kept on ``A``, so the search for cl and the one for zcl share it.
     """
+    try:
+        return A._generators
+    except AttributeError:
+        A._generators = _find_generators(A)
+        return A._generators
+
+
+def _find_generators(A: Algebra) -> list[int]:
     if isinstance(A, MonomialAlgebra):
         return sorted(A.strides, key=lambda i: (A.degrees[i], i))
     one = A.field.one()

@@ -37,18 +37,24 @@ Interval = tuple[Optional[int], Optional[int]]
 
 
 def _as_interval(value, what: str) -> Optional[Interval]:
-    """Normalize an int or [lo, hi] (None endpoints allowed) to a tuple."""
+    """Normalize an int or [lo, hi] (None endpoints allowed) to a tuple.
+
+    Values are unreduced (TC or cat of a point is 1), so every given
+    integer must be at least 1.
+    """
     if value is None:
         return None
-    if isinstance(value, bool):
-        raise DescriptorError(f"{what} must be an integer or [lo, hi], got {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:  # JSON true is no integer
+        if value < 1:
+            raise DescriptorError(f"{what} must be at least 1, got {value!r}")
         return (value, value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         lo, hi = value
         for v in (lo, hi):
-            if v is not None and not isinstance(v, int):
-                raise DescriptorError(f"{what} endpoints must be integers or null")
+            if v is not None and (type(v) is not int or v < 1):
+                raise DescriptorError(
+                    f"{what} endpoints must be integers >= 1 or null, got {value!r}"
+                )
         if lo is not None and hi is not None and lo > hi:
             raise DescriptorError(f"{what} has lo > hi: {value!r}")
         return (lo, hi)

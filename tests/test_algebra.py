@@ -3,12 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from frametc.algebra import (
     AXIOM_SAMPLE,
     AXIOM_SEED,
+    Algebra,
     CapacityError,
     DomainMismatchError,
     GeneratorSpec,
@@ -23,6 +25,7 @@ from frametc.algebra import (
 )
 from frametc.catalog import catalog_ring, rp_ring, so_ring, surface_ring, torus_ring
 from frametc.fields import F2, QQ, field_of
+from oracle import _tmul
 from test_reencoding import SEEDS, SOURCES, reencode
 
 
@@ -397,6 +400,138 @@ class TestTensor:
                 view[T.dim]
             with pytest.raises(IndexError):
                 view[-T.dim - 1]
+
+
+class CachedProduct(ProductAlgebra):
+    """Reference: the per-pair cached route ProductAlgebra used to take.
+
+    Each basis pair's constants are computed once from the factors, stored
+    behind an ``lru_cache`` and copied out; vectors multiply through the
+    generic ``Algebra.mul_vec``.
+    """
+
+    mul_vec = Algebra.mul_vec
+
+    def __init__(self, left, right):
+        super().__init__(left, right)
+        self._mul_cached = lru_cache(maxsize=1 << 18)(self._mul_uncached)
+
+    def _mul_uncached(self, x, y):
+        f = self.field
+        i1, j1 = self.split_index(x)
+        i2, j2 = self.split_index(y)
+        sign = f.sign_to_coeff(self.right.degrees[j1] * self.left.degrees[i2])
+        out = {}
+        lterms = self.left.mul_basis(i1, i2)
+        if lterms:
+            rterms = self.right.mul_basis(j1, j2)
+            for k, ca in lterms.items():
+                for l, cb in rterms.items():
+                    out[self.pair_index(k, l)] = f.mul(sign, f.mul(ca, cb))
+        return tuple(out.items())
+
+    def mul_basis(self, i, j):
+        return dict(self._mul_cached(i, j))
+
+
+def random_vector(rng, P, terms):
+    """Seeded sparse vector of P: unit coefficients, signs and fractions."""
+    f = P.field
+    coeffs = [1, -1, 2, Fraction(1, 3), Fraction(-5, 2)] if f.characteristic == 0 else [1, 2, 3]
+    vec = {}
+    for _ in range(terms):
+        c = f.coerce(rng.choice(coeffs))
+        if not f.is_zero(c):
+            vec[rng.randrange(P.dim)] = c
+    return vec
+
+
+class TestProductKernel:
+    """ProductAlgebra's factor-by-factor products against two references:
+    the cached route it replaced (same values in the same order) and the
+    oracle's own (i, j)-pair arithmetic ``_tmul`` (tensor squares only)."""
+
+    @staticmethod
+    def check_vectors(P, rng, count=60):
+        ref = CachedProduct(P.left, P.right)
+        square = P.left is P.right
+        p = P.field.characteristic
+        bars = [
+            {P.pair_index(P.left.unit_index, i): P.field.one(),
+             P.pair_index(i, P.left.unit_index): P.field.neg(P.field.one())}
+            for i in range(P.left.dim) if square and P.left.degrees[i] > 0
+        ]
+        for n in range(count):
+            u = random_vector(rng, P, rng.randrange(1, 7))
+            v = bars[n % len(bars)] if bars and n % 2 else random_vector(rng, P, rng.randrange(1, 4))
+            got = P.mul_vec(u, v)
+            assert list(got.items()) == list(ref.mul_vec(u, v).items()), (u, v)
+            if square:
+                want = _tmul(P.left, _as_pairs(P, u), _as_pairs(P, v), p)
+                assert _as_pairs(P, got) == want, (u, v)
+
+    @staticmethod
+    def check_basis(P, rng, limit=4096):
+        """mul_basis on every pair (a seeded sample above ``limit``); returns
+        the number of nonzero products that took the Koszul sign."""
+        ref = CachedProduct(P.left, P.right)
+        n = P.dim
+        if n * n <= limit:
+            pairs = list(itertools.product(range(n), repeat=2))
+        else:
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(limit)]
+        signed = 0
+        for x, y in pairs:
+            got = P.mul_basis(x, y)
+            assert list(got.items()) == list(ref.mul_basis(x, y).items()), (x, y)
+            if P.left is P.right:
+                one = P.field.one()
+                want = _tmul(P.left, {P.split_index(x): one}, {P.split_index(y): one},
+                             P.field.characteristic)
+                assert _as_pairs(P, got) == want, (x, y)
+            (_, j1), (i2, _) = P.split_index(x), P.split_index(y)
+            signed += bool(got) and P.right.degrees[j1] * P.left.degrees[i2] % 2
+        return signed
+
+    def test_squares_of_small_catalog_rings(self, small_entries):
+        rng = random.Random(0)
+        signed = {}
+        for e in small_entries:
+            T = tensor_square(e.algebra)
+            p = T.field.characteristic
+            signed[p] = signed.get(p, 0) + self.check_basis(T, rng)
+            self.check_vectors(T, rng)
+        # Both fields, and odd-degree pairs whose sign is -1 over Q.
+        assert signed.keys() == {0, 2} and signed[0] > 0 and signed[2] > 0
+
+    def test_squares_of_reencoded_tables(self):
+        rng = random.Random(1)
+        for source in SOURCES:
+            for seed in SEEDS:
+                T = tensor_square(reencode(catalog_ring(source).algebra, seed))
+                self.check_basis(T, rng, limit=1024)
+                self.check_vectors(T, rng)
+
+    @pytest.mark.parametrize("field", [QQ, F2])
+    def test_table_times_monomial(self, field):
+        rng = random.Random(2)
+        table, monomial = surface_ring(2, field), so_ring(5, field)
+        assert isinstance(monomial, MonomialAlgebra)
+        for P in (tensor(table, monomial), tensor(monomial, table)):
+            assert isinstance(P, ProductAlgebra) and P.left is not P.right
+            assert self.check_basis(P, rng) > 0
+            self.check_vectors(P, rng, count=200)
+
+    def test_unit_and_empty_vectors(self):
+        T = tensor_square(surface_ring(1, QQ))
+        u = random_vector(random.Random(3), T, 5)
+        one = {T.unit_index: QQ.one()}
+        assert T.mul_vec(one, u) == u == T.mul_vec(u, one)
+        assert T.mul_vec(u, {}) == {} == T.mul_vec({}, u)
+
+
+def _as_pairs(P, vec):
+    return {P.split_index(k): c for k, c in vec.items()}
 
 
 class TestRingJson:

@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from frametc import cuplength
 from frametc.algebra import (
     Element,
     GeneratorSpec,
@@ -186,6 +187,15 @@ class TestGeneratorIndices:
         labels = [P.labels[i] for i in generator_indices(P)]
         assert labels == ["1⊗a", "a1⊗1", "b1⊗1"]  # (degree, index) order
 
+    def test_found_once_per_algebra(self, monkeypatch):
+        # ``ring --compute cl,zcl-full`` runs both searches on one table ring.
+        calls = []
+        find = cuplength._find_generators
+        monkeypatch.setattr(cuplength, "_find_generators", lambda A: calls.append(A) or find(A))
+        A = surface_ring(3, QQ)
+        assert cup_length(A).value == 2 and zcl_full(A).value == 4
+        assert len(calls) == 1 and calls[0] is A
+
     def test_point_has_no_generators(self):
         assert generator_indices(so_ring(1, QQ)) == []
         assert generator_indices(TableAlgebra(QQ, ["1"], [0], {})) == []
@@ -333,6 +343,19 @@ class TestZclFull:
             tracemalloc.stop()
         assert (res.value, res.exact) == (28, True) and res.verify()
         assert peak < 64 * 2**20, peak
+
+    def test_surface_search_stores_nothing_per_product_pair(self):
+        # An exhaustive 4,054-node bar search in a 676-class tensor square; a
+        # per-pair product cache peaks at about 2.2 MB here.
+        A = surface_ring(12, F2)
+        tracemalloc.start()
+        try:
+            res = zcl_full(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (res.value, res.exact, res.nodes) == (3, True, 4054) and res.verify()
+        assert peak < 0.5 * 2**20, peak
 
     def test_so_char2_scaling_matches_closed_formula(self):
         # so:14 (8192 classes) and up were refused under the old monomial

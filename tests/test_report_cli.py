@@ -287,6 +287,33 @@ class TestFrameBundleCommand:
             code, _, err = run_cli(["frame-bundle", str(path), "--no-timing"])
             assert code == 1 and "frame_bundle_lie_group must be an so:k id" in err
 
+    @pytest.mark.parametrize(
+        "known",
+        [
+            {"known_cat_base": -1},
+            {"known_tc_base": 0},
+            {"known_tc_base": [True, 2]},
+            {"known_cat_base": [2, False]},
+            {"known_tc_base": [0, 3]},
+            {"known_cat_base": [None, -2]},
+            {"known_cat_base": -1, "known_tc_base": [True, 2]},
+        ],
+    )
+    def test_known_base_values_below_one_are_clean_errors(
+        self, run_cli, schema_validator, tmp_path, known
+    ):
+        # TC and cat are unreduced (a point has 1), so the schema and the
+        # loader both refuse values below 1 and boolean endpoints.
+        t2 = os.path.join(os.path.dirname(DESCRIPTOR), "t2.json")
+        with open(t2, encoding="utf-8") as fh:
+            doc = {**json.load(fh), **known}
+        assert not schema_validator("manifold.schema.json").is_valid(doc)
+        path = tmp_path / "t2.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["frame-bundle", str(path), "--no-timing"])
+        assert code == 1 and out == "" and err.startswith("error: "), err
+        assert "known_" in err
+
     def test_torus13_beyond_the_old_cap(self, run_cli, tmp_path):
         # H*(T^13) has 8192 classes, above the default capacity of 4096,
         # which used to refuse the monomial ring and lose the whole report.
@@ -394,11 +421,15 @@ class TestCommonFlags:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child does not see pytest's ``pythonpath``; put ``src`` first.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-m", "frametc.cli", "ring", "rp:3", "--no-timing"],
             capture_output=True,
             text=True,
             timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "cl: 3" in proc.stdout
