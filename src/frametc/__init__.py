@@ -16,15 +16,7 @@ from .algebra import (
     tensor,
     tensor_square,
 )
-from .bounds import (
-    BoundEntry,
-    BoundReport,
-    cat_so,
-    cat_so_lower,
-    compute_bounds,
-    korbas_cl,
-    zcl_so_closed_form,
-)
+from .bounds import BoundEntry, BoundReport, cat_so, compute_bounds
 from .catalog import CatalogError, catalog_entries, catalog_ring, parse_catalog_id
 from .cuplength import (
     CupLengthResult,
@@ -60,7 +52,6 @@ __all__ = [
     "TableAlgebra",
     "bar",
     "cat_so",
-    "cat_so_lower",
     "catalog_entries",
     "catalog_ring",
     "compute_bounds",
@@ -68,7 +59,6 @@ __all__ = [
     "evaluate_examples",
     "example_rows",
     "field_of",
-    "korbas_cl",
     "load_descriptor",
     "parse_catalog_id",
     "parse_field",
@@ -79,7 +69,6 @@ __all__ = [
     "torus_descriptor",
     "zcl_basic",
     "zcl_full",
-    "zcl_so_closed_form",
 ]
 
 __version__ = "0.1.0"

@@ -14,20 +14,17 @@ lower side defaults to the trivial TC >= 1.  Rules are evaluated in a fixed
 order and per-field loops run over the descriptor's field tokens in ascending
 characteristic, so reports are deterministic.
 
-Fiber ingredients:
+Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
 
-* ``korbas_cl(n)`` — the mod-2 cup length of SO(n), by the closed formula
-  cl = (n-1) + sum(i * n_i * 2^(i-1)) where n-1 = sum(n_i 2^i) in binary.
-* ``cat_so(n)`` — cat(SO(n)) = cl + 1, known exact for n <= 10; beyond that
-  only the lower bound ``cat_so_lower`` is available and the rules that need
-  an exact category fall silent.
-* ``zcl_so_closed_form(n, field)`` — the basic zero-divisor cup length of
-  SO(n): the mod-2 cup length in characteristic 2, and m = n // 2 otherwise.
-  Away from characteristic 2 the ring is exterior on m odd-degree
-  generators; the bar of an odd-degree class squares to zero, so a nonzero
-  bar product uses each generator at most once, and the product of all m
-  generator bars is nonzero.  Exhaustive search over the tensor square
-  agrees (acceptance criterion 3).
+* cl(SO(n); F2) — ``cup_length``, which on the monomial encoding is the top
+  monomial: exact, witnessed, and free of any search budget.
+* ``cat_so(n)`` — cat(SO(n)) = cl(SO(n); F2) + 1, known exact for n <= 10;
+  beyond that only the lower bound cl + 1 is available and the rules that
+  need an exact category fall silent.
+* zcl(SO(n); K) — ``zcl_full``, the witnessed zero-divisor cup length.  It is
+  searched once per (n, field token) per report and shared by
+  ``lower-tncz`` and ``lower-parallelizable``; when the node budget runs out
+  both carry the same note.
 
 ``lower-dim-theorem`` keeps the paper's parity bump, 2m + 1 or 2m as m is
 even or odd.  It is not derived from the fiber value above and nothing here
@@ -41,55 +38,29 @@ from typing import Optional
 
 from .algebra import Algebra, DEFAULT_CAPACITY
 from .catalog import parse_catalog_id, so_ring
-from .cuplength import DEFAULT_BUDGET, zcl_full
-from .fields import Field, parse_field
+from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
+from .fields import F2, Field, parse_field
 from .manifold import DescriptorError, ManifoldDescriptor
 
 EXACT_CAT_SO_MAX = 10
 
 
-def korbas_cl(n: int) -> int:
-    """Mod-2 cup length of SO(n) by the closed formula (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    m = n - 1
-    total = m
-    i = 0
-    while m:
-        if m & 1 and i >= 1:
-            total += i * (1 << (i - 1))
-        m >>= 1
-        i += 1
-    return total
+def cat_so(n: int, ring: Optional[Algebra] = None) -> int:
+    """cat(SO(n)) = cl(SO(n); F2) + 1, exact for n <= EXACT_CAT_SO_MAX; raises beyond.
 
-
-def cat_so_lower(n: int) -> int:
-    """Lower bound cl + 1 for cat(SO(n)), valid for every n."""
-    return korbas_cl(n) + 1
-
-
-def cat_so(n: int) -> int:
-    """cat(SO(n)), exact for n <= EXACT_CAT_SO_MAX; raises beyond."""
+    ``ring`` is H*(SO(n); F2) when the caller has already built it.
+    """
     if n > EXACT_CAT_SO_MAX:
         raise ValueError(
             f"cat(SO({n})) is only bounded below for n > {EXACT_CAT_SO_MAX}"
         )
-    return korbas_cl(n) + 1
+    return cup_length(so_ring(n, F2) if ring is None else ring).value + 1
 
 
-def zcl_so_closed_form(n: int, field: Field) -> int:
-    """Basic zero-divisor cup length of SO(n) by closed form (see module doc)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if field.characteristic == 2:
-        return korbas_cl(n)
-    return n // 2
-
-
-_CLOSED_FORM_NOTE = (
-    "stated closed-form fiber value; for SO(n) with n >= 4 in odd "
-    "characteristic it is not reproduced by direct search over the tensor "
-    "square (searched value n // 2)"
+_PARITY_NOTE = (
+    "stated parity bump (2m + 1 for even m, 2m for odd m), quoted from the "
+    "paper; for n >= 4 it exceeds the searched zcl(SO(n)) + 1 and nothing here "
+    "verifies it"
 )
 
 _BUDGET_NOTE = (
@@ -215,7 +186,7 @@ class BoundReport:
 
 
 class _RingCache:
-    """Resolves descriptor rings once per field token and memoizes cup lengths."""
+    """Resolves descriptor and SO(n) rings once per field token; memoizes zcl."""
 
     def __init__(self, descriptor: ManifoldDescriptor, capacity: int, budget: int):
         self.descriptor = descriptor
@@ -223,6 +194,8 @@ class _RingCache:
         self.budget = budget
         self._rings: dict = {}
         self._zcl: dict = {}
+        self._so: dict = {}
+        self._so_zcl: dict = {}
 
     def ring(self, token: str) -> Optional[Algebra]:
         if token not in self._rings:
@@ -241,6 +214,23 @@ class _RingCache:
                     res.value, [] if res.exact else [_BUDGET_NOTE.format("M")]
                 )
         return self._zcl[token]
+
+    def so(self, n: int, field: Field) -> Algebra:
+        """H*(SO(n); field), built once per (n, field token)."""
+        key = (n, field.token())
+        if key not in self._so:
+            self._so[key] = so_ring(n, field)
+        return self._so[key]
+
+    def so_zcl(self, n: int, token: str) -> tuple[int, list]:
+        """Zero-divisor cup length of SO(n) over the token's field: (value, notes)."""
+        key = (n, token)
+        if key not in self._so_zcl:
+            res = zcl_full(self.so(n, parse_field(token)), budget=self.budget)
+            self._so_zcl[key] = (
+                res.value, [] if res.exact else [_BUDGET_NOTE.format(f"SO({n})")]
+            )
+        return self._so_zcl[key]
 
 
 def compute_bounds(
@@ -298,7 +288,7 @@ def compute_bounds(
     # upper-parallelizable: F(M) = M x SO(n) so TC <= TC(M) + cat(SO(n)) - 1.
     tc_hi = descriptor.tc_base_upper()
     if descriptor.parallelizable and tc_hi is not None and n <= EXACT_CAT_SO_MAX:
-        cso = cat_so(n)
+        cso = cat_so(n, cache.so(n, F2))
         value = cso + tc_hi - 1
         add(
             BoundEntry(
@@ -321,7 +311,7 @@ def compute_bounds(
     # upper-lie: for a Lie group, TC(F(G)) <= cat(SO(n)) + cat(G) - 1.
     cat_hi = descriptor.cat_base_upper()
     if descriptor.lie_group and cat_hi is not None and n <= EXACT_CAT_SO_MAX:
-        cso = cat_so(n)
+        cso = cat_so(n, cache.so(n, F2))
         value = cso + cat_hi - 1
         add(
             BoundEntry(
@@ -351,7 +341,7 @@ def compute_bounds(
                 f"SO({k}) has dimension {k * (k - 1) // 2}, but F(M) has "
                 f"dimension {dim_f}"
             )
-        lo = cat_so_lower(k)
+        lo = cup_length(cache.so(k, F2)).value + 1
         add(
             BoundEntry(
                 rule="frame-bundle-lie-group",
@@ -366,7 +356,7 @@ def compute_bounds(
             )
         )
         if k <= EXACT_CAT_SO_MAX:
-            hi = cat_so(k)
+            hi = cat_so(k, cache.so(k, F2))
             add(
                 BoundEntry(
                     rule="frame-bundle-lie-group",
@@ -391,8 +381,7 @@ def compute_bounds(
         if zres is None:
             continue
         zm, notes = zres
-        fld = parse_field(token)
-        zso = zcl_so_closed_form(n, fld)
+        zso, so_notes = cache.so_zcl(n, token)
         value = zso + zm + 1
         add(
             BoundEntry(
@@ -406,22 +395,19 @@ def compute_bounds(
                 citation="zero-divisor lower bound for TNCZ fiber inclusions",
                 field=token,
                 assumptions=[f"fiber inclusion is TNCZ over {token}"],
-                notes=list(notes),
+                notes=notes + so_notes,
             )
         )
 
     # lower-parallelizable: F(M) = M x SO(n) gives
-    # TC(F(M)) >= zcl(SO(n); K) + zcl(M; K) + 1, with the fiber term computed
-    # from the actual ring rather than taken from a stated formula.
+    # TC(F(M)) >= zcl(SO(n); K) + zcl(M; K) + 1.
     if descriptor.parallelizable:
         for token in tokens:
             zres = cache.zcl(token)
             if zres is None:
                 continue
             zm, notes = zres
-            fld = parse_field(token)
-            fiber = zcl_full(so_ring(n, fld), budget=budget)
-            zso = fiber.value
+            zso, so_notes = cache.so_zcl(n, token)
             value = zso + zm + 1
             add(
                 BoundEntry(
@@ -436,8 +422,7 @@ def compute_bounds(
                     "bundles",
                     field=token,
                     assumptions=["M is parallelizable"],
-                    notes=list(notes)
-                    + ([] if fiber.exact else [_BUDGET_NOTE.format(f"SO({n})")]),
+                    notes=notes + so_notes,
                 )
             )
 
@@ -472,8 +457,7 @@ def compute_bounds(
                         f"fiber inclusion is TNCZ over {token}",
                         "coefficients of odd characteristic",
                     ],
-                    notes=list(notes)
-                    + ([_CLOSED_FORM_NOTE] if n >= 4 else []),
+                    notes=notes + ([_PARITY_NOTE] if n >= 4 else []),
                 )
             )
 

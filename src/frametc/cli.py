@@ -116,6 +116,10 @@ def _cmd_ring(args) -> int:
     t0 = time.monotonic()
     ring_id, algebra = _load_ring(args.ring, args.field, args.capacity)
     wanted = [w.strip() for w in args.compute.split(",") if w.strip()]
+    if not wanted:
+        raise ValueError(
+            f"--compute names no item; choose from {', '.join(_COMPUTE_CHOICES)}"
+        )
     for w in wanted:
         if w not in _COMPUTE_CHOICES:
             raise ValueError(

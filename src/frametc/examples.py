@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import DEFAULT_CAPACITY
-from .bounds import BoundReport, compute_bounds, cat_so, EXACT_CAT_SO_MAX
+from .bounds import BoundReport, compute_bounds, EXACT_CAT_SO_MAX
 from .cuplength import DEFAULT_BUDGET
 from .manifold import ManifoldDescriptor
 

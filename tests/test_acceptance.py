@@ -13,11 +13,11 @@ import math
 import time
 from contextlib import contextmanager
 
-from frametc.bounds import korbas_cl, zcl_so_closed_form
 from frametc.catalog import catalog_ring, cp_ring, so_ring
 from frametc.cuplength import cup_length, zcl_basic, zcl_full
 from frametc.examples import evaluate_examples
 from frametc.fields import F2, QQ, field_of
+from closed_forms import korbas_cl, zcl_so_closed_form
 from oracle import brute_force_cl
 from zero_divisors import zero_divisor_generators
 

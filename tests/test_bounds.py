@@ -3,26 +3,27 @@
 The numeric fixtures fall into two groups: closed-form sequences that can be
 recomputed by hand from their defining formulas (mod-2 cup length of SO(n),
 category of SO(n), the fiber zero-divisor closed form), and per-rule outputs
-frozen from hand-evaluated instances of each inequality.
+frozen from hand-evaluated instances of each inequality.  The closed forms
+live in ``tests/closed_forms.py``; the rules read every SO(n) value from the
+cup-length engine, which is checked against them here.
 """
 
 import json
+import os
 
 import pytest
 
-from frametc.bounds import (
-    BoundReport,
-    cat_so,
-    cat_so_lower,
-    compute_bounds,
-    korbas_cl,
-    zcl_so_closed_form,
-)
+from frametc import bounds
+from frametc.bounds import BoundReport, cat_so, compute_bounds
 from frametc.catalog import so_ring
+from frametc.cuplength import cup_length, zcl_full
 from frametc.examples import example_rows
 from frametc.fields import F2, QQ, field_of
-from frametc.manifold import DescriptorError, ManifoldDescriptor
+from frametc.manifold import DescriptorError, ManifoldDescriptor, load_descriptor
+from closed_forms import cat_so_lower, korbas_cl, zcl_so_closed_form
 from oracle import brute_force_cl
+
+RP7 = os.path.join(os.path.dirname(__file__), "..", "descriptors", "rp7.json")
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,20 @@ class TestClosedForms:
             cat_so(11)
         # Beyond the window only the lower bound cl + 1 is available.
         assert cat_so_lower(11) == 24
+        assert cup_length(so_ring(11, F2)).value + 1 == 24
+
+    def test_engine_fiber_values_match_closed_forms(self):
+        # The rules take cl and zcl of SO(n) from the engine; the closed
+        # formulas are the independent route they must agree with.
+        for n in range(1, 13):
+            cl = cup_length(so_ring(n, F2))
+            assert (cl.value, cl.exact) == (korbas_cl(n), True), n
+            if n <= 10:
+                assert cat_so(n) == cat_so(n, so_ring(n, F2)) == cl.value + 1, n
+            for fld in (QQ, F2, field_of(3)):
+                zcl = zcl_full(so_ring(n, fld))
+                assert zcl.exact and zcl.verify(), (n, fld.characteristic)
+                assert zcl.value == zcl_so_closed_form(n, fld), (n, fld.characteristic)
 
     def test_fiber_zero_divisor_closed_form(self):
         assert [zcl_so_closed_form(n, QQ) for n in range(1, 9)] == [
@@ -124,16 +139,19 @@ class TestRuleOutputs:
         rep = reports["cp2"]
         assert rep.interval == (9, 15)
         assert by_rule(rep, "upper-free-action").value == 15
-        # The parity bump of lower-dim-theorem is the stated value that direct
-        # search over the tensor square does not reproduce for SO(n), n >= 4,
-        # away from characteristic 2; the entry must say so.
+        # The parity bump of lower-dim-theorem is quoted, not verified: for
+        # SO(n), n >= 4, it exceeds the searched zcl(SO(n)) + 1; the entry
+        # must say so.
         entry = by_rule(rep, "lower-dim-theorem", field="char=0")
         assert entry.value == 9
-        assert any("closed-form" in note for note in entry.notes)
+        assert any("parity bump" in note for note in entry.notes)
         # lower-tncz uses the searched fiber value: 2 + zcl(CP^2) + 1 = 7.
         entry = by_rule(rep, "lower-tncz", field="char=0")
         assert entry.value == 7
-        assert not any("closed-form" in note for note in entry.notes)
+        assert not any("parity bump" in note for note in entry.notes)
+        # Below n = 4 the bump equals zcl(SO(n)) + 1, and no note is added.
+        entry = by_rule(reports["t2"], "lower-dim-theorem", field="char=0")
+        assert not any("parity bump" in note for note in entry.notes)
 
     def test_exhausted_budget_is_noted_on_every_searched_entry(self, reports):
         # A zero node budget leaves every zero-divisor value a lower bound:
@@ -146,12 +164,42 @@ class TestRuleOutputs:
         for entry in starved.entries:
             if entry.rule in ("lower-tncz", "lower-dim-theorem"):
                 assert any("budget exhausted for M" in n for n in entry.notes)
+            if entry.rule == "lower-tncz":
+                assert any("budget exhausted for SO(2)" in n for n in entry.notes)
         for field in ("char=0", "char=2"):
             notes = by_rule(starved, "lower-parallelizable", field=field).notes
             assert any("budget exhausted for M" in n for n in notes)
             assert any("budget exhausted for SO(2)" in n for n in notes)
         for entry in reports["t2"].entries:
             assert not any("budget exhausted" in n for n in entry.notes)
+
+    def test_starved_fiber_value_is_shared(self, run_cli):
+        # lower-tncz and lower-parallelizable read one zcl(SO(7)) search, so
+        # a starved budget gives both the same value and the same note, and
+        # the cl route behind cat(SO(7)) has no budget to starve.
+        code, out, _ = run_cli(["frame-bundle", RP7, "--budget", "0", "--json", "--no-timing"])
+        assert code == 2
+        report = BoundReport.from_json(json.loads(out))
+        for field in ("char=0", "char=2"):
+            tncz = by_rule(report, "lower-tncz", field=field)
+            par = by_rule(report, "lower-parallelizable", field=field)
+            assert tncz.value == par.value
+            assert tncz.notes == par.notes
+            assert any("budget exhausted for SO(7)" in n for n in tncz.notes)
+        upper = by_rule(report, "upper-parallelizable")
+        assert "cat(SO(7)) + TC(M) - 1 = 12 + 8 - 1" in upper.statement
+
+    def test_each_fiber_ring_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting(n, field):
+            built.append((n, field.token()))
+            return so_ring(n, field)
+
+        monkeypatch.setattr(bounds, "so_ring", counting)
+        report = compute_bounds(load_descriptor(RP7))
+        assert report.interval == (19, 19)
+        assert sorted(built) == [(7, "char=0"), (7, "char=2")]
 
     def test_bare_descriptor_defaults(self):
         rep = compute_bounds(ManifoldDescriptor(name="bare", dim=4))

@@ -23,7 +23,6 @@ from frametc.algebra import (
     tensor,
     tensor_square,
 )
-from frametc.bounds import korbas_cl
 from frametc.catalog import (
     cp_ring,
     rp_ring,
@@ -43,6 +42,7 @@ from frametc.cuplength import (
     zero_divisor_ideal_basis,
 )
 from frametc.fields import F2, QQ, field_of
+from closed_forms import korbas_cl
 from oracle import brute_force_cl
 from zero_divisors import zero_divisor_generators
 

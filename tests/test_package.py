@@ -1,5 +1,5 @@
-"""Package-wide contracts: what ``import frametc.cli`` loads, and the fresh
-default containers of the hand-written record classes."""
+"""Package-wide contracts: what ``import frametc.cli`` loads, what the package
+exports, and the fresh default containers of the hand-written record classes."""
 
 import json
 import os
@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import frametc
+from frametc import bounds
 from frametc.bounds import BoundEntry, BoundReport
 from frametc.cuplength import CupLengthResult
 from frametc.manifold import ManifoldDescriptor
@@ -36,6 +37,20 @@ def test_cli_import_loads_every_layer_and_no_heavy_module():
     loaded = set(json.loads(out))
     assert not loaded & set(HEAVY_MODULES)
     assert {f"frametc.{name}" for name in LAYERS} <= loaded
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in frametc.__all__ if not hasattr(frametc, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("name", ["korbas_cl", "zcl_so_closed_form", "cat_so_lower"])
+def test_fibre_closed_forms_are_not_shipped(name):
+    # The bound rules read SO(n) values from the cup-length engine; the
+    # closed forms are a test-side reference only (tests/closed_forms.py).
+    assert name not in frametc.__all__
+    assert not hasattr(frametc, name)
+    assert not hasattr(bounds, name)
 
 
 @pytest.mark.parametrize(

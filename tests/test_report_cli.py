@@ -380,6 +380,12 @@ class TestCommonFlags:
         code, _, err = run_cli(["ring", "rp:3", "--compute", "bogus"])
         assert code == 1 and "unknown --compute item" in err
 
+    @pytest.mark.parametrize("items", [",", ""])
+    def test_empty_compute_list(self, run_cli, items):
+        code, out, err = run_cli(["ring", "so:5:char2", "--compute", items])
+        assert code == 1 and out == ""
+        assert err.startswith("error: --compute names no item")
+
     def test_threads_must_be_positive(self, run_cli):
         with pytest.raises(SystemExit):
             run_cli(["ring", "rp:3", "--threads", "0"])
