@@ -193,7 +193,8 @@ class Algebra:
 
     Subclasses populate ``field``, ``degrees``, ``labels``, ``unit_index`` and
     implement :meth:`mul_basis`.  Instances are immutable after construction
-    and safe to share; all operations are pure.
+    and safe to share; all operations are pure.  The dict ``mul_basis``
+    returns may be the stored one, so callers only read it.
     """
 
     field: Field
@@ -284,8 +285,11 @@ class Algebra:
             ) != {i: f.one()}:
                 raise InvalidPresentationError(f"unit fails on basis class {self.labels[i]}")
         signs = (f.one(), f.sign_to_coeff(1))  # (-1)**(even), (-1)**(odd)
+        # One visit per unordered pair: if (j, i) passes both checks then
+        # prod_ij = ±prod_ji, so (i, j) passes too.  The first offender of
+        # the full row-major loop therefore has i <= j, and is found here.
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 prod_ij = self.mul_basis(i, j)
                 d = self.degrees[i] + self.degrees[j]
                 for k in prod_ij:
@@ -429,6 +433,9 @@ class MonomialAlgebra(Algebra):
         return {i + j: self.field.sign_to_coeff(exponent)}
 
 
+_NO_TERMS: dict = {}  # the product of every pair the table does not list
+
+
 class TableAlgebra(Algebra):
     """Structure-constant encoding with axiom validation at construction."""
 
@@ -483,7 +490,7 @@ class TableAlgebra(Algebra):
             return {j: self.field.one()}
         if j == self.unit_index:
             return {i: self.field.one()}
-        return dict(self._table.get((i, j), {}))
+        return self._table.get((i, j), _NO_TERMS)
 
 
 class ProductAlgebra(Algebra):

@@ -11,7 +11,7 @@ Each rule contributes a :class:`BoundEntry` with the substituted formula, the
 name of the result it instantiates, and the assumptions it consumed.  The
 aggregate interval is [max of lower bounds, min of upper bounds]; an empty
 lower side defaults to the trivial TC >= 1.  Rules are evaluated in a fixed
-order and per-field loops run over the descriptor's field tokens in ascending
+order and per-field loops run over the descriptor's fields in ascending
 characteristic, so reports are deterministic.
 
 Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
@@ -22,7 +22,7 @@ Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
   beyond that only the lower bound cl + 1 is available and the rules that
   need an exact category fall silent.
 * zcl(SO(n); K) — ``zcl_full``, the witnessed zero-divisor cup length.  It is
-  searched once per (n, field token) per report and shared by
+  searched once per field per report and shared by
   ``lower-tncz`` and ``lower-parallelizable``; when the node budget runs out
   both carry the same note.
 
@@ -33,14 +33,15 @@ verifies it; for n >= 4 its entries carry a note saying so.
 
 from __future__ import annotations
 
+from functools import cache
 from math import ceil
 from typing import Optional
 
 from .algebra import Algebra, DEFAULT_CAPACITY
-from .catalog import parse_catalog_id, so_ring
+from .catalog import so_ring
 from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
-from .fields import F2, Field, parse_field
-from .manifold import DescriptorError, ManifoldDescriptor
+from .fields import F2, QQ, Field
+from .manifold import ManifoldDescriptor
 
 EXACT_CAT_SO_MAX = 10
 
@@ -185,54 +186,6 @@ class BoundReport:
 # -- rule engine -------------------------------------------------------------------
 
 
-class _RingCache:
-    """Resolves descriptor and SO(n) rings once per field token; memoizes zcl."""
-
-    def __init__(self, descriptor: ManifoldDescriptor, capacity: int, budget: int):
-        self.descriptor = descriptor
-        self.capacity = capacity
-        self.budget = budget
-        self._rings: dict = {}
-        self._zcl: dict = {}
-        self._so: dict = {}
-        self._so_zcl: dict = {}
-
-    def ring(self, token: str) -> Optional[Algebra]:
-        if token not in self._rings:
-            self._rings[token] = self.descriptor.ring(token, capacity=self.capacity)
-        return self._rings[token]
-
-    def zcl(self, token: str) -> Optional[tuple[int, list]]:
-        """Zero-divisor cup length of the base ring: (value, notes) or None."""
-        if token not in self._zcl:
-            ring = self.ring(token)
-            if ring is None:
-                self._zcl[token] = None
-            else:
-                res = zcl_full(ring, budget=self.budget)
-                self._zcl[token] = (
-                    res.value, [] if res.exact else [_BUDGET_NOTE.format("M")]
-                )
-        return self._zcl[token]
-
-    def so(self, n: int, field: Field) -> Algebra:
-        """H*(SO(n); field), built once per (n, field token)."""
-        key = (n, field.token())
-        if key not in self._so:
-            self._so[key] = so_ring(n, field)
-        return self._so[key]
-
-    def so_zcl(self, n: int, token: str) -> tuple[int, list]:
-        """Zero-divisor cup length of SO(n) over the token's field: (value, notes)."""
-        key = (n, token)
-        if key not in self._so_zcl:
-            res = zcl_full(self.so(n, parse_field(token)), budget=self.budget)
-            self._so_zcl[key] = (
-                res.value, [] if res.exact else [_BUDGET_NOTE.format(f"SO({n})")]
-            )
-        return self._so_zcl[key]
-
-
 def compute_bounds(
     descriptor: ManifoldDescriptor,
     capacity: int = DEFAULT_CAPACITY,
@@ -244,8 +197,25 @@ def compute_bounds(
     report = BoundReport(
         manifold=descriptor.to_json(), fiber=n, frame_bundle_dim=dim_f
     )
-    cache = _RingCache(descriptor, capacity, budget)
-    tokens = descriptor.field_tokens()
+    starved = False  # set when a zero-divisor search runs out of budget
+    so = cache(so_ring)  # H*(SO(k); K), built once per (k, K)
+
+    def searched(ring: Algebra, who: str) -> tuple[int, list]:
+        """zcl of the ring: (value, notes), noting an exhausted budget."""
+        nonlocal starved
+        res = zcl_full(ring, budget=budget)
+        if res.exact:
+            return res.value, []
+        starved = True
+        return res.value, [_BUDGET_NOTE.format(who)]
+
+    @cache
+    def zcl_m(fld: Field) -> tuple[int, list]:
+        return searched(descriptor.ring(fld, capacity), "M")
+
+    @cache
+    def zcl_so(fld: Field) -> tuple[int, list]:
+        return searched(so(n, fld), f"SO({n})")
 
     def add(entry: BoundEntry):
         report.entries.append(entry)
@@ -288,7 +258,7 @@ def compute_bounds(
     # upper-parallelizable: F(M) = M x SO(n) so TC <= TC(M) + cat(SO(n)) - 1.
     tc_hi = descriptor.tc_base_upper()
     if descriptor.parallelizable and tc_hi is not None and n <= EXACT_CAT_SO_MAX:
-        cso = cat_so(n, cache.so(n, F2))
+        cso = cat_so(n, so(n, F2))
         value = cso + tc_hi - 1
         add(
             BoundEntry(
@@ -311,7 +281,7 @@ def compute_bounds(
     # upper-lie: for a Lie group, TC(F(G)) <= cat(SO(n)) + cat(G) - 1.
     cat_hi = descriptor.cat_base_upper()
     if descriptor.lie_group and cat_hi is not None and n <= EXACT_CAT_SO_MAX:
-        cso = cat_so(n, cache.so(n, F2))
+        cso = cat_so(n, so(n, F2))
         value = cso + cat_hi - 1
         add(
             BoundEntry(
@@ -329,19 +299,9 @@ def compute_bounds(
 
     # frame-bundle-lie-group: F(M) is itself a connected Lie group SO(k), and
     # for a connected Lie group TC = cat; k must satisfy dim SO(k) = dim F(M).
-    if descriptor.frame_bundle_lie_group:
-        family, k, _ = parse_catalog_id(descriptor.frame_bundle_lie_group)
-        if family != "so":
-            raise DescriptorError(
-                f"frame_bundle_lie_group must be an so:k id, got "
-                f"{descriptor.frame_bundle_lie_group!r}"
-            )
-        if k * (k - 1) // 2 != dim_f:
-            raise DescriptorError(
-                f"SO({k}) has dimension {k * (k - 1) // 2}, but F(M) has "
-                f"dimension {dim_f}"
-            )
-        lo = cup_length(cache.so(k, F2)).value + 1
+    k = descriptor.frame_bundle_k
+    if k is not None:
+        lo = cup_length(so(k, F2)).value + 1
         add(
             BoundEntry(
                 rule="frame-bundle-lie-group",
@@ -356,7 +316,7 @@ def compute_bounds(
             )
         )
         if k <= EXACT_CAT_SO_MAX:
-            hi = cat_so(k, cache.so(k, F2))
+            hi = cat_so(k, so(k, F2))
             add(
                 BoundEntry(
                     rule="frame-bundle-lie-group",
@@ -374,14 +334,11 @@ def compute_bounds(
 
     # lower-tncz: TNCZ fiber inclusion gives
     # TC(F(M)) >= zcl''(SO(n); K) + zcl(M; K) + 1.
-    for token in tokens:
-        if not descriptor.is_tncz(token):
+    for fld in descriptor.fields():
+        if not descriptor.is_tncz(fld):
             continue
-        zres = cache.zcl(token)
-        if zres is None:
-            continue
-        zm, notes = zres
-        zso, so_notes = cache.so_zcl(n, token)
+        zm, notes = zcl_m(fld)
+        zso, so_notes = zcl_so(fld)
         value = zso + zm + 1
         add(
             BoundEntry(
@@ -390,11 +347,11 @@ def compute_bounds(
                 value=value,
                 statement=(
                     f"TC(F(M)) >= zcl''(SO({n})) + zcl(M) + 1 = {zso} + {zm} + 1 "
-                    f"= {value} over {token}"
+                    f"= {value} over {fld.token()}"
                 ),
                 citation="zero-divisor lower bound for TNCZ fiber inclusions",
-                field=token,
-                assumptions=[f"fiber inclusion is TNCZ over {token}"],
+                field=fld.token(),
+                assumptions=[f"fiber inclusion is TNCZ over {fld.token()}"],
                 notes=notes + so_notes,
             )
         )
@@ -402,12 +359,9 @@ def compute_bounds(
     # lower-parallelizable: F(M) = M x SO(n) gives
     # TC(F(M)) >= zcl(SO(n); K) + zcl(M; K) + 1.
     if descriptor.parallelizable:
-        for token in tokens:
-            zres = cache.zcl(token)
-            if zres is None:
-                continue
-            zm, notes = zres
-            zso, so_notes = cache.so_zcl(n, token)
+        for fld in descriptor.fields():
+            zm, notes = zcl_m(fld)
+            zso, so_notes = zcl_so(fld)
             value = zso + zm + 1
             add(
                 BoundEntry(
@@ -416,11 +370,11 @@ def compute_bounds(
                     value=value,
                     statement=(
                         f"TC(F(M)) >= zcl(SO({n})) + zcl(M) + 1 = {zso} + {zm} "
-                        f"+ 1 = {value} over {token}"
+                        f"+ 1 = {value} over {fld.token()}"
                     ),
                     citation="zero-divisor lower bound for trivialized frame "
                     "bundles",
-                    field=token,
+                    field=fld.token(),
                     assumptions=["M is parallelizable"],
                     notes=notes + so_notes,
                 )
@@ -431,14 +385,10 @@ def compute_bounds(
     # TC(F(M)) >= zcl(M; K) + 2m + 1 if m is even, and >= zcl(M; K) + 2m if odd.
     m = n // 2
     if m >= 1:
-        for token in tokens:
-            fld = parse_field(token)
-            if fld.characteristic == 2 or not descriptor.is_tncz(token):
+        for fld in descriptor.fields():
+            if fld.characteristic == 2 or not descriptor.is_tncz(fld):
                 continue
-            zres = cache.zcl(token)
-            if zres is None:
-                continue
-            zm, notes = zres
+            zm, notes = zcl_m(fld)
             bump = 2 * m + 1 if m % 2 == 0 else 2 * m
             value = zm + bump
             add(
@@ -448,13 +398,13 @@ def compute_bounds(
                     value=value,
                     statement=(
                         f"TC(F(M)) >= zcl(M) + {bump} = {zm} + {bump} = {value} "
-                        f"over {token} (dim M = {n}, m = {m})"
+                        f"over {fld.token()} (dim M = {n}, m = {m})"
                     ),
                     citation="parity lower bound for frame bundles in dimensions "
                     "2m and 2m+1",
-                    field=token,
+                    field=fld.token(),
                     assumptions=[
-                        f"fiber inclusion is TNCZ over {token}",
+                        f"fiber inclusion is TNCZ over {fld.token()}",
                         "coefficients of odd characteristic",
                     ],
                     notes=notes + ([_PARITY_NOTE] if n >= 4 else []),
@@ -463,11 +413,11 @@ def compute_bounds(
 
     # lower-paradiv: TNCZ over odd characteristic forces TC(F(M)) >= dim M.
     odd_tncz = next(
-        (t for t in tokens if descriptor.is_tncz(t) and parse_field(t).characteristic != 2),
+        (f for f in descriptor.fields() if descriptor.is_tncz(f) and f.characteristic != 2),
         None,
     )
     if odd_tncz is None and descriptor.parallelizable:
-        odd_tncz = "char=0"  # trivial bundle is TNCZ over every field
+        odd_tncz = QQ  # trivial bundle is TNCZ over every field
     if odd_tncz is not None:
         add(
             BoundEntry(
@@ -477,8 +427,8 @@ def compute_bounds(
                 statement=f"TC(F(M)) >= dim M = {n}",
                 citation="dimension lower bound for TNCZ fiber inclusions in odd "
                 "characteristic",
-                field=odd_tncz,
-                assumptions=[f"fiber inclusion is TNCZ over {odd_tncz}"],
+                field=odd_tncz.token(),
+                assumptions=[f"fiber inclusion is TNCZ over {odd_tncz.token()}"],
             )
         )
 
@@ -495,8 +445,7 @@ def compute_bounds(
             )
         )
 
-    starved = {_BUDGET_NOTE.format(who) for who in ("M", f"SO({n})")}
-    if any(note in starved for e in report.entries for note in e.notes):
+    if starved:
         report.warnings.append(
             "zero-divisor search budget exhausted: entries noting it use a "
             "searched lower value, so the lower end may rise with a larger --budget"

@@ -10,21 +10,25 @@ results stated over the reals hold verbatim.
 Catalog entries are addressable by id strings of the form ``family:param`` or
 ``family:param:charP``, e.g. ``so:5:char2``, ``cp:3:char0``, ``rp:7``
 (``rp`` implies characteristic 2).  ``t`` = torus, ``s`` = sphere,
-``sigma`` = orientable surface by genus.
+``sigma`` = orientable surface by genus.  :func:`resolve_ring` is the one
+place a ring reference (catalog id, ring JSON path or inline ring object)
+becomes a ring.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from typing import Callable, Optional
 
 from .algebra import (
     Algebra,
     DEFAULT_CAPACITY,
     GeneratorSpec,
-    InvalidPresentationError,
     MonomialAlgebra,
     TableAlgebra,
     check_capacity,
+    ring_from_json,
 )
 from .fields import F2, QQ, Field, field_of, parse_field
 
@@ -224,6 +228,29 @@ def catalog_ring(
     # Only the table-encoded family lists its basis and takes the cap.
     algebra = ctor(param, use, capacity) if ctor is surface_ring else ctor(param, use)
     return CatalogEntry(family, param, use, algebra, citation)
+
+
+def resolve_ring(
+    ref,
+    field: Optional[Field],
+    capacity: int,
+    base_dir: Optional[str] = None,
+) -> tuple[str, Algebra]:
+    """Resolve a ring reference to ``(id, algebra)``.
+
+    ``ref`` is an inline ring object (id ``"inline"``), a path to a ring JSON
+    file (it has a slash, ends in ``.json`` or names an existing file;
+    relative paths are taken from ``base_dir``; the id is ``ref`` as given),
+    or a catalog id (the id names the field).
+    """
+    if isinstance(ref, dict):
+        return "inline", ring_from_json(ref, field=field, capacity=capacity)
+    path = os.path.join(base_dir or "", ref)
+    if "/" in ref or ref.endswith(".json") or os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return ref, ring_from_json(json.load(fh), field=field, capacity=capacity)
+    entry = catalog_ring(ref, field=field, capacity=capacity)
+    return entry.entry_id, entry.algebra
 
 
 def catalog_entries(capacity: int = DEFAULT_CAPACITY) -> list[CatalogEntry]:

@@ -20,15 +20,14 @@ single-threaded and the flag never changes output; combined with
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from typing import Optional
 
-from .algebra import DEFAULT_CAPACITY, CapacityError, ring_from_json
+from .algebra import DEFAULT_CAPACITY, CapacityError
 from .bounds import compute_bounds
-from .catalog import CatalogError, catalog_ring
+from .catalog import CatalogError, resolve_ring
 from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
 from .examples import evaluate_examples, example_rows
 from .fields import parse_field
@@ -102,19 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_ring(ref: str, field_text: Optional[str], capacity: int):
-    fld = parse_field(field_text) if field_text else None
-    if "/" in ref or ref.endswith(".json") or os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            algebra = ring_from_json(json.load(fh), field=fld, capacity=capacity)
-        return ref, algebra
-    entry = catalog_ring(ref, field=fld, capacity=capacity)
-    return entry.entry_id, entry.algebra
-
-
 def _cmd_ring(args) -> int:
     t0 = time.monotonic()
-    ring_id, algebra = _load_ring(args.ring, args.field, args.capacity)
+    fld = parse_field(args.field) if args.field else None
+    ring_id, algebra = resolve_ring(args.ring, fld, args.capacity)
     wanted = [w.strip() for w in args.compute.split(",") if w.strip()]
     if not wanted:
         raise ValueError(

@@ -13,19 +13,22 @@ and a parallelizable manifold is spin and has trivial (hence TNCZ) frame
 bundle over every field.  The descriptor stores the closure so downstream
 rules can test single flags.
 
-Cohomology ring references are either catalog ids (``"rp:3"``, ``"cp:2:char0"``),
-paths to ring JSON files (anything containing a slash or ending in ``.json``),
-or inline ring objects.
+Every fact the rules read from the descriptor is decided here, once, at
+construction: the ``cohomology`` keys become one ring reference per
+:class:`~frametc.fields.Field` (a field named twice is refused), and
+``frame_bundle_lie_group`` must name an SO(k) of the frame bundle's
+dimension.  Ring references resolve through
+:func:`frametc.catalog.resolve_ring`, relative paths against ``base_dir``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Optional, Union
+from typing import Optional
 
-from .algebra import Algebra, DEFAULT_CAPACITY, ring_from_json
-from .catalog import catalog_ring
+from .algebra import Algebra, DEFAULT_CAPACITY
+from .catalog import parse_catalog_id, resolve_ring
 from .fields import Field, parse_field
 
 
@@ -66,8 +69,8 @@ class ManifoldDescriptor:
 
     def __init__(
         self,
-        name: str,
-        dim: int,
+        name: str = "",
+        dim: int = 0,
         orientable: bool = True,
         parallelizable: bool = False,
         spin: bool = False,
@@ -119,13 +122,7 @@ class ManifoldDescriptor:
             )
         if self.connectivity < 0:
             raise DescriptorError("connectivity must be >= 0")
-        if self.frame_bundle_lie_group is not None and not isinstance(
-            self.frame_bundle_lie_group, str
-        ):
-            raise DescriptorError(
-                "frame_bundle_lie_group must be an so:k id string, got "
-                f"{self.frame_bundle_lie_group!r}"
-            )
+        self.frame_bundle_k = self._so_k()
         if not isinstance(self.tncz_fields, (list, tuple)) or not all(
             isinstance(t, str) for t in self.tncz_fields
         ):
@@ -156,8 +153,35 @@ class ManifoldDescriptor:
         self.tncz_fields = tuple(parse_field(t).token() for t in self.tncz_fields)
         self.known_tc_base = _as_interval(self.known_tc_base, "known_tc_base")
         self.known_cat_base = _as_interval(self.known_cat_base, "known_cat_base")
-        for token in self.cohomology:
-            parse_field(token)  # raises on bad token
+        refs: dict[Field, object] = {}
+        for key, ref in self.cohomology.items():
+            fld = parse_field(key)
+            if fld in refs:
+                raise DescriptorError(f"cohomology names {fld.token()} twice")
+            if not isinstance(ref, (str, dict)):
+                raise DescriptorError(f"bad ring reference {ref!r}")
+            refs[fld] = ref
+        self._refs = dict(sorted(refs.items(), key=lambda kv: kv[0].characteristic))
+
+    def _so_k(self) -> Optional[int]:
+        """The k of ``frame_bundle_lie_group`` = so:k, checked against dim F(M)."""
+        text = self.frame_bundle_lie_group
+        if text is None:
+            return None
+        family = k = None
+        if isinstance(text, str):
+            family, k, _ = parse_catalog_id(text)
+        if family != "so":
+            raise DescriptorError(
+                f"frame_bundle_lie_group must be an so:k id, got {text!r}"
+            )
+        dim_f = self.dim * (self.dim + 1) // 2
+        if k * (k - 1) // 2 != dim_f:
+            raise DescriptorError(
+                f"SO({k}) has dimension {k * (k - 1) // 2}, but F(M) has "
+                f"dimension {dim_f}"
+            )
+        return k
 
     # -- convenience accessors ------------------------------------------------
 
@@ -167,39 +191,19 @@ class ManifoldDescriptor:
     def cat_base_upper(self) -> Optional[int]:
         return self.known_cat_base[1] if self.known_cat_base else None
 
-    def is_tncz(self, token: str) -> bool:
+    def is_tncz(self, field: Field) -> bool:
         """TNCZ over the field: declared, or forced by a trivial frame bundle."""
-        return self.parallelizable or parse_field(token).token() in self.tncz_fields
+        return self.parallelizable or field.token() in self.tncz_fields
 
-    def field_tokens(self) -> list[str]:
-        """Field tokens with ring data, characteristic 0 first then ascending."""
-        tokens = {parse_field(t).token() for t in self.cohomology}
-        return sorted(tokens, key=lambda t: int(t.split("=")[1]))
+    def fields(self) -> list[Field]:
+        """Fields with ring data, in ascending characteristic."""
+        return list(self._refs)
 
-    def ring(self, token: str, capacity: int = DEFAULT_CAPACITY) -> Optional[Algebra]:
-        """Resolve the cohomology ring for a field token, or None if absent."""
-        fld = parse_field(token)
-        ref = None
-        for key, value in self.cohomology.items():
-            if parse_field(key).token() == fld.token():
-                ref = value
-                break
-        if ref is None:
+    def ring(self, field: Field, capacity: int = DEFAULT_CAPACITY) -> Optional[Algebra]:
+        """The cohomology ring over the field, or None if none is given."""
+        if field not in self._refs:
             return None
-        return self._resolve_ref(ref, fld, capacity)
-
-    def _resolve_ref(self, ref, fld: Field, capacity: int) -> Algebra:
-        if isinstance(ref, dict):
-            return ring_from_json(ref, field=fld, capacity=capacity)
-        if isinstance(ref, str):
-            if "/" in ref or ref.endswith(".json"):
-                path = ref
-                if not os.path.isabs(path) and self.base_dir:
-                    path = os.path.join(self.base_dir, path)
-                with open(path, "r", encoding="utf-8") as fh:
-                    return ring_from_json(json.load(fh), field=fld, capacity=capacity)
-            return catalog_ring(ref, field=fld, capacity=capacity).algebra
-        raise DescriptorError(f"bad ring reference {ref!r}")
+        return resolve_ring(self._refs[field], field, capacity, self.base_dir)[1]
 
     # -- serialization ---------------------------------------------------------
 
@@ -241,25 +245,7 @@ class ManifoldDescriptor:
         # null leaves these flags at their default, as an absent key does
         nullable = ("parallelizable", "spin", "lie_group")
         obj = {k: v for k, v in obj.items() if v is not None or k not in nullable}
-        try:
-            return cls(
-                name=obj.get("name", ""),
-                dim=obj.get("dim", 0),
-                orientable=obj.get("orientable", True),
-                parallelizable=obj.get("parallelizable", False),
-                spin=obj.get("spin", False),
-                lie_group=obj.get("lie_group", False),
-                frame_bundle_lie_group=obj.get("frame_bundle_lie_group"),
-                tncz_fields=obj.get("tncz_fields", ()),
-                cohomology=obj.get("cohomology", {}),
-                known_tc_base=obj.get("known_tc_base"),
-                known_cat_base=obj.get("known_cat_base"),
-                free_action_dim=obj.get("free_action_dim"),
-                connectivity=obj.get("connectivity", 0),
-                base_dir=base_dir,
-            )
-        except TypeError as exc:
-            raise DescriptorError(str(exc)) from exc
+        return cls(**obj, base_dir=base_dir)
 
 
 def load_descriptor(path: str) -> ManifoldDescriptor:

@@ -1,5 +1,6 @@
 """Algebra encodings: monomial, table, tensor product; axioms and JSON forms."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from frametc.algebra import (
     tensor_square,
 )
 from frametc.catalog import catalog_ring, rp_ring, so_ring, surface_ring, torus_ring
+from frametc.cuplength import cup_length, zcl_basic, zcl_full
 from frametc.fields import F2, QQ, field_of
 from oracle import _tmul
 from test_reencoding import SEEDS, SOURCES, reencode
@@ -249,6 +251,19 @@ class TestTableAlgebra:
         assert b1 * a1 == -w
         assert (a1 * A.basis_element(4)).is_zero  # a1 * b2 = 0
         assert (w * a1).is_zero
+
+    @pytest.mark.parametrize("ring_id", ["sigma:3:char0", "t:3:char2", "rp:3:char2"])
+    def test_reads_leave_the_stored_table_alone(self, ring_id):
+        # mul_basis hands out the stored dicts; validation and the searches
+        # only read them.
+        A = reencode(catalog_ring(ring_id).algebra, seed=0)
+        before = copy.deepcopy(A._table)
+        A.check_axioms()
+        cup_length(A)
+        zcl_full(A)
+        zcl_basic(A)
+        assert A._table == before
+        assert A.mul_basis(A.dim - 1, A.dim - 1) == {}  # the shared empty product
 
     def test_unit_products_implied(self):
         A = surface_ring(1, F2)

@@ -242,15 +242,14 @@ class TestWarnings:
 
 
 class TestFrameBundleLieGroupRule:
+    # The descriptor refuses these at construction, before any rule runs.
     def test_requires_rotation_group_id(self):
-        d = ManifoldDescriptor(name="X", dim=2, frame_bundle_lie_group="rp:3")
         with pytest.raises(DescriptorError):
-            compute_bounds(d)
+            ManifoldDescriptor(name="X", dim=2, frame_bundle_lie_group="rp:3")
 
     def test_requires_matching_dimension(self):
-        d = ManifoldDescriptor(name="X", dim=2, frame_bundle_lie_group="so:5")
         with pytest.raises(DescriptorError):
-            compute_bounds(d)
+            ManifoldDescriptor(name="X", dim=2, frame_bundle_lie_group="so:5")
 
 
 class TestReportJson:

@@ -7,6 +7,7 @@ import pytest
 
 from frametc.algebra import ring_to_json
 from frametc.catalog import rp_ring
+from frametc.fields import F2, QQ, field_of
 from frametc.manifold import DescriptorError, ManifoldDescriptor, load_descriptor
 
 DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")
@@ -88,26 +89,28 @@ class TestAccessors:
 
     def test_is_tncz(self):
         d = minimal(tncz_fields=("char=2",))
-        assert d.is_tncz("char=2")
-        assert d.is_tncz("char2")  # token normalization
-        assert not d.is_tncz("char=0")
-        assert minimal(parallelizable=True).is_tncz("char=13")
+        assert d.is_tncz(F2)
+        assert minimal(tncz_fields=("char2",)).is_tncz(F2)  # token normalization
+        assert not d.is_tncz(QQ)
+        assert minimal(parallelizable=True).is_tncz(field_of(13))
 
     def test_field_tokens_sorted_by_characteristic(self):
-        d = minimal(cohomology={"char=2": "rp:3", "char=0": "s:3:char0"})
-        assert d.field_tokens() == ["char=0", "char=2"]
+        d = minimal(
+            cohomology={"char=3": "s:3:char3", "char2": "rp:3", "char=0": "s:3:char0"}
+        )
+        assert d.fields() == [QQ, F2, field_of(3)]
 
 
 class TestRingResolution:
     def test_catalog_reference(self):
         d = minimal(cohomology={"char=2": "rp:3"})
-        A = d.ring("char=2")
+        A = d.ring(F2)
         assert A.dim == 4
-        assert d.ring("char=0") is None
+        assert d.ring(QQ) is None
 
     def test_inline_ring(self):
         d = minimal(cohomology={"char=2": ring_to_json(rp_ring(3))})
-        assert d.ring("char=2").dim == 4
+        assert d.ring(F2).dim == 4
 
     def test_file_reference_resolved_against_base_dir(self, tmp_path):
         ring_path = tmp_path / "rings" / "m.json"
@@ -119,19 +122,44 @@ class TestRingResolution:
             cohomology={"char=2": "rings/m.json"},
             base_dir=str(tmp_path),
         )
-        assert d.ring("char=2").dim == 4
+        assert d.ring(F2).dim == 4
+
+    def test_file_named_without_slash_or_suffix(self, tmp_path):
+        (tmp_path / "myring").write_text(json.dumps(ring_to_json(rp_ring(3))))
+        d = minimal(cohomology={"char=2": "myring"}, base_dir=str(tmp_path))
+        assert d.ring(F2).dim == 4
 
     def test_bad_reference(self):
-        d = minimal(cohomology={"char=2": 42})
         with pytest.raises(DescriptorError):
-            d.ring("char=2")
+            minimal(cohomology={"char=2": 42})
+
+    @pytest.mark.parametrize("keys", [("char=2", "char2"), ("char=0", " CHAR0 ")])
+    def test_field_named_twice_rejected(self, keys):
+        with pytest.raises(DescriptorError, match="twice"):
+            minimal(cohomology={keys[0]: "rp:3", keys[1]: "s:3:char2"})
+
+
+class TestFrameBundleLieGroup:
+    @pytest.mark.parametrize("value", ["rp:3", "so:5", 5])
+    def test_refused_at_construction_and_load(self, tmp_path, value):
+        # F(S^2) has dimension 3 = dim SO(3); SO(5) has dimension 10.
+        with pytest.raises(DescriptorError):
+            ManifoldDescriptor(name="S^2", dim=2, frame_bundle_lie_group=value)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"name": "S^2", "dim": 2, "frame_bundle_lie_group": value}))
+        with pytest.raises(DescriptorError):
+            load_descriptor(str(path))
+
+    def test_rotation_group_of_matching_dimension(self):
+        assert minimal(frame_bundle_lie_group="so:4").frame_bundle_k == 4
+        assert minimal().frame_bundle_k is None
 
 
 class TestJson:
     def test_round_trip(self):
-        d = minimal(
+        d = minimal(  # a 3-dimensional Lie group with F(M) = SO(4), as for S^3
             lie_group=True,
-            frame_bundle_lie_group="so:2",
+            frame_bundle_lie_group="so:4",
             tncz_fields=("char=2",),
             cohomology={"char=2": "rp:3"},
             known_tc_base=[2, 2],
@@ -174,6 +202,13 @@ class TestSchema:
             with open(os.path.join(DESCRIPTOR_DIR, fname)) as fh:
                 obj = json.load(fh)
             assert not list(validator.iter_errors(obj)), fname
+
+    def test_cohomology_keys_are_field_tokens(self, schema_validator):
+        validator = schema_validator("manifold.schema.json")
+        obj = {"name": "M", "dim": 3, "cohomology": {"char=2": "rp:3"}}
+        assert validator.is_valid(obj)
+        obj["cohomology"] = {"char2": "rp:3"}
+        assert not validator.is_valid(obj)
 
     def test_inline_ring_crosses_schema_boundary(self, schema_validator):
         # An inline cohomology ring is checked against the ring schema, which

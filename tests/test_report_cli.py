@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from frametc.algebra import ring_to_json
-from frametc.catalog import rp_ring
+from frametc.catalog import rp_ring, sphere_ring
+from frametc.fields import F2
 from frametc.cuplength import zcl_full
 
 DESCRIPTOR = os.path.join(os.path.dirname(__file__), "..", "descriptors", "s2.json")
@@ -313,6 +314,37 @@ class TestFrameBundleCommand:
         code, out, err = run_cli(["frame-bundle", str(path), "--no-timing"])
         assert code == 1 and out == "" and err.startswith("error: "), err
         assert "known_" in err
+
+    def test_field_named_twice_is_a_clean_error(self, run_cli, tmp_path):
+        with open(DESCRIPTOR, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["cohomology"] = {"char=2": "s:2:char2", "char2": "rp:2"}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["frame-bundle", str(path), "--no-timing"])
+        assert code == 1 and out == "" and err.startswith("error: "), err
+        assert "char=2 twice" in err
+
+    def test_ring_file_resolves_alike_for_ring_and_descriptor(
+        self, run_cli, tmp_path, monkeypatch
+    ):
+        # "myring" has no slash and no .json suffix: an existing file wins
+        # over the catalog, for the ring argument and for a cohomology value.
+        (tmp_path / "myring").write_text(json.dumps(ring_to_json(sphere_ring(2, F2))))
+        monkeypatch.chdir(tmp_path)
+        compute = ["--json", "--no-timing", "--compute", "cl,zcl-full,basis"]
+        code, from_file, _ = run_cli(["ring", "myring", *compute])
+        _, from_catalog, _ = run_cli(["ring", "s:2:char2", *compute])
+        assert code == 0
+        assert json.loads(from_file)["results"] == json.loads(from_catalog)["results"]
+        with open(DESCRIPTOR, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        _, original, _ = run_cli(["frame-bundle", DESCRIPTOR, "--json", "--no-timing"])
+        doc["cohomology"]["char=2"] = "myring"
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(["frame-bundle", "m.json", "--json", "--no-timing"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["entries"] == json.loads(original)["entries"]
 
     def test_torus13_beyond_the_old_cap(self, run_cli, tmp_path):
         # H*(T^13) has 8192 classes, above the default capacity of 4096,
