@@ -12,12 +12,10 @@ from .algebra import (
     ProductAlgebra,
     TableAlgebra,
     ring_from_json,
-    ring_to_json,
-    tensor,
     tensor_square,
 )
 from .bounds import BoundEntry, BoundReport, cat_so, compute_bounds
-from .catalog import CatalogError, catalog_entries, catalog_ring, parse_catalog_id
+from .catalog import CatalogError, catalog_ring, parse_catalog_id
 from .cuplength import (
     CupLengthResult,
     bar,
@@ -52,7 +50,6 @@ __all__ = [
     "TableAlgebra",
     "bar",
     "cat_so",
-    "catalog_entries",
     "catalog_ring",
     "compute_bounds",
     "cup_length",
@@ -63,8 +60,6 @@ __all__ = [
     "parse_catalog_id",
     "parse_field",
     "ring_from_json",
-    "ring_to_json",
-    "tensor",
     "tensor_square",
     "torus_descriptor",
     "zcl_basic",

@@ -585,29 +585,6 @@ def _times(f: Field, c: Coeff, a: Coeff) -> Coeff:
     return c if a == 1 else f.mul(c, a)
 
 
-def tensor(left: Algebra, right: Algebra) -> Algebra:
-    """Graded (Künneth) tensor product.
-
-    Two monomial algebras tensor to a monomial algebra by concatenating the
-    generator lists (duplicate right-hand names get a ``'`` suffix); any other
-    combination yields a :class:`ProductAlgebra`.  Dimensions multiply and the
-    Poincaré polynomial is the coefficientwise product.
-    """
-    if left.field != right.field:
-        raise DomainMismatchError("tensor factors must share the coefficient field")
-    if isinstance(left, MonomialAlgebra) and isinstance(right, MonomialAlgebra):
-        taken = {g.name for g in left.gens}
-        gens = list(left.gens)
-        for g in right.gens:
-            name = g.name
-            while name in taken:
-                name += "'"
-            taken.add(name)
-            gens.append(GeneratorSpec(name, g.degree, g.truncation))
-        return MonomialAlgebra(left.field, gens)
-    return ProductAlgebra(left, right)
-
-
 def tensor_square(algebra: Algebra) -> ProductAlgebra:
     """The tensor square A (x) A in product form (labels ``x⊗y``)."""
     return ProductAlgebra(algebra, algebra)
@@ -698,39 +675,3 @@ def ring_from_json(
             terms[k] = acc
         return TableAlgebra(field, names, degrees, products, capacity=capacity)
     raise InvalidPresentationError(f"unknown ring type {kind!r} (monomial or table)")
-
-
-def ring_to_json(algebra: Algebra) -> dict:
-    """Serialize a monomial or table algebra back to descriptor form."""
-    if isinstance(algebra, MonomialAlgebra):
-        return {
-            "field": algebra.field.to_json(),
-            "type": "monomial",
-            "generators": [
-                {"name": g.name, "degree": g.degree, "truncation": g.truncation}
-                for g in algebra.gens
-            ],
-        }
-    if isinstance(algebra, TableAlgebra):
-        rows = []
-        for (i, j), terms in sorted(algebra._table.items()):
-            for k in sorted(terms):
-                c = terms[k]
-                rows.append(
-                    [
-                        algebra.labels[i],
-                        algebra.labels[j],
-                        algebra.labels[k],
-                        str(c) if isinstance(c, Fraction) and c.denominator != 1 else int(c),
-                    ]
-                )
-        return {
-            "field": algebra.field.to_json(),
-            "type": "table",
-            "basis": [
-                {"name": n, "degree": d}
-                for n, d in zip(algebra.labels, algebra.degrees)
-            ],
-            "products": rows,
-        }
-    raise InvalidPresentationError("only monomial and table algebras serialize")

@@ -109,19 +109,6 @@ class BoundEntry:
             out["notes"] = list(self.notes)
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundEntry":
-        return cls(
-            rule=obj["rule"],
-            kind=obj["kind"],
-            value=obj["value"],
-            statement=obj["statement"],
-            citation=obj["citation"],
-            field=obj.get("field"),
-            assumptions=list(obj.get("assumptions", [])),
-            notes=list(obj.get("notes", [])),
-        )
-
 
 class BoundReport:
     """All applicable bounds for one manifold, plus the aggregate interval."""
@@ -164,23 +151,6 @@ class BoundReport:
             "interval": [lo, hi],
             "warnings": list(self.warnings),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundReport":
-        report = cls(
-            manifold=obj["manifold"],
-            fiber=obj["fiber"],
-            frame_bundle_dim=obj["frame_bundle_dim"],
-            entries=[BoundEntry.from_json(e) for e in obj.get("entries", [])],
-            warnings=list(obj.get("warnings", [])),
-        )
-        stored = obj.get("interval")
-        if stored is not None and list(stored) != [report.lower, report.upper]:
-            raise ValueError(
-                f"stored interval {stored} disagrees with entries "
-                f"{[report.lower, report.upper]}"
-            )
-        return report
 
 
 # -- rule engine -------------------------------------------------------------------

@@ -7,12 +7,13 @@ rings whose structure constants are integers this computes the same ranks,
 kernels and cup lengths as any other characteristic-0 coefficient field, so
 results stated over the reals hold verbatim.
 
-Catalog entries are addressable by id strings of the form ``family:param`` or
+Catalog rings are addressable by id strings of the form ``family:param`` or
 ``family:param:charP``, e.g. ``so:5:char2``, ``cp:3:char0``, ``rp:7``
 (``rp`` implies characteristic 2).  ``t`` = torus, ``s`` = sphere,
-``sigma`` = orientable surface by genus.  :func:`resolve_ring` is the one
-place a ring reference (catalog id, ring JSON path or inline ring object)
-becomes a ring.
+``sigma`` = orientable surface by genus.  :func:`catalog_ring` builds one
+and returns it with its full ``family:param:charP`` id.  :func:`resolve_ring`
+is the one place a ring reference (catalog id, ring JSON path or inline ring
+object) becomes a ring.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .algebra import (
     check_capacity,
     ring_from_json,
 )
-from .fields import F2, QQ, Field, field_of, parse_field
+from .fields import F2, QQ, Field, parse_field
 
 
 class CatalogError(ValueError):
@@ -147,45 +148,13 @@ def surface_ring(g: int, field: Field = F2, capacity: int = DEFAULT_CAPACITY) ->
 # -- catalog ids -----------------------------------------------------------------
 
 
-class CatalogEntry:
-    """A named ring instance: ``id`` is ``family:param:charP``.
-
-    Entries compare and hash by family, param and field only, not by the
-    built algebra or the citation.
-    """
-
-    def __init__(
-        self, family: str, param: int, field: Field, algebra: Algebra, citation: str = ""
-    ):
-        self.family = family
-        self.param = param
-        self.field = field
-        self.algebra = algebra
-        self.citation = citation
-
-    def _key(self) -> tuple:
-        return (self.family, self.param, self.field)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    @property
-    def entry_id(self) -> str:
-        return f"{self.family}:{self.param}:char{self.field.characteristic}"
-
-
-_FAMILIES: dict[str, tuple[Callable, str]] = {
-    "so": (so_ring, "standard presentation of the cohomology of SO(n)"),
-    "rp": (rp_ring, "mod-2 cohomology of real projective space"),
-    "cp": (cp_ring, "cohomology of complex projective space"),
-    "t": (torus_ring, "cohomology of the n-torus"),
-    "s": (sphere_ring, "cohomology of the n-sphere"),
-    "sigma": (surface_ring, "cohomology of the closed orientable genus-g surface"),
+_FAMILIES: dict[str, Callable] = {
+    "so": so_ring,
+    "rp": rp_ring,
+    "cp": cp_ring,
+    "t": torus_ring,
+    "s": sphere_ring,
+    "sigma": surface_ring,
 }
 
 
@@ -213,8 +182,11 @@ def parse_catalog_id(text: str) -> tuple[str, int, Optional[Field]]:
 
 def catalog_ring(
     text: str, field: Optional[Field] = None, capacity: int = DEFAULT_CAPACITY
-) -> CatalogEntry:
-    """Resolve a catalog id (with optional external field) to a built entry."""
+) -> tuple[str, Algebra]:
+    """Resolve a catalog id (with optional external field) to ``(id, algebra)``.
+
+    The returned id is ``family:param:charP``, naming the field used.
+    """
     family, param, declared = parse_catalog_id(text)
     if declared is not None and field is not None and declared != field:
         raise CatalogError(
@@ -224,10 +196,10 @@ def catalog_ring(
     use = declared or field
     if use is None:
         raise CatalogError(f"catalog id {text!r} needs a field (append :charP)")
-    ctor, citation = _FAMILIES[family]
+    ctor = _FAMILIES[family]
     # Only the table-encoded family lists its basis and takes the cap.
     algebra = ctor(param, use, capacity) if ctor is surface_ring else ctor(param, use)
-    return CatalogEntry(family, param, use, algebra, citation)
+    return f"{family}:{param}:char{use.characteristic}", algebra
 
 
 def resolve_ring(
@@ -249,26 +221,4 @@ def resolve_ring(
     if "/" in ref or ref.endswith(".json") or os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             return ref, ring_from_json(json.load(fh), field=field, capacity=capacity)
-    entry = catalog_ring(ref, field=field, capacity=capacity)
-    return entry.entry_id, entry.algebra
-
-
-def catalog_entries(capacity: int = DEFAULT_CAPACITY) -> list[CatalogEntry]:
-    """The canonical registry of shipped ring instances.
-
-    Used by the oracle-equivalence and property suites.  Order is
-    deterministic.
-    """
-    ids = []
-    ids += [f"so:{n}:char0" for n in range(1, 9)]
-    ids += [f"so:{n}:char2" for n in range(1, 9)]
-    ids += [f"rp:{n}" for n in (1, 2, 3, 7)]
-    ids += [f"cp:{n}:char0" for n in range(1, 5)]
-    ids += [f"cp:{n}:char2" for n in (1, 2)]
-    ids += [f"t:{n}:char0" for n in range(1, 5)]
-    ids += [f"t:{n}:char2" for n in range(1, 5)]
-    ids += [f"s:{n}:char0" for n in range(1, 5)]
-    ids += [f"s:{n}:char2" for n in range(1, 5)]
-    ids += [f"sigma:{g}:char0" for g in range(1, 4)]
-    ids += [f"sigma:{g}:char2" for g in range(1, 4)]
-    return [catalog_ring(i, capacity=capacity) for i in ids]
+    return catalog_ring(ref, field=field, capacity=capacity)

@@ -5,8 +5,8 @@ Three quantities, in increasing strength on the zero-divisor side:
 * ``cup_length(A)`` — longest nonzero product from the positive-degree part.
   Closed form for monomial encodings (sum of truncation heights minus one
   per generator, witnessed by the top monomial); the generator-product
-  search below otherwise (also available for monomial algebras via
-  ``method="search"`` as a cross-check).
+  search below otherwise.  The test suite runs that search on monomial
+  rings too, as a cross-check of the closed form.
 * ``zcl_basic(A)`` — longest nonzero product of *basic* zero-divisors
   ``m̄ = 1⊗m − m⊗1`` in A⊗A, m running over positive-degree basis classes.
 * ``zcl_full(A)`` — cup length of the whole zero-divisor ideal
@@ -50,9 +50,9 @@ against the independent dense kernel-power oracle by the test suite, never
 only against each other.
 
 Every result carries a witness that is re-multiplied and checked nonzero
-before it is returned.  Budget-limited searches return ``exact=False`` and
-their value is then only a lower bound; callers that need upper bounds must
-reject inexact results.
+before it is returned, once, by the public entry that returns it.
+Budget-limited searches return ``exact=False`` and their value is then only
+a lower bound; callers that need upper bounds must reject inexact results.
 """
 
 from __future__ import annotations
@@ -159,36 +159,28 @@ def _checked(result: CupLengthResult) -> CupLengthResult:
 # -- cup length ---------------------------------------------------------------
 
 
-def cup_length(
-    A: Algebra, method: str = "auto", budget: int = DEFAULT_BUDGET
-) -> CupLengthResult:
+def cup_length(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     """Longest nonzero product of positive-degree classes.
 
-    ``method``: "auto" (closed form for monomial encodings, search otherwise),
-    "closed-form", or "search".  The search runs over products of algebra
-    generators, which loses nothing (module docstring); an exhausted node
-    budget gives ``exact=False``.
+    A monomial encoding answers with its top monomial; any other encoding
+    takes the search over products of algebra generators, which loses
+    nothing (module docstring) and gives ``exact=False`` when its node
+    budget runs out.
     """
-    if method == "auto":
-        method = "closed-form" if isinstance(A, MonomialAlgebra) else "search"
-    if method == "closed-form":
-        if not isinstance(A, MonomialAlgebra):
-            raise ValueError("closed form requires the monomial encoding")
-        # The top monomial (each generator at its top power) is a nonzero class,
-        # and total exponent weight is additive and capped, so the value is
-        # exactly the sum of (truncation - 1).
-        witness: list[Element] = []
-        for g in A.gens:
-            witness += [A.generator_element(g.name)] * (g.truncation - 1)
-        value = len(witness)
-        top = A.basis_element(A.dim - 1)
-        return _checked(
-            CupLengthResult(value, True, "closed-form", witness, top if value else None)
-        )
-    if method != "search":
-        raise ValueError(f"unknown cup_length method {method!r}")
-    gens = [A.basis_element(i) for i in generator_indices(A)]
-    return _longest_product(A, gens, budget, "search")
+    if not isinstance(A, MonomialAlgebra):
+        gens = [A.basis_element(i) for i in generator_indices(A)]
+        return _checked(_longest_product(A, gens, budget, "search"))
+    # The top monomial (each generator at its top power) is a nonzero class,
+    # and total exponent weight is additive and capped, so the value is
+    # exactly the sum of (truncation - 1).
+    witness: list[Element] = []
+    for g in A.gens:
+        witness += [A.generator_element(g.name)] * (g.truncation - 1)
+    value = len(witness)
+    top = A.basis_element(A.dim - 1)
+    return _checked(
+        CupLengthResult(value, True, "closed-form", witness, top if value else None)
+    )
 
 
 # -- zero-divisors ----------------------------------------------------------------
@@ -332,7 +324,7 @@ def _longest_product(
             break
     witness = [elements[t] for t in best]
     product = Element(T, best_product) if best else None
-    return _checked(CupLengthResult(len(best), exact, method, witness, product, nodes))
+    return CupLengthResult(len(best), exact, method, witness, product, nodes)
 
 
 def _generator_bar_search(A: Algebra, budget: int) -> CupLengthResult:
@@ -348,7 +340,7 @@ def zcl_basic(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     docstring).  No dimension cap applies beyond the one ``A`` was built
     under; an exhausted node budget gives ``exact=False``.
     """
-    return _generator_bar_search(A, budget)
+    return _checked(_generator_bar_search(A, budget))
 
 
 # -- full zero-divisor cup length ------------------------------------------------
@@ -387,7 +379,8 @@ def _zcl_full_factor(A: MonomialAlgebra, budget: int) -> CupLengthResult:
     Justified by additivity of zcl across tensor factors over a field (see
     module docstring); each generator's part comes from the generator-bar
     search on its one-generator algebra, with what is left of the node
-    budget, and is checked there.
+    budget.  ``zcl_full`` checks the sum, whose ``verify`` re-multiplies
+    each part in its own square.
     """
     parts: list[CupLengthResult] = []
     nodes = 0
@@ -395,15 +388,13 @@ def _zcl_full_factor(A: MonomialAlgebra, budget: int) -> CupLengthResult:
         part = _generator_bar_search(MonomialAlgebra(A.field, [g]), max(budget - nodes, 0))
         nodes += part.nodes
         parts.append(part)
-    return _checked(
-        CupLengthResult(
-            sum(p.value for p in parts),
-            all(p.exact for p in parts),
-            "factorization",
-            [w for p in parts for w in p.witness],
-            nodes=nodes,
-            parts=parts,
-        )
+    return CupLengthResult(
+        sum(p.value for p in parts),
+        all(p.exact for p in parts),
+        "factorization",
+        [w for p in parts for w in p.witness],
+        nodes=nodes,
+        parts=parts,
     )
 
 
@@ -414,6 +405,5 @@ def zcl_full(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     generator-bar search.  No dimension cap applies beyond the one ``A`` was
     built under; an exhausted node budget gives ``exact=False``.
     """
-    if isinstance(A, MonomialAlgebra):
-        return _zcl_full_factor(A, budget)
-    return _generator_bar_search(A, budget)
+    route = _zcl_full_factor if isinstance(A, MonomialAlgebra) else _generator_bar_search
+    return _checked(route(A, budget))

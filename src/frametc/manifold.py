@@ -15,9 +15,10 @@ rules can test single flags.
 
 Every fact the rules read from the descriptor is decided here, once, at
 construction: the ``cohomology`` keys become one ring reference per
-:class:`~frametc.fields.Field` (a field named twice is refused), and
-``frame_bundle_lie_group`` must name an SO(k) of the frame bundle's
-dimension.  Ring references resolve through
+:class:`~frametc.fields.Field` and ``tncz_fields`` a tuple of fields (in
+both, a field named twice is refused), and ``frame_bundle_lie_group`` must
+be ``so:k``, exactly as the schema spells it, with SO(k) of the frame
+bundle's dimension.  Ring references resolve through
 :func:`frametc.catalog.resolve_ring`, relative paths against ``base_dir``.
 """
 
@@ -25,10 +26,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Optional
 
 from .algebra import Algebra, DEFAULT_CAPACITY
-from .catalog import parse_catalog_id, resolve_ring
+from .catalog import resolve_ring
 from .fields import Field, parse_field
 
 
@@ -149,8 +151,13 @@ class ManifoldDescriptor:
                 "a Lie group acts freely on itself; free_action_dim below dim "
                 "contradicts lie_group"
             )
-        # normalize field tokens (validates them) and intervals
-        self.tncz_fields = tuple(parse_field(t).token() for t in self.tncz_fields)
+        tncz: list[Field] = []
+        for text in self.tncz_fields:
+            fld = parse_field(text)
+            if fld in tncz:
+                raise DescriptorError(f"tncz_fields names {fld.token()} twice")
+            tncz.append(fld)
+        self.tncz_fields = tuple(tncz)
         self.known_tc_base = _as_interval(self.known_tc_base, "known_tc_base")
         self.known_cat_base = _as_interval(self.known_cat_base, "known_cat_base")
         refs: dict[Field, object] = {}
@@ -168,13 +175,11 @@ class ManifoldDescriptor:
         text = self.frame_bundle_lie_group
         if text is None:
             return None
-        family = k = None
-        if isinstance(text, str):
-            family, k, _ = parse_catalog_id(text)
-        if family != "so":
+        if not isinstance(text, str) or not re.fullmatch("so:[0-9]+", text):
             raise DescriptorError(
                 f"frame_bundle_lie_group must be an so:k id, got {text!r}"
             )
+        k = int(text[3:])
         dim_f = self.dim * (self.dim + 1) // 2
         if k * (k - 1) // 2 != dim_f:
             raise DescriptorError(
@@ -193,7 +198,7 @@ class ManifoldDescriptor:
 
     def is_tncz(self, field: Field) -> bool:
         """TNCZ over the field: declared, or forced by a trivial frame bundle."""
-        return self.parallelizable or field.token() in self.tncz_fields
+        return self.parallelizable or field in self.tncz_fields
 
     def fields(self) -> list[Field]:
         """Fields with ring data, in ascending characteristic."""
@@ -221,7 +226,7 @@ class ManifoldDescriptor:
         if self.frame_bundle_lie_group:
             out["frame_bundle_lie_group"] = self.frame_bundle_lie_group
         if self.tncz_fields:
-            out["tncz_fields"] = list(self.tncz_fields)
+            out["tncz_fields"] = [f.token() for f in self.tncz_fields]
         if self.cohomology:
             out["cohomology"] = self.cohomology
         if self.known_tc_base:

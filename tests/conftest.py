@@ -7,12 +7,36 @@ import contextlib
 import io
 import json
 import os
+from collections import namedtuple
 
 import pytest
 
 import frametc
-from frametc.catalog import catalog_entries
+from frametc.catalog import catalog_ring
 from frametc.cli import main
+
+# The canonical registry of catalog rings, in a fixed order: the golden,
+# oracle-equivalence and property suites all run over it.
+CATALOG_IDS = (
+    [f"so:{n}:char0" for n in range(1, 9)]
+    + [f"so:{n}:char2" for n in range(1, 9)]
+    + [f"rp:{n}" for n in (1, 2, 3, 7)]
+    + [f"cp:{n}:char0" for n in range(1, 5)]
+    + [f"cp:{n}:char2" for n in (1, 2)]
+    + [f"t:{n}:char0" for n in range(1, 5)]
+    + [f"t:{n}:char2" for n in range(1, 5)]
+    + [f"s:{n}:char0" for n in range(1, 5)]
+    + [f"s:{n}:char2" for n in range(1, 5)]
+    + [f"sigma:{g}:char0" for g in range(1, 4)]
+    + [f"sigma:{g}:char2" for g in range(1, 4)]
+)
+
+CatalogRing = namedtuple("CatalogRing", "entry_id algebra")
+
+
+def catalog_entries() -> list[CatalogRing]:
+    """Every ring of the registry, built, with its ``family:param:charP`` id."""
+    return [CatalogRing(*catalog_ring(i)) for i in CATALOG_IDS]
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from frametc.cuplength import cup_length, zcl_basic, zcl_full
 from frametc.examples import evaluate_examples
 from frametc.fields import F2, QQ, field_of
 from closed_forms import korbas_cl, zcl_so_closed_form
+from helpers import searched_cl
 from oracle import brute_force_cl
 from zero_divisors import zero_divisor_generators
 
@@ -69,7 +70,7 @@ def test_criterion_2_rotation_group_mod2_cup_lengths():
         t0 = time.monotonic()
         assert [korbas_cl(n) for n in (2, 3, 4, 5)] == [1, 3, 4, 8]
         for n in range(2, 9):
-            found = cup_length(so_ring(n, F2), method="search")
+            found = searched_cl(so_ring(n, F2))
             assert found.exact, n
             assert found.value == korbas_cl(n), n
         assert time.monotonic() - t0 < 60

@@ -20,13 +20,12 @@ from frametc.algebra import (
     ProductAlgebra,
     TableAlgebra,
     ring_from_json,
-    ring_to_json,
-    tensor,
     tensor_square,
 )
 from frametc.catalog import catalog_ring, rp_ring, so_ring, surface_ring, torus_ring
 from frametc.cuplength import cup_length, zcl_basic, zcl_full
 from frametc.fields import F2, QQ, field_of
+from helpers import ring_to_json, tensor
 from oracle import _tmul
 from test_reencoding import SEEDS, SOURCES, reencode
 
@@ -256,7 +255,7 @@ class TestTableAlgebra:
     def test_reads_leave_the_stored_table_alone(self, ring_id):
         # mul_basis hands out the stored dicts; validation and the searches
         # only read them.
-        A = reencode(catalog_ring(ring_id).algebra, seed=0)
+        A = reencode(catalog_ring(ring_id)[1], seed=0)
         before = copy.deepcopy(A._table)
         A.check_axioms()
         cup_length(A)
@@ -523,7 +522,7 @@ class TestProductKernel:
         rng = random.Random(1)
         for source in SOURCES:
             for seed in SEEDS:
-                T = tensor_square(reencode(catalog_ring(source).algebra, seed))
+                T = tensor_square(reencode(catalog_ring(source)[1], seed))
                 self.check_basis(T, rng, limit=1024)
                 self.check_vectors(T, rng)
 
@@ -761,8 +760,8 @@ class TestAxiomChecker:
         assert str(exc.value) == outcome(reference_check_axioms, A)
 
     def test_skipped_triples_change_no_outcome(self):
-        tables = [catalog_ring(f"sigma:{g}:char{p}").algebra for g in (1, 2, 3) for p in (0, 2)]
-        tables += [reencode(catalog_ring(r).algebra, seed) for r in SOURCES for seed in SEEDS]
+        tables = [catalog_ring(f"sigma:{g}:char{p}")[1] for g in (1, 2, 3) for p in (0, 2)]
+        tables += [reencode(catalog_ring(r)[1], seed) for r in SOURCES for seed in SEEDS]
         tables.append(table_from(torus_ring(6, QQ)))  # 64 classes: the sampled path
         assert tables[-1].dim > 32
         outcomes = []

@@ -14,13 +14,14 @@ import os
 import pytest
 
 from frametc import bounds
-from frametc.bounds import BoundReport, cat_so, compute_bounds
+from frametc.bounds import cat_so, compute_bounds
 from frametc.catalog import so_ring
 from frametc.cuplength import cup_length, zcl_full
 from frametc.examples import example_rows
 from frametc.fields import F2, QQ, field_of
 from frametc.manifold import DescriptorError, ManifoldDescriptor, load_descriptor
 from closed_forms import cat_so_lower, korbas_cl, zcl_so_closed_form
+from helpers import bound_report_from_json
 from oracle import brute_force_cl
 
 RP7 = os.path.join(os.path.dirname(__file__), "..", "descriptors", "rp7.json")
@@ -179,7 +180,7 @@ class TestRuleOutputs:
         # the cl route behind cat(SO(7)) has no budget to starve.
         code, out, _ = run_cli(["frame-bundle", RP7, "--budget", "0", "--json", "--no-timing"])
         assert code == 2
-        report = BoundReport.from_json(json.loads(out))
+        report = bound_report_from_json(json.loads(out))
         for field in ("char=0", "char=2"):
             tncz = by_rule(report, "lower-tncz", field=field)
             par = by_rule(report, "lower-parallelizable", field=field)
@@ -256,7 +257,7 @@ class TestReportJson:
     def test_round_trip(self, reports):
         for rep in reports.values():
             js = rep.to_json()
-            again = BoundReport.from_json(js)
+            again = bound_report_from_json(js)
             assert again.to_json() == js
 
     def test_json_shape(self, reports):
@@ -271,4 +272,4 @@ class TestReportJson:
         js = json.loads(json.dumps(reports["cp2"].to_json()))
         js["interval"] = [9, 3]
         with pytest.raises(ValueError):
-            BoundReport.from_json(js)
+            bound_report_from_json(js)

@@ -8,6 +8,7 @@ identities checked symbolically in the tests themselves.
 """
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -20,7 +21,6 @@ from frametc.algebra import (
     MonomialAlgebra,
     ProductAlgebra,
     TableAlgebra,
-    tensor,
     tensor_square,
 )
 from frametc.catalog import (
@@ -43,6 +43,7 @@ from frametc.cuplength import (
 )
 from frametc.fields import F2, QQ, field_of
 from closed_forms import korbas_cl
+from helpers import searched_cl, tensor
 from oracle import brute_force_cl
 from zero_divisors import zero_divisor_generators
 
@@ -56,14 +57,24 @@ class TestCupLength:
         assert str(res.witness_product) == "a^7"
         assert res.verify()
 
-    def test_search_agrees_with_closed_form(self, small_entries):
-        for entry in small_entries:
+    def test_search_agrees_with_closed_form(self, entries):
+        for entry in entries:
             if not isinstance(entry.algebra, MonomialAlgebra):
                 continue
-            closed = cup_length(entry.algebra, method="closed-form")
-            searched = cup_length(entry.algebra, method="search")
+            closed = cup_length(entry.algebra)
+            searched = searched_cl(entry.algebra)
             assert closed.value == searched.value, entry.entry_id
             assert searched.exact and searched.verify()
+
+    def test_closed_form_matches_oracle_above_the_small_cut(self, entries):
+        # Criterion 5 runs the oracle on every ring of dimension <= 16; these
+        # are the catalog's other monomial rings.
+        large = [e for e in entries if e.algebra.dim > 16]
+        assert [e.entry_id for e in large] == ["so:6:char2", "so:7:char2", "so:8:char2"]
+        for entry in large:
+            closed = cup_length(entry.algebra)
+            assert closed.method == "closed-form", entry.entry_id
+            assert brute_force_cl(entry.algebra, "positive") == closed.value, entry.entry_id
 
     def test_table_ring_searches(self):
         res = cup_length(surface_ring(2, F2))
@@ -75,20 +86,14 @@ class TestCupLength:
         assert res.value == 0 and res.exact
         assert res.witness == []
 
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            cup_length(surface_ring(2, F2), method="closed-form")
-        with pytest.raises(ValueError):
-            cup_length(rp_ring(3), method="nonsense")
-
     def test_search_budget_exhaustion_is_flagged(self):
-        res = cup_length(surface_ring(3, F2), method="search", budget=3)
+        res = cup_length(surface_ring(3, F2), budget=3)
         assert not res.exact and res.nodes == 4
         assert res.value < 2 and res.verify()
 
     def test_search_past_the_recursion_limit(self):
         # The search keeps its own stack: 1500 factors deep, no RecursionError.
-        res = cup_length(rp_ring(1500), method="search")
+        res = searched_cl(rp_ring(1500))
         assert (res.value, res.exact) == (1500, True)
         assert str(res.witness_product) == "a^1500" and res.verify()
 
@@ -542,7 +547,7 @@ class TestDegreeBoundStop:
             gens = generator_indices(A)
             T = tensor_square(A)
             for res, S, elements in (
-                (cup_length(A, method="search"), A, [A.basis_element(i) for i in gens]),
+                (searched_cl(A), A, [A.basis_element(i) for i in gens]),
                 (zcl_basic(A), T, [bar(T, A.basis_element(i)) for i in gens]),
             ):
                 best, nodes = exhaustive_longest_product(S, elements)
@@ -594,6 +599,42 @@ class TestWitnessContract:
             witness_product=res.witness[0],
         )
         assert not wrong_product.verify()
+
+    def test_each_factor_part_is_verified_once(self, monkeypatch):
+        calls = Counter()
+        verify = CupLengthResult.verify
+
+        def counted(res):
+            calls[id(res)] += 1
+            return verify(res)
+
+        monkeypatch.setattr(CupLengthResult, "verify", counted)
+        res = zcl_full(so_ring(12, F2))
+        assert len(res.parts) == 6
+        assert [calls[id(p)] for p in res.parts] == [1] * 6
+        assert calls[id(res)] == 1
+
+    @pytest.mark.parametrize(
+        "entry, A",
+        [
+            (cup_length, rp_ring(3)),
+            (cup_length, surface_ring(2, F2)),
+            (zcl_basic, rp_ring(3)),
+            (zcl_full, rp_ring(3)),
+            (zcl_full, surface_ring(2, F2)),
+        ],
+        ids=["cl-monomial", "cl-table", "zcl-basic", "zcl-full-monomial", "zcl-full-table"],
+    )
+    def test_tampered_witness_raises_from_each_entry(self, monkeypatch, entry, A):
+        class Overclaimed(CupLengthResult):
+            """Claims one factor more than its witness has."""
+
+            def __init__(self, value, *args, **kwargs):
+                super().__init__(value + 1, *args, **kwargs)
+
+        monkeypatch.setattr(cuplength, "CupLengthResult", Overclaimed)
+        with pytest.raises(AssertionError, match="witness failed re-multiplication"):
+            entry(A)
 
     def test_verify_rejects_zero_product(self):
         A = rp_ring(3)

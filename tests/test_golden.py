@@ -16,10 +16,13 @@ import sys
 
 import pytest
 
+from conftest import CATALOG_IDS
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
 DESCRIPTOR_DIR = os.path.join(HERE, "..", "descriptors")
 DESCRIPTORS = sorted(f[:-5] for f in os.listdir(DESCRIPTOR_DIR) if f.endswith(".json"))
+RING_ITEMS = "cl,zcl-basic,zcl-full,basis,poincare"
 
 CASES = {
     "examples.txt": ["examples"],
@@ -29,6 +32,12 @@ CASES = {
             "frame-bundle", os.path.join(DESCRIPTOR_DIR, f"{name}.json"), "--json"
         ]
         for name in DESCRIPTORS
+    },
+    **{
+        f"ring-{ring_id.replace(':', '-')}.json": [
+            "ring", ring_id, "--compute", RING_ITEMS, "--json"
+        ]
+        for ring_id in CATALOG_IDS
     },
 }
 

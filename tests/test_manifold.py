@@ -5,10 +5,10 @@ import os
 
 import pytest
 
-from frametc.algebra import ring_to_json
 from frametc.catalog import rp_ring
 from frametc.fields import F2, QQ, field_of
 from frametc.manifold import DescriptorError, ManifoldDescriptor, load_descriptor
+from helpers import ring_to_json
 
 DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")
 
@@ -87,6 +87,11 @@ class TestAccessors:
         assert d.cat_base_upper() == 5
         assert minimal().tc_base_upper() is None
 
+    @pytest.mark.parametrize("tokens", [("char=2", "char2"), ("char=0", " CHAR0 ")])
+    def test_tncz_field_named_twice_rejected(self, tokens):
+        with pytest.raises(DescriptorError, match="twice"):
+            minimal(tncz_fields=tokens)
+
     def test_is_tncz(self):
         d = minimal(tncz_fields=("char=2",))
         assert d.is_tncz(F2)
@@ -140,7 +145,9 @@ class TestRingResolution:
 
 
 class TestFrameBundleLieGroup:
-    @pytest.mark.parametrize("value", ["rp:3", "so:5", 5])
+    @pytest.mark.parametrize(
+        "value", ["rp:3", "so:5", 5, "so:3:char0", "so:3:char=7", " so:3", "so:3 ", "so:+3"]
+    )
     def test_refused_at_construction_and_load(self, tmp_path, value):
         # F(S^2) has dimension 3 = dim SO(3); SO(5) has dimension 10.
         with pytest.raises(DescriptorError):

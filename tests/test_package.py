@@ -1,6 +1,7 @@
 """Package-wide contracts: what ``import frametc.cli`` loads, what the package
 exports, and the fresh default containers of the hand-written record classes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,9 +10,9 @@ import sys
 import pytest
 
 import frametc
-from frametc import bounds
+from frametc import algebra, bounds, catalog
 from frametc.bounds import BoundEntry, BoundReport
-from frametc.cuplength import CupLengthResult
+from frametc.cuplength import CupLengthResult, cup_length
 from frametc.manifold import ManifoldDescriptor
 
 # Modules that ``dataclasses`` pulls in behind it; none is needed at start-up.
@@ -51,6 +52,29 @@ def test_fibre_closed_forms_are_not_shipped(name):
     assert name not in frametc.__all__
     assert not hasattr(frametc, name)
     assert not hasattr(bounds, name)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (catalog, "CatalogEntry"),
+        (catalog, "catalog_entries"),
+        (algebra, "tensor"),
+        (algebra, "ring_to_json"),
+    ],
+)
+def test_test_only_helpers_are_not_shipped(module, name):
+    # The ring registry and these helpers live under tests/ (conftest.py,
+    # helpers.py); nothing the CLI runs needs them.
+    assert name not in frametc.__all__
+    assert not hasattr(frametc, name)
+    assert not hasattr(module, name)
+
+
+def test_reports_are_not_read_back_and_cup_length_has_no_route_knob():
+    assert not hasattr(BoundEntry, "from_json")
+    assert not hasattr(BoundReport, "from_json")
+    assert list(inspect.signature(cup_length).parameters) == ["A", "budget"]
 
 
 @pytest.mark.parametrize(

@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frametc.algebra import tensor
-from frametc.catalog import catalog_entries
+from conftest import catalog_entries
 from frametc.cuplength import cup_length, zcl_basic, zcl_full
+from helpers import tensor
 from oracle import brute_force_cl
 from zero_divisors import zero_divisor_generators
 

@@ -92,7 +92,7 @@ def generator_degrees(A):
 
 
 def test_change_of_basis_is_inverted_exactly():
-    A = catalog_ring("sigma:3:char0").algebra
+    A = catalog_ring("sigma:3:char0")[1]
     P, Q = unimodular_blocks(A, 7)
     n = A.dim
     for r in range(n):
@@ -105,7 +105,7 @@ def test_change_of_basis_is_inverted_exactly():
 
 @pytest.mark.parametrize("ring_id", SOURCES)
 def test_reencoded_ring_keeps_generators_and_zcl(ring_id):
-    A = catalog_ring(ring_id).algebra
+    A = catalog_ring(ring_id)[1]
     want = zcl_full(A)
     assert want.exact
     for seed in SEEDS:

@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from frametc.algebra import ring_to_json
 from frametc.catalog import rp_ring, sphere_ring
 from frametc.fields import F2
 from frametc.cuplength import zcl_full
+from helpers import ring_to_json
 
 DESCRIPTOR = os.path.join(os.path.dirname(__file__), "..", "descriptors", "s2.json")
 
@@ -263,6 +263,9 @@ class TestFrameBundleCommand:
         with open(DESCRIPTOR, encoding="utf-8") as fh:
             base = json.load(fh)
         wrong = [5, -1, 2.5, True, None, "x", [], [1], ["char=2"], [None, 3], {}, {"a": 1}]
+        # Near misses of the schema's patterns and uniqueness, which the
+        # loader once read leniently.
+        wrong += ["so:3:char0", "so:3:char=7", " so:3", ["char=2", "char=2"]]
         path = tmp_path / "m.json"
         for field in base:
             for value in wrong:
@@ -283,7 +286,7 @@ class TestFrameBundleCommand:
                         assert (code, out, err) == absent, field
                 elif not validator.is_valid(doc):
                     assert code == 1, (field, value)
-        for value in (5, True, ["so:3"]):
+        for value in (5, True, ["so:3"], "so:3:char0", "so:3:char=7", " so:3"):
             path.write_text(json.dumps({**base, "frame_bundle_lie_group": value}))
             code, _, err = run_cli(["frame-bundle", str(path), "--no-timing"])
             assert code == 1 and "frame_bundle_lie_group must be an so:k id" in err
@@ -324,6 +327,16 @@ class TestFrameBundleCommand:
         code, out, err = run_cli(["frame-bundle", str(path), "--no-timing"])
         assert code == 1 and out == "" and err.startswith("error: "), err
         assert "char=2 twice" in err
+
+    def test_tncz_field_named_twice_is_a_clean_error(self, run_cli, tmp_path):
+        with open(DESCRIPTOR, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["tncz_fields"] = ["char=2", "char2"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["frame-bundle", str(path), "--no-timing"])
+        assert code == 1 and out == "" and err.startswith("error: "), err
+        assert "tncz_fields names char=2 twice" in err
 
     def test_ring_file_resolves_alike_for_ring_and_descriptor(
         self, run_cli, tmp_path, monkeypatch
