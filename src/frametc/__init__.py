@@ -23,7 +23,7 @@ from .cuplength import (
     zcl_basic,
     zcl_full,
 )
-from .examples import evaluate_examples, example_rows, torus_descriptor
+from .examples import evaluate_examples, example_rows
 from .fields import F2, Field, FieldError, QQ, field_of, parse_field
 from .manifold import DescriptorError, ManifoldDescriptor, load_descriptor
 
@@ -61,7 +61,6 @@ __all__ = [
     "parse_field",
     "ring_from_json",
     "tensor_square",
-    "torus_descriptor",
     "zcl_basic",
     "zcl_full",
 ]

@@ -48,7 +48,7 @@ class InvalidPresentationError(ValueError):
     """The given presentation violates an algebra axiom."""
 
 
-class CapacityError(RuntimeError):
+class CapacityError(ValueError):
     """Construction or computation would exceed the configured dimension cap."""
 
 

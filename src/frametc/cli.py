@@ -27,7 +27,7 @@ from typing import Optional
 
 from .algebra import DEFAULT_CAPACITY, CapacityError
 from .bounds import compute_bounds
-from .catalog import CatalogError, resolve_ring
+from .catalog import resolve_ring
 from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
 from .examples import evaluate_examples, example_rows
 from .fields import parse_field
@@ -200,7 +200,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "frame-bundle":
             return _cmd_frame_bundle(args)
         return _cmd_examples(args)
-    except (ValueError, KeyError, OSError, CatalogError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
@@ -209,11 +209,6 @@ def main(argv: Optional[list] = None) -> int:
             file=sys.stderr,
         )
         return 1
-    except Exception as exc:  # package-defined errors carry clean messages
-        if type(exc).__module__.startswith("frametc"):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        raise
 
 
 if __name__ == "__main__":

@@ -1,24 +1,64 @@
 """Built-in worked examples: descriptors with externally stated TC intervals.
 
-Each row pairs a manifold descriptor with the interval for TC(F(M)) stated in
-the source material, so the rule engine's derived interval can be compared
-against it.  ``agrees`` is True when every stated endpoint matches the derived
-one.  One row (the 3-torus) intentionally disagrees: the stated family value
-for tori is cat(SO(n)) + n + 1 while the upper bound rules only ever reach
-cat(SO(n)) + n, and the derived lower bound meets them there; the row carries
-a note to that effect instead of silently adopting either number.
+Each row pairs a shipped descriptor file, ``descriptors/<key>.json`` in this
+package, with the interval for TC(F(M)) stated in the source material, so the
+rule engine's derived interval can be compared against it.  The built-in keys
+are exactly those files; the table below only adds a title, the stated
+interval and an optional note, and fixes the order rows are printed in.
+``agrees`` is True when every stated endpoint matches the derived one.  One
+row (the 3-torus) intentionally disagrees: the stated family value for tori is
+cat(SO(n)) + n + 1 while the upper bound rules only ever reach cat(SO(n)) + n,
+and the derived lower bound meets them there; the row carries a note to that
+effect instead of silently adopting either number.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 from .algebra import DEFAULT_CAPACITY
-from .bounds import BoundReport, compute_bounds, EXACT_CAT_SO_MAX
+from .bounds import BoundReport, compute_bounds
 from .cuplength import DEFAULT_BUDGET
-from .manifold import ManifoldDescriptor
+from .manifold import ManifoldDescriptor, load_descriptor
 
 Interval = tuple[Optional[int], Optional[int]]
+
+_DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "descriptors")
+
+# (key, title, stated TC(F(M)) interval, note), in the order rows are printed.
+_TABLE = (
+    ("rp1", "circle (real projective line)", (2, 2), ""),
+    ("rp3", "real projective 3-space", (7, 7), ""),
+    ("rp7", "real projective 7-space", (19, 19), ""),
+    ("s2", "2-sphere", (4, 4), ""),
+    ("t2", "2-torus", (4, 4), ""),
+    (
+        "t3",
+        "3-torus",
+        (8, 8),
+        "stated torus value cat(SO(n)) + n + 1 exceeds the derived "
+        "upper bound cat(SO(n)) + n, which the derived lower bound "
+        "meets; the stated number is one too high for the rules here",
+    ),
+    ("sigma2", "genus-2 surface", (5, 6), ""),
+    ("sigma3", "genus-3 surface", (5, 6), ""),
+    (
+        "generic3",
+        "generic closed oriented 3-manifold",
+        (5, 10),
+        "cohomology entries are the guaranteed minimum (sphere pattern)",
+    ),
+    (
+        "irreducible3",
+        "closed oriented 3-manifold, infinite fundamental group, "
+        "not a homotopy sphere",
+        (7, 10),
+        "mod-2 ring taken from the detecting length-3 product",
+    ),
+    ("cp2", "complex projective plane", (9, 15), ""),
+    ("cp3", "complex projective 3-space", (12, 28), ""),
+)
 
 
 class ExampleRow:
@@ -37,167 +77,17 @@ class ExampleRow:
         self.note = note
 
 
-def torus_descriptor(n: int) -> ManifoldDescriptor:
-    """The n-torus as a Lie group, with rings over both characteristics."""
-    if not 1 <= n <= EXACT_CAT_SO_MAX:
-        raise ValueError(f"torus descriptor supported for 1 <= n <= {EXACT_CAT_SO_MAX}")
-    return ManifoldDescriptor(
-        name=f"T^{n}",
-        dim=n,
-        lie_group=True,
-        known_tc_base=(n + 1, n + 1),
-        known_cat_base=(n + 1, n + 1),
-        cohomology={"char=0": f"t:{n}:char0", "char=2": f"t:{n}:char2"},
-    )
-
-
 def example_rows() -> list[ExampleRow]:
-    rows = [
+    return [
         ExampleRow(
-            key="rp1",
-            title="circle (real projective line)",
-            descriptor=ManifoldDescriptor(
-                name="RP^1",
-                dim=1,
-                lie_group=True,
-                frame_bundle_lie_group="so:2",
-                known_tc_base=(2, 2),
-                known_cat_base=(2, 2),
-                cohomology={"char=2": "rp:1", "char=0": "s:1:char0"},
-            ),
-            stated=(2, 2),
-        ),
-        ExampleRow(
-            key="rp3",
-            title="real projective 3-space",
-            descriptor=ManifoldDescriptor(
-                name="RP^3",
-                dim=3,
-                lie_group=True,
-                known_tc_base=(4, 4),
-                known_cat_base=(4, 4),
-                cohomology={"char=2": "rp:3", "char=0": "s:3:char0"},
-            ),
-            stated=(7, 7),
-        ),
-        ExampleRow(
-            key="rp7",
-            title="real projective 7-space",
-            descriptor=ManifoldDescriptor(
-                name="RP^7",
-                dim=7,
-                parallelizable=True,
-                known_tc_base=(8, 8),
-                cohomology={"char=2": "rp:7", "char=0": "s:7:char0"},
-            ),
-            stated=(19, 19),
-        ),
-        ExampleRow(
-            key="s2",
-            title="2-sphere",
-            descriptor=ManifoldDescriptor(
-                name="S^2",
-                dim=2,
-                spin=True,
-                frame_bundle_lie_group="so:3",
-                tncz_fields=("char=2",),
-                cohomology={"char=2": "s:2:char2", "char=0": "s:2:char0"},
-            ),
-            stated=(4, 4),
-        ),
-        ExampleRow(
-            key="t2",
-            title="2-torus",
-            descriptor=torus_descriptor(2),
-            stated=(4, 4),
-        ),
-        ExampleRow(
-            key="t3",
-            title="3-torus",
-            descriptor=torus_descriptor(3),
-            stated=(8, 8),
-            note=(
-                "stated torus value cat(SO(n)) + n + 1 exceeds the derived "
-                "upper bound cat(SO(n)) + n, which the derived lower bound "
-                "meets; the stated number is one too high for the rules here"
-            ),
-        ),
-        ExampleRow(
-            key="sigma2",
-            title="genus-2 surface",
-            descriptor=ManifoldDescriptor(
-                name="Sigma_2",
-                dim=2,
-                spin=True,
-                tncz_fields=("char=2",),
-                cohomology={"char=2": "sigma:2:char2", "char=0": "sigma:2:char0"},
-            ),
-            stated=(5, 6),
-        ),
-        ExampleRow(
-            key="sigma3",
-            title="genus-3 surface",
-            descriptor=ManifoldDescriptor(
-                name="Sigma_3",
-                dim=2,
-                spin=True,
-                tncz_fields=("char=2",),
-                cohomology={"char=2": "sigma:3:char2", "char=0": "sigma:3:char0"},
-            ),
-            stated=(5, 6),
-        ),
-        ExampleRow(
-            key="generic3",
-            title="generic closed oriented 3-manifold",
-            descriptor=ManifoldDescriptor(
-                name="M^3",
-                dim=3,
-                parallelizable=True,
-                known_tc_base=(None, 7),
-                cohomology={"char=2": "s:3:char2", "char=0": "s:3:char0"},
-            ),
-            stated=(5, 10),
-            note="cohomology entries are the guaranteed minimum (sphere pattern)",
-        ),
-        ExampleRow(
-            key="irreducible3",
-            title="closed oriented 3-manifold, infinite fundamental group, "
-            "not a homotopy sphere",
-            descriptor=ManifoldDescriptor(
-                name="M^3 (pi_1 infinite)",
-                dim=3,
-                parallelizable=True,
-                known_tc_base=(None, 7),
-                cohomology={"char=2": "rp:3", "char=0": "s:3:char0"},
-            ),
-            stated=(7, 10),
-            note="mod-2 ring taken from the detecting length-3 product",
-        ),
-        ExampleRow(
-            key="cp2",
-            title="complex projective plane",
-            descriptor=ManifoldDescriptor(
-                name="CP^2",
-                dim=4,
-                tncz_fields=("char=0",),
-                cohomology={"char=0": "cp:2:char0", "char=2": "cp:2:char2"},
-            ),
-            stated=(9, 15),
-        ),
-        ExampleRow(
-            key="cp3",
-            title="complex projective 3-space",
-            descriptor=ManifoldDescriptor(
-                name="CP^3",
-                dim=6,
-                spin=True,
-                tncz_fields=("char=0",),
-                cohomology={"char=0": "cp:3:char0", "char=2": "cp:3:char2"},
-            ),
-            stated=(12, 28),
-        ),
+            key,
+            title,
+            load_descriptor(os.path.join(_DESCRIPTOR_DIR, f"{key}.json")),
+            stated,
+            note,
+        )
+        for key, title, stated, note in _TABLE
     ]
-    return rows
 
 
 def _agrees(stated: Optional[Interval], derived: tuple) -> Optional[bool]:

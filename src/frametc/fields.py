@@ -132,13 +132,10 @@ class Field:
     def format(self, a: Coeff) -> str:
         return str(a)
 
-    # -- text / JSON forms ----------------------------------------------------
+    # -- text form ------------------------------------------------------------
 
     def token(self) -> str:
         return f"char={self.characteristic}"
-
-    def to_json(self) -> dict:
-        return {"char": self.characteristic}
 
 
 @lru_cache(maxsize=None)

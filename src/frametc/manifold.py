@@ -34,7 +34,7 @@ from .catalog import resolve_ring
 from .fields import Field, parse_field
 
 
-class DescriptorError(Exception):
+class DescriptorError(ValueError):
     pass
 
 

@@ -56,7 +56,7 @@ def ring_to_json(algebra: Algebra) -> dict:
     """Serialize a monomial or table algebra back to descriptor form."""
     if isinstance(algebra, MonomialAlgebra):
         return {
-            "field": algebra.field.to_json(),
+            "field": {"char": algebra.field.characteristic},
             "type": "monomial",
             "generators": [
                 {"name": g.name, "degree": g.degree, "truncation": g.truncation}
@@ -77,7 +77,7 @@ def ring_to_json(algebra: Algebra) -> dict:
                     ]
                 )
         return {
-            "field": algebra.field.to_json(),
+            "field": {"char": algebra.field.characteristic},
             "type": "table",
             "basis": [
                 {"name": n, "degree": d}

@@ -13,7 +13,7 @@ import math
 import time
 from contextlib import contextmanager
 
-from frametc.catalog import catalog_ring, cp_ring, so_ring
+from frametc.catalog import cp_ring, so_ring
 from frametc.cuplength import cup_length, zcl_basic, zcl_full
 from frametc.examples import evaluate_examples
 from frametc.fields import F2, QQ, field_of

@@ -24,7 +24,7 @@ from frametc.algebra import (
 )
 from frametc.catalog import catalog_ring, rp_ring, so_ring, surface_ring, torus_ring
 from frametc.cuplength import cup_length, zcl_basic, zcl_full
-from frametc.fields import F2, QQ, field_of
+from frametc.fields import F2, QQ
 from helpers import ring_to_json, tensor
 from oracle import _tmul
 from test_reencoding import SEEDS, SOURCES, reencode

@@ -16,7 +16,6 @@ import pytest
 
 from frametc import cuplength
 from frametc.algebra import (
-    Element,
     GeneratorSpec,
     MonomialAlgebra,
     ProductAlgebra,

@@ -1,14 +1,19 @@
 """Worked-example table: golden intervals, the designed torus discrepancy,
-and synchronization with the shipped descriptor files."""
+and the shipped descriptor files the built-in rows are read from."""
 
-import json
 import os
 
 import pytest
 
-from frametc.examples import evaluate_examples, example_rows, torus_descriptor
+from frametc import examples
+from frametc.examples import evaluate_examples, example_rows
 
-DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")
+KEYS = [
+    "rp1", "rp3", "rp7", "s2", "t2", "t3",
+    "sigma2", "sigma3", "generic3", "irreducible3", "cp2", "cp3",
+]
+PACKAGE_DIR = os.path.join(os.path.dirname(examples.__file__), "descriptors")
+ROOT_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")
 
 # Stated intervals, independently rechecked against each rule by hand.
 GOLDEN = {
@@ -33,10 +38,7 @@ def results():
 
 class TestRows:
     def test_keys_and_order(self):
-        assert [r.key for r in example_rows()] == [
-            "rp1", "rp3", "rp7", "s2", "t2", "t3",
-            "sigma2", "sigma3", "generic3", "irreducible3", "cp2", "cp3",
-        ]
+        assert [r.key for r in example_rows()] == KEYS
 
     def test_every_row_has_stated_interval(self):
         for row in example_rows():
@@ -76,26 +78,22 @@ class TestSelection:
             evaluate_examples(keys=["rp2"])
 
 
-class TestTorusFamily:
-    def test_by_rank(self):
-        d = torus_descriptor(4)
-        assert d.dim == 4 and d.lie_group
-        assert d.cohomology["char=0"] == "t:4:char0"
-
-    def test_rank_bounds(self):
-        with pytest.raises(ValueError):
-            torus_descriptor(0)
-        with pytest.raises(ValueError):
-            torus_descriptor(11)
-
-
 class TestDescriptorFiles:
-    def test_files_match_rows(self):
-        rows = {r.key: r for r in example_rows()}
-        files = sorted(
-            f for f in os.listdir(DESCRIPTOR_DIR) if f.endswith(".json")
+    def test_keys_are_the_shipped_files(self):
+        stems = sorted(f[:-5] for f in os.listdir(PACKAGE_DIR) if f.endswith(".json"))
+        assert stems == sorted(r.key for r in example_rows())
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_root_path_is_the_package_file(self, key):
+        assert os.path.samefile(
+            os.path.join(ROOT_DIR, f"{key}.json"),
+            os.path.join(PACKAGE_DIR, f"{key}.json"),
         )
-        assert files == sorted(f"{k}.json" for k in rows)
-        for key, row in rows.items():
-            with open(os.path.join(DESCRIPTOR_DIR, f"{key}.json")) as fh:
-                assert json.load(fh) == row.descriptor.to_json(), key
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("key", KEYS)
+    def test_key_and_file_print_alike(self, run_cli, key, mode):
+        path = os.path.join(ROOT_DIR, f"{key}.json")
+        from_key = run_cli(["frame-bundle", key, "--no-timing"] + mode)
+        from_file = run_cli(["frame-bundle", path, "--no-timing"] + mode)
+        assert from_key == from_file

@@ -56,7 +56,7 @@ def _exit_codes() -> dict:
         return json.load(fh)
 
 
-def test_every_descriptor_has_a_case():
+def test_exit_codes_cover_every_case():
     assert sorted(_exit_codes()) == sorted(CASES)
 
 

@@ -1,18 +1,21 @@
 """Package-wide contracts: what ``import frametc.cli`` loads, what the package
 exports, and the fresh default containers of the hand-written record classes."""
 
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
 import frametc
-from frametc import algebra, bounds, catalog
+from frametc import algebra, bounds, catalog, examples
 from frametc.bounds import BoundEntry, BoundReport
 from frametc.cuplength import CupLengthResult, cup_length
+from frametc.fields import Field
 from frametc.manifold import ManifoldDescriptor
 
 # Modules that ``dataclasses`` pulls in behind it; none is needed at start-up.
@@ -69,6 +72,41 @@ def test_test_only_helpers_are_not_shipped(module, name):
     assert name not in frametc.__all__
     assert not hasattr(frametc, name)
     assert not hasattr(module, name)
+
+
+def test_built_in_descriptors_are_only_files():
+    # Every built-in descriptor is read from a shipped file; no code builds one.
+    assert "torus_descriptor" not in frametc.__all__
+    assert not hasattr(frametc, "torus_descriptor")
+    assert not hasattr(examples, "torus_descriptor")
+
+
+def test_fields_have_only_a_text_form():
+    assert not hasattr(Field, "to_json")
+
+
+def test_descriptor_files_are_package_data():
+    # The built-in example keys are read from frametc/descriptors/ at run time.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert "descriptors/*.json" in package_data["frametc"]
+
+
+def test_every_package_error_is_a_value_error():
+    # cli.main reports a ValueError as "error: ..." with exit code 1; a
+    # package error of any other kind would escape as a traceback.
+    errors = {
+        obj
+        for info in pkgutil.iter_modules(frametc.__path__)
+        for obj in vars(importlib.import_module(f"frametc.{info.name}")).values()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__.startswith("frametc")
+    }
+    assert {e.__name__ for e in errors} >= {"CapacityError", "CatalogError", "DescriptorError"}
+    assert [e.__name__ for e in errors if not issubclass(e, ValueError)] == []
 
 
 def test_reports_are_not_read_back_and_cup_length_has_no_route_knob():

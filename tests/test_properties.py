@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
