@@ -8,11 +8,14 @@ and TC is the unreduced topological complexity, normalized so that
 TC(point) = 1.
 
 Each rule contributes a :class:`BoundEntry` with the substituted formula, the
-name of the result it instantiates, and the assumptions it consumed.  The
-aggregate interval is [max of lower bounds, min of upper bounds]; an empty
-lower side defaults to the trivial TC >= 1.  Rules are evaluated in a fixed
-order and per-field loops run over the descriptor's fields in ascending
-characteristic, so reports are deterministic.
+name of the result it instantiates, and the assumptions it consumed.  Each
+rule's citation is spelled once, in the ``_CITATIONS`` table, which lists the
+rules in the fixed order they are evaluated; the zero-divisor twins
+(``lower-tncz`` and ``lower-parallelizable``) and the category twins
+(``upper-parallelizable`` and ``upper-lie``) each run through one code path.
+The aggregate interval is [max of lower bounds, min of upper bounds]; an empty
+lower side defaults to the trivial TC >= 1.  Per-field loops run over the
+descriptor's fields in ascending characteristic, so reports are deterministic.
 
 Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
 
@@ -20,11 +23,13 @@ Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
   monomial: exact, witnessed, and free of any search budget.
 * ``cat_so(n)`` — cat(SO(n)) = cl(SO(n); F2) + 1, known exact for n <= 10;
   beyond that only the lower bound cl + 1 is available and the rules that
-  need an exact category fall silent.
-* zcl(SO(n); K) — ``zcl_full``, the witnessed zero-divisor cup length.  It is
-  searched once per field per report and shared by
-  ``lower-tncz`` and ``lower-parallelizable``; when the node budget runs out
-  both carry the same note.
+  need an exact category fall silent.  Each cat(SO(k)) is computed once per
+  report; ``frame-bundle-lie-group`` reuses its lower entry's cl + 1 as the
+  exact upper one.
+* zcl(SO(n); K) and zcl(M; K) — ``zcl_full``, the witnessed zero-divisor cup
+  length, searched at most once per (field, ring) per report through one
+  memo.  Every rule reading a value shares it, and when the node budget runs
+  out every entry using it carries the same note.
 
 ``lower-dim-theorem`` keeps the paper's parity bump, 2m + 1 or 2m as m is
 even or odd.  It is not derived from the fiber value above and nothing here
@@ -155,6 +160,25 @@ class BoundReport:
 
 # -- rule engine -------------------------------------------------------------------
 
+# rule -> citation, in the order the rules are evaluated.  The zero-divisor
+# rules rest on Farber's TC(X) > zcl(H*(X; K)) (Topological complexity of
+# motion planning, Discrete Comput. Geom. 29, 2003).
+_CITATIONS = {
+    "upper-farber": "dimension-connectivity upper bound for topological complexity",
+    "upper-free-action": "upper bound from free compact Lie group actions",
+    "upper-parallelizable": "product upper bound for trivialized frame bundles",
+    "upper-lie": "category upper bound for frame bundles of Lie groups",
+    "frame-bundle-lie-group": "topological complexity of a connected Lie group "
+    "equals its category",
+    "lower-tncz": "zero-divisor lower bound for TNCZ fiber inclusions",
+    "lower-parallelizable": "zero-divisor lower bound for trivialized frame bundles",
+    "lower-dim-theorem": "parity lower bound for frame bundles in dimensions "
+    "2m and 2m+1",
+    "lower-paradiv": "dimension lower bound for TNCZ fiber inclusions in odd "
+    "characteristic",
+    "lower-spin": "dimension lower bound for spin manifolds",
+}
+
 
 def compute_bounds(
     descriptor: ManifoldDescriptor,
@@ -169,41 +193,33 @@ def compute_bounds(
     )
     starved = False  # set when a zero-divisor search runs out of budget
     so = cache(so_ring)  # H*(SO(k); K), built once per (k, K)
+    cat = cache(lambda k: cat_so(k, so(k, F2)))  # cat(SO(k)), once per k
 
-    def searched(ring: Algebra, who: str) -> tuple[int, list]:
-        """zcl of the ring: (value, notes), noting an exhausted budget."""
+    @cache
+    def zcl(fld: Field, who: str) -> tuple[int, list]:
+        """zcl over fld of M or of SO(n): (value, notes), noting an exhausted budget."""
         nonlocal starved
+        ring = descriptor.ring(fld, capacity) if who == "M" else so(n, fld)
         res = zcl_full(ring, budget=budget)
         if res.exact:
             return res.value, []
         starved = True
         return res.value, [_BUDGET_NOTE.format(who)]
 
-    @cache
-    def zcl_m(fld: Field) -> tuple[int, list]:
-        return searched(descriptor.ring(fld, capacity), "M")
-
-    @cache
-    def zcl_so(fld: Field) -> tuple[int, list]:
-        return searched(so(n, fld), f"SO({n})")
-
-    def add(entry: BoundEntry):
-        report.entries.append(entry)
+    def add(rule: str, kind: str, value: int, statement: str, **extra):
+        report.entries.append(
+            BoundEntry(rule, kind, value, statement, _CITATIONS[rule], **extra)
+        )
 
     # upper-farber: TC(X) <= ceil((2 dim X + 1)/(r + 1)) for an r-connected X.
     r = descriptor.connectivity
     value = ceil((2 * dim_f + 1) / (r + 1))
     add(
-        BoundEntry(
-            rule="upper-farber",
-            kind="upper",
-            value=value,
-            statement=(
-                f"TC(F(M)) <= ceil((2*{dim_f} + 1)/({r} + 1)) = {value} "
-                f"(dim F(M) = {dim_f}, connectivity {r})"
-            ),
-            citation="dimension-connectivity upper bound for topological complexity",
-        )
+        "upper-farber",
+        "upper",
+        value,
+        f"TC(F(M)) <= ceil((2*{dim_f} + 1)/({r} + 1)) = {value} "
+        f"(dim F(M) = {dim_f}, connectivity {r})",
     )
 
     # upper-free-action: a compact d-dimensional Lie group acting freely on M
@@ -215,204 +231,129 @@ def compute_bounds(
     if d == 0:
         assumptions = ["no group action needed: SO(n) itself acts freely on F(M)"]
     add(
-        BoundEntry(
-            rule="upper-free-action",
-            kind="upper",
-            value=value,
-            statement=f"TC(F(M)) <= {n}*({n}+3)/2 - {d} + 1 = {value}",
-            citation="upper bound from free compact Lie group actions",
-            assumptions=assumptions,
-        )
+        "upper-free-action",
+        "upper",
+        value,
+        f"TC(F(M)) <= {n}*({n}+3)/2 - {d} + 1 = {value}",
+        assumptions=assumptions,
     )
 
     # upper-parallelizable: F(M) = M x SO(n) so TC <= TC(M) + cat(SO(n)) - 1.
-    tc_hi = descriptor.tc_base_upper()
-    if descriptor.parallelizable and tc_hi is not None and n <= EXACT_CAT_SO_MAX:
-        cso = cat_so(n, so(n, F2))
-        value = cso + tc_hi - 1
-        add(
-            BoundEntry(
-                rule="upper-parallelizable",
-                kind="upper",
-                value=value,
-                statement=(
-                    f"TC(F(M)) <= cat(SO({n})) + TC(M) - 1 = {cso} + {tc_hi} - 1 "
-                    f"= {value}"
-                ),
-                citation="product upper bound for trivialized frame bundles",
-                assumptions=[
-                    "M is parallelizable",
-                    f"TC(M) <= {tc_hi}",
-                    f"cat(SO({n})) = {cso} (exact for n <= {EXACT_CAT_SO_MAX})",
-                ],
-            )
-        )
-
     # upper-lie: for a Lie group, TC(F(G)) <= cat(SO(n)) + cat(G) - 1.
-    cat_hi = descriptor.cat_base_upper()
-    if descriptor.lie_group and cat_hi is not None and n <= EXACT_CAT_SO_MAX:
-        cso = cat_so(n, so(n, F2))
-        value = cso + cat_hi - 1
-        add(
-            BoundEntry(
-                rule="upper-lie",
-                kind="upper",
-                value=value,
-                statement=(
-                    f"TC(F(M)) <= cat(SO({n})) + cat(M) - 1 = {cso} + {cat_hi} - 1 "
-                    f"= {value}"
-                ),
-                citation="category upper bound for frame bundles of Lie groups",
-                assumptions=["M is a Lie group", f"cat(M) <= {cat_hi}"],
+    for rule, applies, x, x_hi, premise, cites_cat in (
+        ("upper-parallelizable", descriptor.parallelizable, "TC",
+         descriptor.tc_base_upper(), "M is parallelizable", True),
+        ("upper-lie", descriptor.lie_group, "cat",
+         descriptor.cat_base_upper(), "M is a Lie group", False),
+    ):
+        if not applies or x_hi is None or n > EXACT_CAT_SO_MAX:
+            continue
+        cso = cat(n)
+        value = cso + x_hi - 1
+        assumptions = [premise, f"{x}(M) <= {x_hi}"]
+        if cites_cat:
+            assumptions.append(
+                f"cat(SO({n})) = {cso} (exact for n <= {EXACT_CAT_SO_MAX})"
             )
+        add(
+            rule,
+            "upper",
+            value,
+            f"TC(F(M)) <= cat(SO({n})) + {x}(M) - 1 = {cso} + {x_hi} - 1 = {value}",
+            assumptions=assumptions,
         )
 
     # frame-bundle-lie-group: F(M) is itself a connected Lie group SO(k), and
     # for a connected Lie group TC = cat; k must satisfy dim SO(k) = dim F(M).
+    # cat(SO(k)) = cl(SO(k); F2) + 1 is exact for k <= EXACT_CAT_SO_MAX.
     k = descriptor.frame_bundle_k
     if k is not None:
         lo = cup_length(so(k, F2)).value + 1
+        group = f"F(M) is the Lie group SO({k})"
         add(
-            BoundEntry(
-                rule="frame-bundle-lie-group",
-                kind="lower",
-                value=lo,
-                statement=(
-                    f"TC(F(M)) = cat(SO({k})) >= cl(SO({k});F2) + 1 = {lo}"
-                ),
-                citation="topological complexity of a connected Lie group equals "
-                "its category",
-                assumptions=[f"F(M) is the Lie group SO({k})"],
-            )
+            "frame-bundle-lie-group",
+            "lower",
+            lo,
+            f"TC(F(M)) = cat(SO({k})) >= cl(SO({k});F2) + 1 = {lo}",
+            assumptions=[group],
         )
         if k <= EXACT_CAT_SO_MAX:
-            hi = cat_so(k, so(k, F2))
             add(
-                BoundEntry(
-                    rule="frame-bundle-lie-group",
-                    kind="upper",
-                    value=hi,
-                    statement=f"TC(F(M)) = cat(SO({k})) = {hi}",
-                    citation="topological complexity of a connected Lie group "
-                    "equals its category",
-                    assumptions=[
-                        f"F(M) is the Lie group SO({k})",
-                        f"cat(SO({k})) = {hi} (exact for k <= {EXACT_CAT_SO_MAX})",
-                    ],
-                )
+                "frame-bundle-lie-group",
+                "upper",
+                lo,
+                f"TC(F(M)) = cat(SO({k})) = {lo}",
+                assumptions=[
+                    group,
+                    f"cat(SO({k})) = {lo} (exact for k <= {EXACT_CAT_SO_MAX})",
+                ],
             )
 
     # lower-tncz: TNCZ fiber inclusion gives
     # TC(F(M)) >= zcl''(SO(n); K) + zcl(M; K) + 1.
-    for fld in descriptor.fields():
-        if not descriptor.is_tncz(fld):
-            continue
-        zm, notes = zcl_m(fld)
-        zso, so_notes = zcl_so(fld)
-        value = zso + zm + 1
-        add(
-            BoundEntry(
-                rule="lower-tncz",
-                kind="lower",
-                value=value,
-                statement=(
-                    f"TC(F(M)) >= zcl''(SO({n})) + zcl(M) + 1 = {zso} + {zm} + 1 "
-                    f"= {value} over {fld.token()}"
-                ),
-                citation="zero-divisor lower bound for TNCZ fiber inclusions",
-                field=fld.token(),
-                assumptions=[f"fiber inclusion is TNCZ over {fld.token()}"],
-                notes=notes + so_notes,
-            )
-        )
-
-    # lower-parallelizable: F(M) = M x SO(n) gives
+    # lower-parallelizable: F(M) = M x SO(n) gives, over every field,
     # TC(F(M)) >= zcl(SO(n); K) + zcl(M; K) + 1.
-    if descriptor.parallelizable:
-        for fld in descriptor.fields():
-            zm, notes = zcl_m(fld)
-            zso, so_notes = zcl_so(fld)
+    tncz = [f for f in descriptor.fields() if descriptor.is_tncz(f)]
+    for rule, fields, zso_name, premise in (
+        ("lower-tncz", tncz, "zcl''", "fiber inclusion is TNCZ over {}"),
+        ("lower-parallelizable",
+         descriptor.fields() if descriptor.parallelizable else [],
+         "zcl", "M is parallelizable"),
+    ):
+        for fld in fields:
+            zm, notes = zcl(fld, "M")
+            zso, so_notes = zcl(fld, f"SO({n})")
             value = zso + zm + 1
             add(
-                BoundEntry(
-                    rule="lower-parallelizable",
-                    kind="lower",
-                    value=value,
-                    statement=(
-                        f"TC(F(M)) >= zcl(SO({n})) + zcl(M) + 1 = {zso} + {zm} "
-                        f"+ 1 = {value} over {fld.token()}"
-                    ),
-                    citation="zero-divisor lower bound for trivialized frame "
-                    "bundles",
-                    field=fld.token(),
-                    assumptions=["M is parallelizable"],
-                    notes=notes + so_notes,
-                )
+                rule,
+                "lower",
+                value,
+                f"TC(F(M)) >= {zso_name}(SO({n})) + zcl(M) + 1 = {zso} + {zm} + 1 "
+                f"= {value} over {fld.token()}",
+                field=fld.token(),
+                assumptions=[premise.format(fld.token())],
+                notes=notes + so_notes,
             )
 
     # lower-dim-theorem: for dim M = 2m or 2m+1 (m >= 1), a TNCZ fiber
     # inclusion over a field of odd characteristic gives
     # TC(F(M)) >= zcl(M; K) + 2m + 1 if m is even, and >= zcl(M; K) + 2m if odd.
+    odd_tncz = [f for f in tncz if f.characteristic != 2]
     m = n // 2
-    if m >= 1:
-        for fld in descriptor.fields():
-            if fld.characteristic == 2 or not descriptor.is_tncz(fld):
-                continue
-            zm, notes = zcl_m(fld)
-            bump = 2 * m + 1 if m % 2 == 0 else 2 * m
-            value = zm + bump
-            add(
-                BoundEntry(
-                    rule="lower-dim-theorem",
-                    kind="lower",
-                    value=value,
-                    statement=(
-                        f"TC(F(M)) >= zcl(M) + {bump} = {zm} + {bump} = {value} "
-                        f"over {fld.token()} (dim M = {n}, m = {m})"
-                    ),
-                    citation="parity lower bound for frame bundles in dimensions "
-                    "2m and 2m+1",
-                    field=fld.token(),
-                    assumptions=[
-                        f"fiber inclusion is TNCZ over {fld.token()}",
-                        "coefficients of odd characteristic",
-                    ],
-                    notes=notes + ([_PARITY_NOTE] if n >= 4 else []),
-                )
-            )
+    bump = 2 * m + 1 if m % 2 == 0 else 2 * m
+    for fld in odd_tncz if m >= 1 else []:
+        zm, notes = zcl(fld, "M")
+        value = zm + bump
+        add(
+            "lower-dim-theorem",
+            "lower",
+            value,
+            f"TC(F(M)) >= zcl(M) + {bump} = {zm} + {bump} = {value} "
+            f"over {fld.token()} (dim M = {n}, m = {m})",
+            field=fld.token(),
+            assumptions=[
+                f"fiber inclusion is TNCZ over {fld.token()}",
+                "coefficients of odd characteristic",
+            ],
+            notes=notes + ([_PARITY_NOTE] if n >= 4 else []),
+        )
 
     # lower-paradiv: TNCZ over odd characteristic forces TC(F(M)) >= dim M.
-    odd_tncz = next(
-        (f for f in descriptor.fields() if descriptor.is_tncz(f) and f.characteristic != 2),
-        None,
-    )
-    if odd_tncz is None and descriptor.parallelizable:
-        odd_tncz = QQ  # trivial bundle is TNCZ over every field
-    if odd_tncz is not None:
+    if odd_tncz or descriptor.parallelizable:
+        fld = odd_tncz[0] if odd_tncz else QQ  # trivial bundle is TNCZ over every field
         add(
-            BoundEntry(
-                rule="lower-paradiv",
-                kind="lower",
-                value=n,
-                statement=f"TC(F(M)) >= dim M = {n}",
-                citation="dimension lower bound for TNCZ fiber inclusions in odd "
-                "characteristic",
-                field=odd_tncz.token(),
-                assumptions=[f"fiber inclusion is TNCZ over {odd_tncz.token()}"],
-            )
+            "lower-paradiv",
+            "lower",
+            n,
+            f"TC(F(M)) >= dim M = {n}",
+            field=fld.token(),
+            assumptions=[f"fiber inclusion is TNCZ over {fld.token()}"],
         )
 
     # lower-spin: a spin manifold has TC(F(M)) >= dim M.
     if descriptor.spin:
         add(
-            BoundEntry(
-                rule="lower-spin",
-                kind="lower",
-                value=n,
-                statement=f"TC(F(M)) >= dim M = {n}",
-                citation="dimension lower bound for spin manifolds",
-                assumptions=["M is spin"],
-            )
+            "lower-spin", "lower", n, f"TC(F(M)) >= dim M = {n}", assumptions=["M is spin"]
         )
 
     if starved:

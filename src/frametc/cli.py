@@ -29,7 +29,7 @@ from .algebra import DEFAULT_CAPACITY, CapacityError
 from .bounds import compute_bounds
 from .catalog import resolve_ring
 from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
-from .examples import evaluate_examples, example_rows
+from .examples import EXAMPLE_KEYS, evaluate_examples, example_rows
 from .fields import parse_field
 from .manifold import load_descriptor
 from .report import render_bounds, render_examples, render_ring
@@ -159,14 +159,14 @@ def _cmd_frame_bundle(args) -> int:
     t0 = time.monotonic()
     if os.path.exists(args.manifold) or args.manifold.endswith(".json"):
         descriptor = load_descriptor(args.manifold)
+    elif args.manifold in EXAMPLE_KEYS:
+        (row,) = example_rows([args.manifold])
+        descriptor = row.descriptor
     else:
-        rows = {r.key: r for r in example_rows()}
-        if args.manifold not in rows:
-            raise ValueError(
-                f"{args.manifold!r} is neither a descriptor file nor a built-in key "
-                f"({', '.join(rows)})"
-            )
-        descriptor = rows[args.manifold].descriptor
+        raise ValueError(
+            f"{args.manifold!r} is neither a descriptor file nor a built-in key "
+            f"({', '.join(EXAMPLE_KEYS)})"
+        )
     report = compute_bounds(descriptor, capacity=args.capacity, budget=args.budget)
     elapsed = None if args.no_timing else time.monotonic() - t0
     print(render_bounds(report, json_mode=args.json, elapsed=elapsed))

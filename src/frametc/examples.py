@@ -77,7 +77,14 @@ class ExampleRow:
         self.note = note
 
 
-def example_rows() -> list[ExampleRow]:
+EXAMPLE_KEYS = tuple(row[0] for row in _TABLE)
+
+
+def example_rows(keys: Optional[list] = None) -> list[ExampleRow]:
+    """The built-in rows in table order; only those named in ``keys`` if given.
+
+    Only the descriptor files of the rows returned are read.
+    """
     return [
         ExampleRow(
             key,
@@ -87,6 +94,7 @@ def example_rows() -> list[ExampleRow]:
             note,
         )
         for key, title, stated, note in _TABLE
+        if not keys or key in keys
     ]
 
 
@@ -123,11 +131,10 @@ def evaluate_examples(
     capacity: int = DEFAULT_CAPACITY,
     budget: int = DEFAULT_BUDGET,
 ) -> list[dict]:
-    rows = example_rows()
-    if keys:
-        wanted = set(keys)
-        unknown = wanted - {r.key for r in rows}
-        if unknown:
-            raise KeyError(f"unknown example keys: {sorted(unknown)}")
-        rows = [r for r in rows if r.key in wanted]
-    return [evaluate_example(r, capacity=capacity, budget=budget) for r in rows]
+    unknown = set(keys or ()) - set(EXAMPLE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown example keys: {sorted(unknown)}")
+    return [
+        evaluate_example(r, capacity=capacity, budget=budget)
+        for r in example_rows(keys)
+    ]

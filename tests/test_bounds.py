@@ -252,6 +252,31 @@ class TestFrameBundleLieGroupRule:
         with pytest.raises(DescriptorError):
             ManifoldDescriptor(name="X", dim=2, frame_bundle_lie_group="so:5")
 
+    def test_beyond_exact_window_only_bounds_below(self):
+        # dim SO(11) = 55 = dim F(M) for dim M = 10.  cat(SO(11)) is only
+        # known to be at least cl(SO(11); F2) + 1 = 24, so no upper entry.
+        rep = compute_bounds(
+            ManifoldDescriptor(name="X", dim=10, frame_bundle_lie_group="so:11")
+        )
+        entries = [e for e in rep.entries if e.rule == "frame-bundle-lie-group"]
+        assert [(e.kind, e.value) for e in entries] == [("lower", 24)]
+        assert rep.interval == (24, 66)
+
+    def test_group_cup_length_is_computed_once(self, monkeypatch):
+        # The upper entry cat(SO(3)) = cl + 1 reuses the lower entry's value.
+        calls = []
+
+        def counting(ring, *args, **kwargs):
+            calls.append(ring)
+            return cup_length(ring, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "cup_length", counting)
+        (s2,) = example_rows(["s2"])
+        rep = compute_bounds(s2.descriptor)
+        assert len(calls) == 1
+        lie = [e for e in rep.entries if e.rule == "frame-bundle-lie-group"]
+        assert [(e.kind, e.value) for e in lie] == [("lower", 4), ("upper", 4)]
+
 
 class TestReportJson:
     def test_round_trip(self, reports):

@@ -7,6 +7,7 @@ import pytest
 
 from frametc import examples
 from frametc.examples import evaluate_examples, example_rows
+from frametc.manifold import load_descriptor
 
 KEYS = [
     "rp1", "rp3", "rp7", "s2", "t2", "t3",
@@ -74,7 +75,7 @@ class TestSelection:
         assert [r["key"] for r in res] == ["rp1", "t2"]
 
     def test_unknown_key(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             evaluate_examples(keys=["rp2"])
 
 
@@ -89,6 +90,17 @@ class TestDescriptorFiles:
             os.path.join(ROOT_DIR, f"{key}.json"),
             os.path.join(PACKAGE_DIR, f"{key}.json"),
         )
+
+    def test_key_reads_only_its_own_file(self, run_cli, monkeypatch):
+        read = []
+
+        def recording(path):
+            read.append(os.path.basename(path))
+            return load_descriptor(path)
+
+        monkeypatch.setattr(examples, "load_descriptor", recording)
+        code, _, _ = run_cli(["frame-bundle", "t2", "--no-timing"])
+        assert code == 0 and read == ["t2.json"]
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize("key", KEYS)

@@ -33,6 +33,14 @@ CASES = {
         ]
         for name in DESCRIPTORS
     },
+    # A starved search: every zero-divisor entry carries its budget note.
+    **{
+        f"frame-bundle-{name}-budget0.json": [
+            "frame-bundle", os.path.join(DESCRIPTOR_DIR, f"{name}.json"),
+            "--budget", "0", "--json",
+        ]
+        for name in DESCRIPTORS
+    },
     **{
         f"ring-{ring_id.replace(':', '-')}.json": [
             "ring", ring_id, "--compute", RING_ITEMS, "--json"
