@@ -63,10 +63,7 @@ class DomainMismatchError(ValueError):
 
 
 class GeneratorSpec:
-    """A truncated generator: ``name`` of ``degree`` with ``name**truncation = 0``.
-
-    Specs are values: equal fields mean equal specs with equal hashes.
-    """
+    """A truncated generator: ``name`` of ``degree`` with ``name**truncation = 0``."""
 
     def __init__(self, name: str, degree: int, truncation: int = 2):
         self.name = name
@@ -82,17 +79,6 @@ class GeneratorSpec:
                     f"generator {name}: {what} must be an integer >= {least}, got {value!r}"
                 )
 
-    def _key(self) -> tuple:
-        return (self.name, self.degree, self.truncation)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 class Element:
     """Sparse exact linear combination of basis classes of one algebra."""
@@ -104,7 +90,7 @@ class Element:
         clean = {}
         for i, c in coeffs.items():
             c = algebra.field.coerce(c)
-            if not algebra.field.is_zero(c):
+            if c:
                 clean[i] = c
         self.algebra = algebra
         self.coeffs = clean
@@ -131,7 +117,7 @@ class Element:
         f = self.algebra.field
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            out[i] = f.add(out.get(i, f.zero()), c)
+            out[i] = f.add(out.get(i, 0), c)
         return Element(self.algebra, out)
 
     def __sub__(self, other: "Element") -> "Element":
@@ -139,7 +125,7 @@ class Element:
         f = self.algebra.field
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            out[i] = f.sub(out.get(i, f.zero()), c)
+            out[i] = f.sub(out.get(i, 0), c)
         return Element(self.algebra, out)
 
     def __neg__(self) -> "Element":
@@ -167,18 +153,17 @@ class Element:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        f = self.algebra.field
         parts = []
         for i in sorted(self.coeffs):
             c, lab = self.coeffs[i], self.algebra.labels[i]
             if lab == "1":
-                term = f.format(c)
-            elif c == f.one():
+                term = str(c)
+            elif c == 1:
                 term = lab
-            elif f.characteristic == 0 and c == -1:
+            elif c == -1:
                 term = f"-{lab}"
             else:
-                term = f"{f.format(c)}·{lab}"
+                term = f"{c}·{lab}"
             parts.append(term)
         out = parts[0]
         for term in parts[1:]:
@@ -236,13 +221,13 @@ class Algebra:
         return Element(self, coeffs)
 
     def basis_element(self, i: int) -> Element:
-        return Element(self, {i: self.field.one()})
+        return Element(self, {i: 1})
 
     def zero(self) -> Element:
         return Element(self, {})
 
     def one(self) -> Element:
-        return Element(self, {self.unit_index: self.field.one()})
+        return Element(self, {self.unit_index: 1})
 
     # -- products ------------------------------------------------------------
 
@@ -253,8 +238,8 @@ class Algebra:
             for j, cj in v.items():
                 cij = f.mul(ci, cj)
                 for k, s in self.mul_basis(i, j).items():
-                    acc = f.add(out.get(k, f.zero()), f.mul(cij, s))
-                    if f.is_zero(acc):
+                    acc = f.add(out.get(k, 0), f.mul(cij, s))
+                    if not acc:
                         out.pop(k, None)
                     else:
                         out[k] = acc
@@ -280,11 +265,11 @@ class Algebra:
         if self.degrees[self.unit_index] != 0:
             raise InvalidPresentationError("unit must have degree 0")
         for i in range(n):
-            if self.mul_basis(self.unit_index, i) != {i: f.one()} or self.mul_basis(
+            if self.mul_basis(self.unit_index, i) != {i: 1} or self.mul_basis(
                 i, self.unit_index
-            ) != {i: f.one()}:
+            ) != {i: 1}:
                 raise InvalidPresentationError(f"unit fails on basis class {self.labels[i]}")
-        signs = (f.one(), f.sign_to_coeff(1))  # (-1)**(even), (-1)**(odd)
+        signs = (1, f.sign_to_coeff(1))  # (-1)**(even), (-1)**(odd)
         # One visit per unordered pair: if (j, i) passes both checks then
         # prod_ij = ±prod_ji, so (i, j) passes too.  The first offender of
         # the full row-major loop therefore has i <= j, and is found here.
@@ -317,8 +302,8 @@ class Algebra:
         for i, j, k in triples:
             if self.unit_index in (i, j, k) or degs[i] + degs[j] + degs[k] not in occupied:
                 continue
-            left = self.mul_vec(self.mul_basis(i, j), {k: f.one()})
-            right = self.mul_vec({i: f.one()}, self.mul_basis(j, k))
+            left = self.mul_vec(self.mul_basis(i, j), {k: 1})
+            right = self.mul_vec({i: 1}, self.mul_basis(j, k))
             if left != right:
                 raise InvalidPresentationError(
                     "associativity fails on "
@@ -327,11 +312,7 @@ class Algebra:
 
 
 class _LazySeq(abc.Sequence):
-    """Read-only sequence whose entry k is ``entry(k)``, computed when read.
-
-    It compares equal to a list with the same entries, as the list it
-    stands for would.
-    """
+    """Read-only sequence whose entry k is ``entry(k)``, computed when read."""
 
     def __init__(self, length: int, entry: Callable):
         self._length = length
@@ -347,11 +328,6 @@ class _LazySeq(abc.Sequence):
 
     def __iter__(self):
         return map(self._entry, range(self._length))
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _LazySeq)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 class MonomialAlgebra(Algebra):
@@ -471,11 +447,11 @@ class TableAlgebra(Algebra):
             clean = {}
             for k, c in terms.items():
                 c = field.coerce(c)
-                if not field.is_zero(c):
+                if c:
                     clean[k] = c
             if self.unit_index in (i, j):
                 other = j if i == self.unit_index else i
-                if clean != {other: field.one()}:
+                if clean != {other: 1}:
                     raise InvalidPresentationError(
                         f"explicit unit product for {names[other]} contradicts unitality"
                     )
@@ -487,9 +463,9 @@ class TableAlgebra(Algebra):
 
     def mul_basis(self, i: int, j: int) -> dict:
         if i == self.unit_index:
-            return {j: self.field.one()}
+            return {j: 1}
         if j == self.unit_index:
-            return {i: self.field.one()}
+            return {i: 1}
         return self._table.get((i, j), _NO_TERMS)
 
 
@@ -528,8 +504,7 @@ class ProductAlgebra(Algebra):
         return divmod(k, self.right.dim)
 
     def mul_basis(self, i: int, j: int) -> dict:
-        one = self.field.one()
-        return self.mul_vec({i: one}, {j: one})
+        return self.mul_vec({i: 1}, {j: 1})
 
     def mul_vec(self, u: dict, v: dict) -> dict:
         """Product of two vectors, multiplied factor by factor.
@@ -542,7 +517,6 @@ class ProductAlgebra(Algebra):
         f = self.field
         left, right = self.left, self.right
         n = right.dim
-        zero = f.zero()
         vterms = []
         for y, cy in v.items():
             i2, j2 = divmod(y, n)
@@ -563,8 +537,8 @@ class ProductAlgebra(Algebra):
                     ca = _times(f, c, a)
                     for l, b in rterms:
                         key = k * n + l
-                        acc = f.add(out.get(key, zero), _times(f, ca, b))
-                        if f.is_zero(acc):
+                        acc = f.add(out.get(key, 0), _times(f, ca, b))
+                        if not acc:
                             out.pop(key, None)
                         else:
                             out[key] = acc
@@ -670,8 +644,6 @@ def ring_from_json(
             except KeyError as e:
                 raise InvalidPresentationError(f"unknown basis name {e.args[0]!r}")
             terms = products.setdefault(key, {})
-            f = field
-            acc = f.add(terms.get(k, f.zero()), _coeff_from_json(c, f))
-            terms[k] = acc
+            terms[k] = field.add(terms.get(k, 0), _coeff_from_json(c, field))
         return TableAlgebra(field, names, degrees, products, capacity=capacity)
     raise InvalidPresentationError(f"unknown ring type {kind!r} (monomial or table)")

@@ -31,6 +31,18 @@ Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
   memo.  Every rule reading a value shares it, and when the node budget runs
   out every entry using it carries the same note.
 
+``lower-tncz`` prints its fiber term as ``zcl''(SO(n))``: the zero-divisor
+cup length of H*(SO(n); K) counted through zero-divisors that lift to F(M).
+Its value is ``zcl_full(so_ring(n, K))``, the same number as zcl(SO(n); K),
+and a Leray–Hirsch argument shows that this is right under TNCZ.  TNCZ over K
+makes the restriction H*(F(M); K) → H*(SO(n); K) onto, so every bar
+1⊗u − u⊗1 of the fiber lifts to a bar of F(M).  Bars generate the
+zero-divisor ideal, so some product of zcl(SO(n); K) bars is nonzero, and it
+lifts.  Leray–Hirsch makes H*(F(M) × F(M); K) a free module over
+H*(M × M; K) on lifts of a basis of H*(SO(n) × SO(n); K).  Multiplying the
+lifted product by a nonzero product of zcl(M; K) zero-divisors pulled back
+from M therefore stays nonzero, so zcl(F(M); K) >= zcl''(SO(n)) + zcl(M; K).
+
 ``lower-dim-theorem`` keeps the paper's parity bump, 2m + 1 or 2m as m is
 even or odd.  It is not derived from the fiber value above and nothing here
 verifies it; for n >= 4 its entries carry a note saying so.

@@ -138,10 +138,9 @@ def surface_ring(g: int, field: Field = F2, capacity: int = DEFAULT_CAPACITY) ->
     degrees = [0] + [1] * (2 * g) + [2]
     w = 2 * g + 1
     products: dict[tuple[int, int], dict] = {}
-    one = field.one()
     for i in range(1, g + 1):
-        products[(i, g + i)] = {w: one}
-        products[(g + i, i)] = {w: field.neg(one)}
+        products[(i, g + i)] = {w: 1}
+        products[(g + i, i)] = {w: field.neg(1)}
     return TableAlgebra(field, names, degrees, products, capacity=capacity)
 
 

@@ -194,8 +194,8 @@ def diagonal_image(T: ProductAlgebra, vec: dict) -> dict:
     for k, c in vec.items():
         i, j = T.split_index(k)
         for m, s in A.mul_basis(i, j).items():
-            acc = f.add(out.get(m, f.zero()), f.mul(c, s))
-            if f.is_zero(acc):
+            acc = f.add(out.get(m, 0), f.mul(c, s))
+            if not acc:
                 out.pop(m, None)
             else:
                 out[m] = acc
@@ -210,9 +210,9 @@ def bar(T: ProductAlgebra, u: Element) -> Element:
     coeffs: dict = {}
     for i, c in u.coeffs.items():
         k = T.pair_index(unit, i)
-        coeffs[k] = f.add(coeffs.get(k, f.zero()), c)
+        coeffs[k] = f.add(coeffs.get(k, 0), c)
         k = T.pair_index(i, unit)
-        coeffs[k] = f.sub(coeffs.get(k, f.zero()), c)
+        coeffs[k] = f.sub(coeffs.get(k, 0), c)
     return Element(T, coeffs)
 
 
@@ -249,7 +249,6 @@ def generator_indices(A: Algebra) -> list[int]:
 def _find_generators(A: Algebra) -> list[int]:
     if isinstance(A, MonomialAlgebra):
         return sorted(A.strides, key=lambda i: (A.degrees[i], i))
-    one = A.field.one()
     top = A.top_degree
     pos = [i for i in range(A.dim) if A.degrees[i] > 0]
     decomposables: dict[int, list[dict]] = {}
@@ -269,7 +268,7 @@ def _find_generators(A: Algebra) -> list[int]:
             if ech.rank == len(classes):
                 break  # every class of degree d is decomposable
             ech.insert(prod)
-        gens += [i for i in classes if ech.insert({i: one})[0]]
+        gens += [i for i in classes if ech.insert({i: 1})[0]]
     return gens
 
 
@@ -299,7 +298,7 @@ def _longest_product(
     path: list[int] = []  # the factor each frame above the root extended by
     # A frame is (indices still to try, product, degree).  ``degs`` is sorted,
     # so the indices that keep the degree within ``top`` form a prefix.
-    stack = [(iter(range(bisect_right(degs, top))), {T.unit_index: T.field.one()}, 0)]
+    stack = [(iter(range(bisect_right(degs, top))), {T.unit_index: 1}, 0)]
     while stack and len(best) < bound:
         candidates, vec, deg = stack[-1]
         for t in candidates:

@@ -2,9 +2,13 @@
 
 Two kinds of field are supported and both are exact:
 
-* characteristic 0, realized as arbitrary-precision rationals
-  (`fractions.Fraction`); integer inputs are accepted anywhere and coerced;
+* characteristic 0, the rationals, realized as Python ints; a
+  `fractions.Fraction` enters only with a non-integral input such as a
+  table's ``"p/q"`` constant, and mixes with ints exactly;
 * prime characteristic p, realized as Python ints in ``range(p)``.
+
+Zero and one are ``0`` and ``1`` in every field, and a coefficient is zero
+exactly when it is falsy.
 
 No floating point is used anywhere in this package.  A field is addressed in
 text form as ``char=0`` or ``char=P`` (the form the CLI's ``--field`` flag
@@ -58,10 +62,6 @@ class Field:
 
     # -- basic properties ---------------------------------------------------
 
-    @property
-    def label(self) -> str:
-        return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
-
     def __repr__(self) -> str:
         return f"Field(char={self.characteristic})"
 
@@ -73,8 +73,7 @@ class Field:
 
     # -- element arithmetic -------------------------------------------------
     #
-    # Elements are Fraction (char 0) or int in range(p) (char p).  All methods
-    # accept plain ints and coerce.
+    # Elements are int or Fraction (char 0) or int in range(p) (char p).
 
     def coerce(self, x: Coeff) -> Coeff:
         # Only ints and Fractions are field elements; floats are never
@@ -83,18 +82,12 @@ class Field:
             raise TypeError(f"coefficients must be int or Fraction, got {x!r}")
         p = self.characteristic
         if p == 0:
-            return x if isinstance(x, Fraction) else Fraction(x)
+            return x
         if isinstance(x, Fraction):
             if x.denominator % p == 0:
                 raise ZeroDivisionError(f"denominator not invertible mod {p}")
             return (x.numerator * pow(x.denominator, -1, p)) % p
         return x % p
-
-    def zero(self) -> Coeff:
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    def one(self) -> Coeff:
-        return Fraction(1) if self.characteristic == 0 else 1
 
     def add(self, a: Coeff, b: Coeff) -> Coeff:
         p = self.characteristic
@@ -120,17 +113,9 @@ class Field:
             return Fraction(1) / a
         return pow(a, -1, p)
 
-    def is_zero(self, a: Coeff) -> bool:
-        return a == 0
-
     def sign_to_coeff(self, exponent: int) -> Coeff:
         """(-1)**exponent as a field element."""
-        if exponent % 2 == 0:
-            return self.one()
-        return self.neg(self.one())
-
-    def format(self, a: Coeff) -> str:
-        return str(a)
+        return self.neg(1) if exponent % 2 else 1
 
     # -- text form ------------------------------------------------------------
 

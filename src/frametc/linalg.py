@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over Q and F_p.
 
 Vectors are sparse dicts ``{column: coefficient}`` with no stored zeros.
-Coefficients are Fractions/ints over char 0 and ints in ``range(p)`` over
-char p.
+Coefficients are ints, or Fractions where non-integral, over char 0 and ints
+in ``range(p)`` over char p.
 
 Over char 0 every stored row is kept as a *primitive integer* vector (scaled
 by the lcm of denominators, divided by the content gcd, leading coefficient
@@ -10,8 +10,8 @@ positive) and elimination is fraction-free::
 
     row' = piv[c] * row - row[c] * piv
 
-followed by renormalization.  This avoids Fraction arithmetic in the hot
-loops while staying exact.  Over char p pivots are normalized to 1.
+followed by renormalization, so the hot loops run on ints only while staying
+exact.  Over char p pivots are normalized to 1.
 
 The echelon keeps one row per pivot column (pivot = smallest column index of
 the row), which is enough for exact rank and span-membership tests; rows are
@@ -21,7 +21,6 @@ domain vector as one more column past the image columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .fields import Field
@@ -52,11 +51,8 @@ class Echelon:
     def _norm(self, vec: Vec) -> Vec:
         p = self.field.characteristic
         if p == 0:
-            den = lcm(*(c.denominator if isinstance(c, Fraction) else 1 for c in vec.values()))
-            ints = {
-                k: int(c * den) if isinstance(c, Fraction) else c * den
-                for k, c in vec.items() if c
-            }
+            den = lcm(*(c.denominator for c in vec.values()))
+            ints = {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
             if not ints:
                 return ints
             g = gcd(*ints.values())
@@ -123,7 +119,7 @@ def kernel_of_map(images: list[Vec], field: Field) -> list[Vec]:
     ech = Echelon(field)
     kernel: list[Vec] = []
     for i, img in enumerate(images):
-        residual = ech.reduce({**img, width + i: field.one()})
+        residual = ech.reduce({**img, width + i: 1})
         if min(residual) >= width:
             kernel.append({k - width: c for k, c in residual.items()})
         else:

@@ -151,6 +151,30 @@ def _tmul(A: Algebra, x: dict, y: dict, p: int) -> dict:
 # -- exhaustive searches -------------------------------------------------------
 
 
+class _PlainView:
+    """The algebra as the searches read it, built once per call.
+
+    Degrees are decoded into a list, and each basis product is looked up in
+    ``A`` once and kept, so a lazy encoding pays its decoding only once.  The
+    products are the algebra's own multiplication table, read and not changed.
+    """
+
+    def __init__(self, A: Algebra):
+        self.dim = A.dim
+        self.degrees = list(A.degrees)
+        self.top_degree = A.top_degree
+        self.unit_index = A.unit_index
+        self._mul_basis = A.mul_basis
+        self._products: dict = {}
+
+    def mul_basis(self, i: int, j: int) -> dict:
+        try:
+            return self._products[i, j]
+        except KeyError:
+            out = self._products[i, j] = self._mul_basis(i, j)
+            return out
+
+
 def brute_force_cl(A: Algebra, ideal: str, max_len: int = 0) -> int:
     """Exhaustive cup length of the selected ideal (see module docstring).
 
@@ -161,6 +185,7 @@ def brute_force_cl(A: Algebra, ideal: str, max_len: int = 0) -> int:
     raises OracleError rather than returning a possibly-wrong value.
     """
     p = A.field.characteristic
+    A = _PlainView(A)
     if ideal == "positive":
         cap = max_len or A.top_degree
         return _longest_positive(A, p, cap)
@@ -173,7 +198,7 @@ def brute_force_cl(A: Algebra, ideal: str, max_len: int = 0) -> int:
     raise ValueError(f"unknown ideal selector {ideal!r}")
 
 
-def _longest_positive(A: Algebra, p: int, cap: int) -> int:
+def _longest_positive(A: _PlainView, p: int, cap: int) -> int:
     one = 1 if p else Fraction(1)
     pos = [i for i in range(A.dim) if A.degrees[i] > 0]
 
@@ -221,7 +246,7 @@ def _longest_positive(A: Algebra, p: int, cap: int) -> int:
     return extend(0, {A.unit_index: one}, cap)
 
 
-def _longest_bars(A: Algebra, p: int, cap: int) -> int:
+def _longest_bars(A: _PlainView, p: int, cap: int) -> int:
     one = 1 if p else Fraction(1)
     unit = A.unit_index
     bars = [
@@ -260,7 +285,7 @@ def _longest_bars(A: Algebra, p: int, cap: int) -> int:
     return extend(0, {(unit, unit): one}, cap)
 
 
-def _ideal_power_length(A: Algebra, p: int, cap: int) -> int:
+def _ideal_power_length(A: _PlainView, p: int, cap: int) -> int:
     """Largest k with Z^k != 0, Z = ker(A⊗A → A), by dense ideal powers."""
     dim = A.dim
     pairs = [(i, j) for i in range(dim) for j in range(dim)]

@@ -173,7 +173,7 @@ class TestCatalogIds:
             again_id, again = catalog_ring(entry.entry_id)
             assert again_id == entry.entry_id
             assert again.dim == entry.algebra.dim
-            assert again.degrees == entry.algebra.degrees
+            assert list(again.degrees) == list(entry.algebra.degrees)
 
     def test_registry_census(self, entries):
         assert len(entries) == 48

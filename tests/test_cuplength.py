@@ -534,7 +534,7 @@ def exhaustive_longest_product(T, elements):
                 extend(t, prod, deg + degs[t], path)
                 path.pop()
 
-    extend(0, {T.unit_index: T.field.one()}, 0, [])
+    extend(0, {T.unit_index: 1}, 0, [])
     return best, nodes
 
 

@@ -37,8 +37,8 @@ def _recombine(combo, images, field):
     out = {}
     for i, c in combo.items():
         for k, v in images[i].items():
-            acc = field.add(out.get(k, field.zero()), field.mul(c, v))
-            if field.is_zero(acc):
+            acc = field.add(out.get(k, 0), field.mul(c, v))
+            if not acc:
                 out.pop(k, None)
             else:
                 out[k] = acc
@@ -236,7 +236,7 @@ def reference_kernel_of_map(images, field):
     ech = ReferenceEchelon(field)
     kernel = []
     for i, img in enumerate(images):
-        added, residual, combo = ech.insert(dict(img), {i: field.one()})
+        added, residual, combo = ech.insert(dict(img), {i: 1})
         if not added and not residual:
             kernel.append(combo)
     return kernel, ech

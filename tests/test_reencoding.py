@@ -3,9 +3,9 @@
 A unimodular change of basis inside each degree block (the unit fixed)
 rewrites the structure constants into a dense table that is not monomial, so
 the zero-divisor engine has to find generators through the decomposables
-route.  Generators per degree, zcl_basic and zcl_full are invariants of the
-ring, so each re-encoding must give the source ring's values, and the
-searched value must equal the independent oracle's dense kernel powers.
+route.  Generators per degree, the cup length, zcl_basic and zcl_full are
+invariants of the ring, so each re-encoding must give the source ring's
+values, and each searched value must equal the independent oracle's.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from frametc.algebra import TableAlgebra
 from frametc.catalog import catalog_ring
-from frametc.cuplength import generator_indices, zcl_basic, zcl_full
+from frametc.cuplength import cup_length, generator_indices, zcl_basic, zcl_full
 from oracle import brute_force_cl
 
 SOURCES = [
@@ -76,12 +76,12 @@ def reencode(A, seed):
             for i, ci in rows[a].items():
                 for j, cj in rows[b].items():
                     for k, ck in A.mul_basis(i, j).items():
-                        old[k] = f.add(old.get(k, f.zero()), f.mul(ci * cj, ck))
+                        old[k] = f.add(old.get(k, 0), f.mul(ci * cj, ck))
             new: dict = {}
             for k, ck in old.items():
                 for c in range(n):
                     if Q[k][c]:
-                        new[c] = f.add(new.get(c, f.zero()), f.mul(ck, Q[k][c]))
+                        new[c] = f.add(new.get(c, 0), f.mul(ck, Q[k][c]))
             products[(a, b)] = new
     names = ["1" if A.degrees[a] == 0 else f"f{a}" for a in range(n)]
     return TableAlgebra(f, names, list(A.degrees), products)
@@ -118,3 +118,15 @@ def test_reencoded_ring_keeps_generators_and_zcl(ring_id):
         assert full.method == "generator-bars"
         assert basic.value == full.value == want.value, seed
         assert full.value == brute_force_cl(B, "zero-divisor-full"), seed
+
+
+@pytest.mark.parametrize("ring_id", SOURCES)
+def test_reencoded_ring_keeps_cup_length(ring_id):
+    A = catalog_ring(ring_id)[1]
+    want = cup_length(A)
+    assert want.exact
+    for seed in SEEDS:
+        B = reencode(A, seed)
+        got = cup_length(B)
+        assert got.exact and got.method == "search", seed
+        assert got.value == want.value == brute_force_cl(B, "positive"), seed

@@ -166,6 +166,27 @@ class TestRingCommand:
             assert (res["value"], res["exact"], res["witness"]) == (0, True, [])
             assert "nodes" not in res
 
+    def test_fractional_constants_stay_exact(self, run_cli, tmp_path):
+        # sigma:2 over Q with non-integral "p/q" structure constants.
+        names = ["1", "a1", "a2", "b1", "b2", "w"]
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps({
+            "field": {"char": 0},
+            "type": "table",
+            "basis": [{"name": n, "degree": d} for n, d in zip(names, [0, 1, 1, 1, 1, 2])],
+            "products": [
+                ["a1", "b1", "w", "1/2"], ["b1", "a1", "w", "-1/2"],
+                ["a2", "b2", "w", "-2/3"], ["b2", "a2", "w", "2/3"],
+            ],
+        }))
+        code, out, _ = run_cli(["ring", str(path), "--compute", "cl,zcl-full", "--no-timing"])
+        assert code == 0
+        lines = out.splitlines()
+        assert "cl: 2 (exact; method search)" in lines
+        assert "cl witness product: 1/2·w" in lines
+        assert "zcl-full: 4 (exact; method generator-bars)" in lines
+        assert "zcl-full witness product: 2/3·w⊗w" in lines
+
     def test_budget_must_be_nonnegative(self, run_cli):
         with pytest.raises(SystemExit) as exc:
             run_cli(["ring", "so:5:char2", "--compute", "zcl-basic", "--budget", "-5"])
