@@ -16,13 +16,7 @@ from .algebra import (
 )
 from .bounds import BoundEntry, BoundReport, cat_so, compute_bounds
 from .catalog import CatalogError, catalog_ring, parse_catalog_id
-from .cuplength import (
-    CupLengthResult,
-    bar,
-    cup_length,
-    zcl_basic,
-    zcl_full,
-)
+from .cuplength import CupLengthResult, bar, cup_length, zcl_full
 from .examples import evaluate_examples, example_rows
 from .fields import F2, Field, FieldError, QQ, field_of, parse_field
 from .manifold import DescriptorError, ManifoldDescriptor, load_descriptor
@@ -61,7 +55,6 @@ __all__ = [
     "parse_field",
     "ring_from_json",
     "tensor_square",
-    "zcl_basic",
     "zcl_full",
 ]
 

@@ -11,7 +11,9 @@ Three encodings share one interface (:class:`Algebra`):
   index i + j with the Koszul sign from counting transpositions of
   odd-degree factors.
 * :class:`TableAlgebra` — explicit graded basis plus structure constants,
-  validated for unitality, grading, graded commutativity and associativity.
+  validated at construction: unit, grading and graded commutativity on every
+  basis pair, and associativity exactly, on the triples (g, y, z) with g an
+  algebra generator, which imply all others (:meth:`Algebra.check_axioms`).
 * :class:`ProductAlgebra` — the graded tensor product of two algebras with
   structure constants computed lazily:
   ``(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'``.  Its degrees and
@@ -19,29 +21,27 @@ Three encodings share one interface (:class:`Algebra`):
   lists on demand, so a tensor square costs nothing per basis class until
   it is multiplied in.
 
-Basis ordering is deterministic everywhere, so searches and reported
-witnesses are reproducible.  Elements are sparse maps from basis index to a
-nonzero field coefficient.  Only encodings that store every basis class are
-capped: the default capacity refuses table algebras with more than 4096
-basis elements.  Monomial and product encodings store nothing per basis
+Every encoding names a set of algebra generators (:meth:`Algebra.generators`),
+found once per algebra and shared by the axiom check and the cup-length
+searches.  Basis ordering is deterministic everywhere, so searches and
+reported witnesses are reproducible.  Elements are sparse maps from basis
+index to a nonzero field coefficient.  Only encodings that store every basis
+class are capped: the default capacity refuses table algebras with more than
+4096 basis elements.  Monomial and product encodings store nothing per basis
 class and take no cap.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from collections import abc
 from fractions import Fraction
 from math import prod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .fields import Coeff, Field, field_from_json
+from .linalg import Echelon
 
 DEFAULT_CAPACITY = 4096
-# Associativity above 32 basis classes: this many triples, drawn reproducibly.
-AXIOM_SAMPLE = 2048
-AXIOM_SEED = 0
 
 
 class InvalidPresentationError(ValueError):
@@ -108,40 +108,10 @@ class Element:
             raise ValueError(f"element is not homogeneous (degrees {sorted(degs)})")
         return degs.pop()
 
-    def _check_same(self, other: "Element"):
+    def __mul__(self, other: "Element") -> "Element":
         if self.algebra is not other.algebra:
             raise DomainMismatchError("elements belong to different algebras")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check_same(other)
-        f = self.algebra.field
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = f.add(out.get(i, 0), c)
-        return Element(self.algebra, out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check_same(other)
-        f = self.algebra.field
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = f.sub(out.get(i, 0), c)
-        return Element(self.algebra, out)
-
-    def __neg__(self) -> "Element":
-        f = self.algebra.field
-        return Element(self.algebra, {i: f.neg(c) for i, c in self.coeffs.items()})
-
-    def __mul__(self, other) -> "Element":
-        if isinstance(other, Element):
-            self._check_same(other)
-            return Element(self.algebra, self.algebra.mul_vec(self.coeffs, other.coeffs))
-        f = self.algebra.field
-        s = f.coerce(other)
-        return Element(self.algebra, {i: f.mul(c, s) for i, c in self.coeffs.items()})
-
-    def __rmul__(self, other) -> "Element":
-        return self.__mul__(other)
+        return Element(self.algebra, self.algebra.mul_vec(self.coeffs, other.coeffs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -208,6 +178,41 @@ class Algebra:
             self._by_degree = by
             return by
 
+    def generators(self) -> list[int]:
+        """Basis classes that generate the algebra, in (degree, index) order.
+
+        A basis class of degree d is kept when it is independent of the
+        products A+·A+ of degree d and of the classes kept before it; the
+        kept classes span a complement of the decomposables, so they
+        generate A.  The result is kept on the algebra, so the axiom check
+        and the searches for cl and zcl share it.
+        """
+        try:
+            return self._generators
+        except AttributeError:
+            top = self.top_degree
+            pos = [i for i in range(self.dim) if self.degrees[i] > 0]
+            decomposables: dict[int, list[dict]] = {}
+            for a, i in enumerate(pos):
+                for j in pos[a:]:  # graded commutativity: x·y = ±y·x
+                    d = self.degrees[i] + self.degrees[j]
+                    if d <= top:
+                        prod_ij = self.mul_basis(i, j)
+                        if prod_ij:
+                            decomposables.setdefault(d, []).append(prod_ij)
+            gens: list[int] = []
+            for d, classes in sorted(self.indices_by_degree().items()):
+                if d == 0:
+                    continue
+                ech = Echelon(self.field)
+                for prod_ij in decomposables.get(d, []):
+                    if ech.rank == len(classes):
+                        break  # every class of degree d is decomposable
+                    ech.insert(prod_ij)
+                gens += [i for i in classes if ech.insert({i: 1})[0]]
+            self._generators = gens
+            return gens
+
     def poincare_polynomial(self) -> list[int]:
         """Coefficient c_d = number of basis classes of degree d, d = 0..top."""
         out = [0] * (self.top_degree + 1)
@@ -215,19 +220,8 @@ class Algebra:
             out[d] += 1
         return out
 
-    # -- element constructors ----------------------------------------------
-
-    def element(self, coeffs: dict) -> Element:
-        return Element(self, coeffs)
-
     def basis_element(self, i: int) -> Element:
         return Element(self, {i: 1})
-
-    def zero(self) -> Element:
-        return Element(self, {})
-
-    def one(self) -> Element:
-        return Element(self, {self.unit_index: 1})
 
     # -- products ------------------------------------------------------------
 
@@ -250,65 +244,76 @@ class Algebra:
     def check_axioms(self) -> None:
         """Verify unit, grading, graded commutativity, associativity.
 
-        Commutativity is checked on all basis pairs; associativity on all
-        triples when dim <= 32 and on AXIOM_SAMPLE seeded random triples
-        otherwise.  The unit and grading checks come first and already
-        settle two kinds of triple, which are skipped: one containing the
-        unit (both sides are the product of the other two), and one whose
-        degree sum no basis class has (every product lands in the summed
-        degree, so both sides are 0).  Skipping neither changes the triples
-        drawn nor the first offender.
-        Raises InvalidPresentationError naming the first offender.
+        Unit, grading and graded commutativity are checked on every basis
+        pair.  Associativity is checked exactly, on generator triples:
+        (g·y)·z = g·(y·z) for every generator g (:meth:`generators`) and
+        every pair of non-unit basis classes y, z, hence for all elements
+        y, z.  That implies it everywhere.  Every x in A+ is a sum of terms
+        g·w with deg w < deg x, since the generators span a complement of
+        A+·A+ in each degree and (g·w)·b = g·(w·b); so, by induction on deg x,
+        ((g·w)·y)·z = (g·(w·y))·z = g·((w·y)·z) = g·(w·(y·z)) = (g·w)·(y·z).
+        Triples the grading settles are skipped: those with deg g + deg y +
+        (least positive degree) above the top degree, and those with g·y = 0
+        and y·z = 0, where both sides are 0.  So z runs only over the classes
+        with y·z ≠ 0 or x·z ≠ 0 for a term x of g·y.
+        Raises InvalidPresentationError naming the first offender; for
+        associativity, the first failing (g, y, z) in generator order, then
+        y index, then z index.
         """
         f = self.field
         n = self.dim
-        if self.degrees[self.unit_index] != 0:
+        unit = self.unit_index
+        degs = self.degrees
+        if degs[unit] != 0:
             raise InvalidPresentationError("unit must have degree 0")
         for i in range(n):
-            if self.mul_basis(self.unit_index, i) != {i: 1} or self.mul_basis(
-                i, self.unit_index
-            ) != {i: 1}:
+            if self.mul_basis(unit, i) != {i: 1} or self.mul_basis(i, unit) != {i: 1}:
                 raise InvalidPresentationError(f"unit fails on basis class {self.labels[i]}")
         signs = (1, f.sign_to_coeff(1))  # (-1)**(even), (-1)**(odd)
+        partners: list[list[int]] = [[] for _ in range(n)]  # non-unit z with y·z ≠ 0
         # One visit per unordered pair: if (j, i) passes both checks then
         # prod_ij = ±prod_ji, so (i, j) passes too.  The first offender of
         # the full row-major loop therefore has i <= j, and is found here.
         for i in range(n):
             for j in range(i, n):
                 prod_ij = self.mul_basis(i, j)
-                d = self.degrees[i] + self.degrees[j]
+                d = degs[i] + degs[j]
                 for k in prod_ij:
-                    if self.degrees[k] != d:
+                    if degs[k] != d:
                         raise InvalidPresentationError(
                             f"product {self.labels[i]}·{self.labels[j]} violates grading"
                         )
-                sign = signs[self.degrees[i] * self.degrees[j] % 2]
+                sign = signs[degs[i] * degs[j] % 2]
                 prod_ji = self.mul_basis(j, i)
                 expect = {k: f.mul(sign, c) for k, c in prod_ji.items()}
                 if prod_ij != expect:
                     raise InvalidPresentationError(
                         f"graded commutativity fails on {self.labels[i]}, {self.labels[j]}"
                     )
-        if n <= 32:
-            triples: Iterable = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(AXIOM_SEED)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(AXIOM_SAMPLE)
-            )
-        degs = self.degrees
-        occupied = set(degs)
-        for i, j, k in triples:
-            if self.unit_index in (i, j, k) or degs[i] + degs[j] + degs[k] not in occupied:
-                continue
-            left = self.mul_vec(self.mul_basis(i, j), {k: 1})
-            right = self.mul_vec({i: 1}, self.mul_basis(j, k))
-            if left != right:
-                raise InvalidPresentationError(
-                    "associativity fails on "
-                    f"{self.labels[i]}, {self.labels[j]}, {self.labels[k]}"
-                )
+                if prod_ij and unit not in (i, j):
+                    partners[i].append(j)
+                    if j != i:
+                        partners[j].append(i)
+        top = self.top_degree
+        least = min((d for d in degs if d > 0), default=0)
+        ys: dict[int, list[int]] = {}  # generator degree -> the y worth trying
+        for g in self.generators():
+            if degs[g] not in ys:
+                room = top - least - degs[g]
+                ys[degs[g]] = [y for y in range(n) if y != unit and degs[y] <= room]
+            for y in ys[degs[g]]:
+                prod_gy = self.mul_basis(g, y)
+                zs = set(partners[y])
+                for x in prod_gy:
+                    zs.update(partners[x])
+                for z in sorted(zs):
+                    left = self.mul_vec(prod_gy, {z: 1})
+                    right = self.mul_vec({g: 1}, self.mul_basis(y, z))
+                    if left != right:
+                        raise InvalidPresentationError(
+                            "associativity fails on "
+                            f"{self.labels[g]}, {self.labels[y]}, {self.labels[z]}"
+                        )
 
 
 class _LazySeq(abc.Sequence):
@@ -384,6 +389,10 @@ class MonomialAlgebra(Algebra):
             if e > 0
         ]
         return "·".join(parts) if parts else "1"
+
+    def generators(self) -> list[int]:
+        """The generator monomials, at their strides, in (degree, index) order."""
+        return sorted(self.strides, key=lambda i: (self.degrees[i], i))
 
     def generator_element(self, name: str) -> Element:
         for g, stride in zip(self.gens, self.strides):
@@ -583,7 +592,8 @@ def tensor_square(algebra: Algebra) -> ProductAlgebra:
 def _coeff_from_json(c, field: Field) -> Coeff:
     try:
         if isinstance(c, str):
-            return field.coerce(Fraction(c))
+            q = Fraction(c)
+            return field.coerce(q.numerator if q.denominator == 1 else q)
         if type(c) is int:
             return field.coerce(c)
     except (ValueError, ZeroDivisionError) as exc:

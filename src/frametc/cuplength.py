@@ -20,10 +20,11 @@ to bars of algebra generators.  A⊗A is graded commutative, so Z^k ≠ 0
 exactly when some product of k generator bars is nonzero.  Generator bars
 are basic bars, hence zcl_basic = zcl_full = the longest nonzero product of
 generator bars (the basic zero-divisor setting of Farber, *Topological
-complexity of motion planning*, DCG 29, 2003).  The generators are the
-generator monomials of a monomial encoding, and otherwise the basis classes
-that stay independent of the decomposables A+·A+ in their degree
-(:func:`generator_indices`).
+complexity of motion planning*, DCG 29, 2003).  The generators come from
+the algebra (:meth:`Algebra.generators`): the generator monomials of a
+monomial encoding, and otherwise the basis classes that stay independent of
+the decomposables A+·A+ in their degree.  A table ring's axiom check already
+found them, so the searches reuse that list.
 
 One search answers both sides.  Every product of positive-degree classes
 is a sum of products of generators, and a nonzero product of k or more
@@ -67,7 +68,7 @@ from .algebra import (
     ProductAlgebra,
     tensor_square,
 )
-from .linalg import Echelon, kernel_of_map
+from .linalg import kernel_of_map
 
 DEFAULT_BUDGET = 500_000
 
@@ -168,7 +169,7 @@ def cup_length(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     budget runs out.
     """
     if not isinstance(A, MonomialAlgebra):
-        gens = [A.basis_element(i) for i in generator_indices(A)]
+        gens = [A.basis_element(i) for i in A.generators()]
         return _checked(_longest_product(A, gens, budget, "search"))
     # The top monomial (each generator at its top power) is a nonzero class,
     # and total exponent weight is additive and capped, so the value is
@@ -230,48 +231,6 @@ def _bars(T: ProductAlgebra, sources: list[int]) -> list[Element]:
     return bars
 
 
-def generator_indices(A: Algebra) -> list[int]:
-    """Basis classes that generate A as an algebra, in (degree, index) order.
-
-    For a monomial encoding these are the generator monomials.  Otherwise a
-    basis class of degree d is kept when it is independent of the products
-    A+·A+ of degree d and of the classes kept before it; the kept classes
-    span a complement of the decomposables, so they generate A.  The result
-    is kept on ``A``, so the search for cl and the one for zcl share it.
-    """
-    try:
-        return A._generators
-    except AttributeError:
-        A._generators = _find_generators(A)
-        return A._generators
-
-
-def _find_generators(A: Algebra) -> list[int]:
-    if isinstance(A, MonomialAlgebra):
-        return sorted(A.strides, key=lambda i: (A.degrees[i], i))
-    top = A.top_degree
-    pos = [i for i in range(A.dim) if A.degrees[i] > 0]
-    decomposables: dict[int, list[dict]] = {}
-    for a, i in enumerate(pos):
-        for j in pos[a:]:  # graded commutativity: x·y = ±y·x
-            d = A.degrees[i] + A.degrees[j]
-            if d <= top:
-                prod = A.mul_basis(i, j)
-                if prod:
-                    decomposables.setdefault(d, []).append(prod)
-    gens: list[int] = []
-    for d, classes in sorted(A.indices_by_degree().items()):
-        if d == 0:
-            continue
-        ech = Echelon(A.field)
-        for prod in decomposables.get(d, []):
-            if ech.rank == len(classes):
-                break  # every class of degree d is decomposable
-            ech.insert(prod)
-        gens += [i for i in classes if ech.insert({i: 1})[0]]
-    return gens
-
-
 def _longest_product(
     T: Algebra, elements: list[Element], budget: int, method: str
 ) -> CupLengthResult:
@@ -329,7 +288,7 @@ def _longest_product(
 def _generator_bar_search(A: Algebra, budget: int) -> CupLengthResult:
     """Longest nonzero product of generator bars, in the lazy tensor square."""
     T = tensor_square(A)
-    return _longest_product(T, _bars(T, generator_indices(A)), budget, "generator-bars")
+    return _longest_product(T, _bars(T, A.generators()), budget, "generator-bars")
 
 
 def zcl_basic(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:

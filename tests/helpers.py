@@ -9,6 +9,7 @@
 * :func:`searched_cl` — cl from the generator search on any encoding, the
   route ``cup_length`` takes for non-monomial rings; on monomial rings it
   cross-checks the closed form.
+* :func:`negated` — -x, for sign checks: elements only multiply.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from frametc import cuplength
 from frametc.algebra import (
     Algebra,
     DomainMismatchError,
+    Element,
     GeneratorSpec,
     InvalidPresentationError,
     MonomialAlgebra,
@@ -121,5 +123,11 @@ def bound_report_from_json(obj: dict) -> BoundReport:
 
 def searched_cl(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     """cl(A) from the search over products of algebra generators, checked."""
-    gens = [A.basis_element(i) for i in cuplength.generator_indices(A)]
+    gens = [A.basis_element(i) for i in A.generators()]
     return cuplength._checked(cuplength._longest_product(A, gens, budget, "search"))
+
+
+def negated(x: Element) -> Element:
+    """-x, coefficient by coefficient."""
+    f = x.algebra.field
+    return Element(x.algebra, {i: f.neg(c) for i, c in x.coeffs.items()})

@@ -14,8 +14,9 @@ from math import comb
 
 import pytest
 
-from frametc import cuplength
+from frametc import algebra, cuplength
 from frametc.algebra import (
+    Element,
     GeneratorSpec,
     MonomialAlgebra,
     ProductAlgebra,
@@ -35,12 +36,12 @@ from frametc.cuplength import (
     bar,
     cup_length,
     diagonal_image,
-    generator_indices,
     zcl_basic,
     zcl_full,
     zero_divisor_ideal_basis,
 )
 from frametc.fields import F2, QQ, field_of
+from frametc.linalg import Echelon
 from closed_forms import korbas_cl
 from helpers import searched_cl, tensor
 from oracle import brute_force_cl
@@ -156,7 +157,7 @@ class TestZeroDivisorGenerators:
             T = tensor_square(A)
             for g in A.gens:
                 b = bar(T, A.generator_element(g.name))
-                power = T.one()
+                power = T.basis_element(T.unit_index)
                 for _ in range(g.truncation - 1):
                     power = power * b
                 assert not power.is_zero, (n, g.name)
@@ -166,11 +167,11 @@ class TestZeroDivisorGenerators:
 class TestGeneratorIndices:
     def test_monomial_generators_are_the_generator_monomials(self):
         A = so_ring(5, F2)
-        assert [A.labels[i] for i in generator_indices(A)] == ["b1", "b3"]
+        assert [A.labels[i] for i in A.generators()] == ["b1", "b3"]
 
     def test_table_surface_generated_in_degree_one(self):
         A = surface_ring(2, QQ)
-        gens = generator_indices(A)
+        gens = A.generators()
         assert [A.labels[i] for i in gens] == ["a1", "a2", "b1", "b2"]
 
     def test_table_encoding_of_monomial_ring_finds_same_generators(self):
@@ -183,26 +184,30 @@ class TestGeneratorIndices:
                 A.degrees,
                 {(i, j): A.mul_basis(i, j) for i in range(A.dim) for j in range(A.dim)},
             )
-            assert generator_indices(table) == generator_indices(A)
+            assert table.generators() == A.generators()
 
     def test_product_algebra_generators_are_the_factor_generators(self):
         A, B = surface_ring(1, F2), rp_ring(3)
         P = tensor(A, B)
-        labels = [P.labels[i] for i in generator_indices(P)]
+        labels = [P.labels[i] for i in P.generators()]
         assert labels == ["1⊗a", "a1⊗1", "b1⊗1"]  # (degree, index) order
 
     def test_found_once_per_algebra(self, monkeypatch):
-        # ``ring --compute cl,zcl-full`` runs both searches on one table ring.
+        # ``ring --compute cl,zcl-full`` builds a table ring, whose axiom
+        # check needs its generators, and then runs both searches on it.
+        # Finding them takes one echelon per positive degree, here 1 and 2.
         calls = []
-        find = cuplength._find_generators
-        monkeypatch.setattr(cuplength, "_find_generators", lambda A: calls.append(A) or find(A))
+        monkeypatch.setattr(
+            algebra, "Echelon", lambda field: calls.append(field) or Echelon(field)
+        )
         A = surface_ring(3, QQ)
         assert cup_length(A).value == 2 and zcl_full(A).value == 4
-        assert len(calls) == 1 and calls[0] is A
+        assert A.generators() is A.generators()
+        assert len(calls) == 2
 
     def test_point_has_no_generators(self):
-        assert generator_indices(so_ring(1, QQ)) == []
-        assert generator_indices(TableAlgebra(QQ, ["1"], [0], {})) == []
+        assert so_ring(1, QQ).generators() == []
+        assert TableAlgebra(QQ, ["1"], [0], {}).generators() == []
 
 
 class TestZclBasic:
@@ -216,7 +221,7 @@ class TestZclBasic:
             assert res.value == 2 * n
             assert res.exact and res.verify()
             b = bar(T, A.generator_element("u"))
-            power = T.one()
+            power = T.basis_element(T.unit_index)
             for _ in range(2 * n):
                 power = power * b
             sign = 1 if n % 2 == 0 else -1
@@ -421,14 +426,14 @@ def embedded_witness_product(A: MonomialAlgebra, res):
     """
     index = {label: k for k, label in enumerate(A.labels)}
     T = tensor_square(A)
-    product = T.one()
+    product = T.basis_element(T.unit_index)
     for w in res.witness:
         P = w.algebra
         embedded = {}
         for k, c in w.coeffs.items():
             i, j = P.split_index(k)
             embedded[T.pair_index(index[P.left.labels[i]], index[P.right.labels[j]])] = c
-        product = product * T.element(embedded)
+        product = product * Element(T, embedded)
     return product
 
 
@@ -543,7 +548,7 @@ class TestDegreeBoundStop:
         algebras = [e.algebra for e in small_entries] + [surface_ring(5, QQ)]
         fewer = 0
         for A in algebras:
-            gens = generator_indices(A)
+            gens = A.generators()
             T = tensor_square(A)
             for res, S, elements in (
                 (searched_cl(A), A, [A.basis_element(i) for i in gens]),

@@ -1,5 +1,6 @@
 """Package-wide contracts: what ``import frametc.cli`` loads, what the package
-exports, and the fresh default containers of the hand-written record classes."""
+exports, that every shipped function is reached from the CLI, and the fresh
+default containers of the hand-written record classes."""
 
 import importlib
 import inspect
@@ -8,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -25,6 +27,46 @@ LAYERS = (
     "algebra", "bounds", "catalog", "cuplength", "examples",
     "fields", "linalg", "manifold", "report",
 )
+# Functions of src/frametc that no CLI run enters, each for a reason.
+UNREACHED_BY_DESIGN = {
+    # bench/tracer.py wraps these by name, and tests/test_bench_hooks.py
+    # requires every name it wraps to exist.
+    "cuplength.zcl_basic",
+    "cuplength.zero_divisor_ideal_basis",
+    "linalg.kernel_of_map",
+    "fields.Field.invert",
+    "algebra.ProductAlgebra.mul_basis",
+    # The abstract method that every encoding overrides.
+    "algebra.Algebra.mul_basis",
+    # The immutability guard and the debugging form.
+    "fields.Field.__setattr__",
+    "fields.Field.__repr__",
+}
+# Runs each argv list read from stdin through ``frametc.cli.main`` in one
+# interpreter, profiled from before ``frametc`` is imported, and prints the
+# exit codes and the (file, first line) of every package function entered.
+REACH_PROBE = r"""
+import contextlib, io, json, os, sys
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+sys.setprofile(profile)
+import frametc.cli
+codes = []
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(frametc.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+here = os.path.dirname(frametc.cli.__file__)
+print(json.dumps({"codes": codes, "entered": sorted(
+    (os.path.basename(c.co_filename), c.co_firstlineno)
+    for c in entered if os.path.dirname(c.co_filename) == here
+)}))
+"""
 
 
 def test_cli_import_loads_every_layer_and_no_heavy_module():
@@ -41,6 +83,79 @@ def test_cli_import_loads_every_layer_and_no_heavy_module():
     loaded = set(json.loads(out))
     assert not loaded & set(HEAVY_MODULES)
     assert {f"frametc.{name}" for name in LAYERS} <= loaded
+
+
+def _defined_functions() -> dict:
+    """(file, first line) -> dotted name of every function in src/frametc.
+
+    Lambdas and comprehensions are left out; they run inside a function.
+    """
+    found = {}
+
+    def walk(code, prefix, name):
+        for const in code.co_consts:
+            if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
+                continue
+            dotted = prefix + const.co_name
+            if const.co_flags & inspect.CO_NEWLOCALS:  # a function, not a class body
+                found[(name, const.co_firstlineno)] = dotted
+            walk(const, dotted + ".", name)
+
+    here = os.path.dirname(frametc.__file__)
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            path = os.path.join(here, name)
+            with open(path, encoding="utf-8") as fh:
+                walk(compile(fh.read(), path, "exec"), name[:-3] + ".", name)
+    return found
+
+
+def test_every_shipped_function_is_entered_by_a_cli_run(tmp_path):
+    from test_golden import CASES, RING_ITEMS
+
+    def ring_file(name, field, basis, products):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "field": {"char": field},
+            "type": "table",
+            "basis": [{"name": n, "degree": d} for n, d in basis],
+            "products": products,
+        }))
+        return str(path)
+
+    fractional = ring_file(
+        "half.json", 0, [("1", 0), ("x", 2), ("z", 4)], [["x", "x", "z", "1/2"]]
+    )
+    # x·y = u and u·z = v, but y·z = 0: (x·y)·z = v and x·(y·z) = 0.
+    nonassociative = ring_file(
+        "broken.json", 2,
+        [("1", 0), ("x", 2), ("y", 2), ("z", 2), ("u", 4), ("v", 6)],
+        [["x", "y", "u", 1], ["y", "x", "u", 1], ["u", "z", "v", 1], ["z", "u", "v", 1]],
+    )
+    errors = [
+        ["ring", nonassociative],
+        ["ring", "so:3:char4"],
+        ["ring", "nope:3"],
+        ["ring", "so:3:char2", "--compute", "bogus"],
+        ["ring", "so:3:char2", "--field", "char=4"],
+        ["frame-bundle", "nope"],
+        ["frame-bundle", str(tmp_path / "missing.json")],
+        ["examples", "rp9"],
+    ]
+    argvs = [*CASES.values(), ["ring", fractional, "--compute", RING_ITEMS], *errors]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frametc.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", REACH_PROBE], input=json.dumps(argvs),
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    probe = json.loads(out)
+    assert probe["codes"][-len(errors) - 1:] == [0] + [1] * len(errors)
+    entered = {tuple(key) for key in probe["entered"]}
+    defined = _defined_functions()
+    unreached = {name for key, name in defined.items() if key not in entered}
+    assert sorted(unreached - UNREACHED_BY_DESIGN) == []
+    assert unreached >= UNREACHED_BY_DESIGN  # the allow-list is not stale
 
 
 def test_every_exported_name_resolves():
