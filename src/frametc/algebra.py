@@ -10,10 +10,11 @@ Three encodings share one interface (:class:`Algebra`):
   digits, is zero when one overflows its truncation, and otherwise lands on
   index i + j with the Koszul sign from counting transpositions of
   odd-degree factors.
-* :class:`TableAlgebra` — explicit graded basis plus structure constants,
-  validated at construction: unit, grading and graded commutativity on every
-  basis pair, and associativity exactly, on the triples (g, y, z) with g an
-  algebra generator, which imply all others (:meth:`Algebra.check_axioms`).
+* :class:`TableAlgebra` — explicit graded basis plus its nonzero products,
+  validated at construction from those products alone: grading and graded
+  commutativity on every stored pair, and associativity exactly, on the
+  triples (g, y, z) with g an algebra generator, which imply all others
+  (:meth:`Algebra.check_axioms`).  Its generators are read from the table.
 * :class:`ProductAlgebra` — the graded tensor product of two algebras with
   structure constants computed lazily:
   ``(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'``.  Its degrees and
@@ -21,14 +22,14 @@ Three encodings share one interface (:class:`Algebra`):
   lists on demand, so a tensor square costs nothing per basis class until
   it is multiplied in.
 
-Every encoding names a set of algebra generators (:meth:`Algebra.generators`),
-found once per algebra and shared by the axiom check and the cup-length
-searches.  Basis ordering is deterministic everywhere, so searches and
-reported witnesses are reproducible.  Elements are sparse maps from basis
-index to a nonzero field coefficient.  Only encodings that store every basis
-class are capped: the default capacity refuses table algebras with more than
-4096 basis elements.  Monomial and product encodings store nothing per basis
-class and take no cap.
+Monomial and table encodings name a set of algebra generators
+(``generators()``), found once per algebra and shared by the axiom check and
+the cup-length searches.  Basis ordering is deterministic everywhere, so
+searches and reported witnesses are reproducible.  Elements are sparse maps
+from basis index to a nonzero field coefficient.  Only encodings that store
+every basis class are capped: the default capacity refuses table algebras
+with more than 4096 basis elements.  Monomial and product encodings store
+nothing per basis class and take no cap.
 """
 
 from __future__ import annotations
@@ -178,41 +179,6 @@ class Algebra:
             self._by_degree = by
             return by
 
-    def generators(self) -> list[int]:
-        """Basis classes that generate the algebra, in (degree, index) order.
-
-        A basis class of degree d is kept when it is independent of the
-        products A+·A+ of degree d and of the classes kept before it; the
-        kept classes span a complement of the decomposables, so they
-        generate A.  The result is kept on the algebra, so the axiom check
-        and the searches for cl and zcl share it.
-        """
-        try:
-            return self._generators
-        except AttributeError:
-            top = self.top_degree
-            pos = [i for i in range(self.dim) if self.degrees[i] > 0]
-            decomposables: dict[int, list[dict]] = {}
-            for a, i in enumerate(pos):
-                for j in pos[a:]:  # graded commutativity: x·y = ±y·x
-                    d = self.degrees[i] + self.degrees[j]
-                    if d <= top:
-                        prod_ij = self.mul_basis(i, j)
-                        if prod_ij:
-                            decomposables.setdefault(d, []).append(prod_ij)
-            gens: list[int] = []
-            for d, classes in sorted(self.indices_by_degree().items()):
-                if d == 0:
-                    continue
-                ech = Echelon(self.field)
-                for prod_ij in decomposables.get(d, []):
-                    if ech.rank == len(classes):
-                        break  # every class of degree d is decomposable
-                    ech.insert(prod_ij)
-                gens += [i for i in classes if ech.insert({i: 1})[0]]
-            self._generators = gens
-            return gens
-
     def poincare_polynomial(self) -> list[int]:
         """Coefficient c_d = number of basis classes of degree d, d = 0..top."""
         out = [0] * (self.top_degree + 1)
@@ -242,10 +208,14 @@ class Algebra:
     # -- axiom checking --------------------------------------------------------
 
     def check_axioms(self) -> None:
-        """Verify unit, grading, graded commutativity, associativity.
+        """Verify the stored products ``_table`` of a table encoding.
 
-        Unit, grading and graded commutativity are checked on every basis
-        pair.  Associativity is checked exactly, on generator triples:
+        Only the pairs the table lists are read: a pair listed in neither
+        order has product 0 both ways, which is graded and commutative, and
+        the constructor fixes the unit's products.  Each listed unordered
+        pair x, y is checked for grading (x·y lies in degree |x| + |y|) and
+        graded commutativity (x·y = (-1)^{|x||y|} y·x).
+        Associativity is checked exactly, on generator triples:
         (g·y)·z = g·(y·z) for every generator g (:meth:`generators`) and
         every pair of non-unit basis classes y, z, hence for all elements
         y, z.  That implies it everywhere.  Every x in A+ is a sum of terms
@@ -258,57 +228,50 @@ class Algebra:
         with y·z ≠ 0 or x·z ≠ 0 for a term x of g·y.
         Raises InvalidPresentationError naming the first offender; for
         associativity, the first failing (g, y, z) in generator order, then
-        y index, then z index.
+        y index, then z index.  The method is defined here, not on
+        TableAlgebra, because ``bench/tracer.py`` times it under this name.
         """
         f = self.field
-        n = self.dim
-        unit = self.unit_index
+        table = self._table
         degs = self.degrees
-        if degs[unit] != 0:
-            raise InvalidPresentationError("unit must have degree 0")
-        for i in range(n):
-            if self.mul_basis(unit, i) != {i: 1} or self.mul_basis(i, unit) != {i: 1}:
-                raise InvalidPresentationError(f"unit fails on basis class {self.labels[i]}")
         signs = (1, f.sign_to_coeff(1))  # (-1)**(even), (-1)**(odd)
-        partners: list[list[int]] = [[] for _ in range(n)]  # non-unit z with y·z ≠ 0
         # One visit per unordered pair: if (j, i) passes both checks then
         # prod_ij = ±prod_ji, so (i, j) passes too.  The first offender of
         # the full row-major loop therefore has i <= j, and is found here.
-        for i in range(n):
-            for j in range(i, n):
-                prod_ij = self.mul_basis(i, j)
-                d = degs[i] + degs[j]
-                for k in prod_ij:
-                    if degs[k] != d:
-                        raise InvalidPresentationError(
-                            f"product {self.labels[i]}·{self.labels[j]} violates grading"
-                        )
-                sign = signs[degs[i] * degs[j] % 2]
-                prod_ji = self.mul_basis(j, i)
-                expect = {k: f.mul(sign, c) for k, c in prod_ji.items()}
-                if prod_ij != expect:
+        for i, j in sorted({(min(key), max(key)) for key in table}):
+            prod_ij = table.get((i, j), _NO_TERMS)
+            d = degs[i] + degs[j]
+            for k in prod_ij:
+                if degs[k] != d:
                     raise InvalidPresentationError(
-                        f"graded commutativity fails on {self.labels[i]}, {self.labels[j]}"
+                        f"product {self.labels[i]}·{self.labels[j]} violates grading"
                     )
-                if prod_ij and unit not in (i, j):
-                    partners[i].append(j)
-                    if j != i:
-                        partners[j].append(i)
+            sign = signs[degs[i] * degs[j] % 2]
+            prod_ji = table.get((j, i), _NO_TERMS)
+            expect = {k: f.mul(sign, c) for k, c in prod_ji.items()}
+            if prod_ij != expect:
+                raise InvalidPresentationError(
+                    f"graded commutativity fails on {self.labels[i]}, {self.labels[j]}"
+                )
+        partners: list[list[int]] = [[] for _ in degs]  # non-unit z with y·z ≠ 0
+        for y, z in table:
+            partners[y].append(z)
+        unit = self.unit_index
         top = self.top_degree
         least = min((d for d in degs if d > 0), default=0)
         ys: dict[int, list[int]] = {}  # generator degree -> the y worth trying
         for g in self.generators():
             if degs[g] not in ys:
                 room = top - least - degs[g]
-                ys[degs[g]] = [y for y in range(n) if y != unit and degs[y] <= room]
+                ys[degs[g]] = [y for y, d in enumerate(degs) if y != unit and d <= room]
             for y in ys[degs[g]]:
-                prod_gy = self.mul_basis(g, y)
+                prod_gy = table.get((g, y), _NO_TERMS)
                 zs = set(partners[y])
                 for x in prod_gy:
                     zs.update(partners[x])
                 for z in sorted(zs):
                     left = self.mul_vec(prod_gy, {z: 1})
-                    right = self.mul_vec({g: 1}, self.mul_basis(y, z))
+                    right = self.mul_vec({g: 1}, table.get((y, z), _NO_TERMS))
                     if left != right:
                         raise InvalidPresentationError(
                             "associativity fails on "
@@ -477,6 +440,38 @@ class TableAlgebra(Algebra):
             return {i: 1}
         return self._table.get((i, j), _NO_TERMS)
 
+    def generators(self) -> list[int]:
+        """Basis classes that generate the algebra, in (degree, index) order.
+
+        A basis class of degree d is kept when it is independent of the
+        products A+·A+ of degree d and of the classes kept before it; the
+        kept classes span a complement of the decomposables, so they
+        generate A.  The decomposables are spanned by the stored products
+        x·y with x <= y (graded commutativity gives the others up to sign).
+        The result is kept on the algebra, so the axiom check and the
+        searches for cl and zcl share it.
+        """
+        try:
+            return self._generators
+        except AttributeError:
+            decomposables: dict[int, list[dict]] = {}
+            for (i, j), prod_ij in sorted(self._table.items()):
+                if i <= j:
+                    d = self.degrees[i] + self.degrees[j]
+                    decomposables.setdefault(d, []).append(prod_ij)
+            gens: list[int] = []
+            for d, classes in sorted(self.indices_by_degree().items()):
+                if d == 0:
+                    continue
+                ech = Echelon(self.field)
+                for prod_ij in decomposables.get(d, []):
+                    if ech.rank == len(classes):
+                        break  # every class of degree d is decomposable
+                    ech.insert(prod_ij)
+                gens += [i for i in classes if ech.insert({i: 1})[0]]
+            self._generators = gens
+            return gens
+
 
 class ProductAlgebra(Algebra):
     """Graded tensor product with lazily computed structure constants.
@@ -592,8 +587,7 @@ def tensor_square(algebra: Algebra) -> ProductAlgebra:
 def _coeff_from_json(c, field: Field) -> Coeff:
     try:
         if isinstance(c, str):
-            q = Fraction(c)
-            return field.coerce(q.numerator if q.denominator == 1 else q)
+            return field.coerce(Fraction(c))
         if type(c) is int:
             return field.coerce(c)
     except (ValueError, ZeroDivisionError) as exc:

@@ -21,9 +21,9 @@ exactly when some product of k generator bars is nonzero.  Generator bars
 are basic bars, hence zcl_basic = zcl_full = the longest nonzero product of
 generator bars (the basic zero-divisor setting of Farber, *Topological
 complexity of motion planning*, DCG 29, 2003).  The generators come from
-the algebra (:meth:`Algebra.generators`): the generator monomials of a
-monomial encoding, and otherwise the basis classes that stay independent of
-the decomposables A+·A+ in their degree.  A table ring's axiom check already
+the algebra's ``generators()``: the generator monomials of a monomial
+encoding, and for a table the basis classes that stay independent of its
+stored products A+·A+ in their degree.  A table ring's axiom check already
 found them, so the searches reuse that list.
 
 One search answers both sides.  Every product of positive-degree classes
@@ -163,8 +163,8 @@ def _checked(result: CupLengthResult) -> CupLengthResult:
 def cup_length(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     """Longest nonzero product of positive-degree classes.
 
-    A monomial encoding answers with its top monomial; any other encoding
-    takes the search over products of algebra generators, which loses
+    A monomial encoding answers with its top monomial; a table encoding
+    takes the search over products of its ``generators()``, which loses
     nothing (module docstring) and gives ``exact=False`` when its node
     budget runs out.
     """

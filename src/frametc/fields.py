@@ -4,7 +4,7 @@ Two kinds of field are supported and both are exact:
 
 * characteristic 0, the rationals, realized as Python ints; a
   `fractions.Fraction` enters only with a non-integral input such as a
-  table's ``"p/q"`` constant, and mixes with ints exactly;
+  table's ``"p/q"`` constant (``coerce`` turns integral ones into ints);
 * prime characteristic p, realized as Python ints in ``range(p)``.
 
 Zero and one are ``0`` and ``1`` in every field, and a coefficient is zero
@@ -82,6 +82,8 @@ class Field:
             raise TypeError(f"coefficients must be int or Fraction, got {x!r}")
         p = self.characteristic
         if p == 0:
+            if isinstance(x, Fraction) and x.denominator == 1:
+                return x.numerator
             return x
         if isinstance(x, Fraction):
             if x.denominator % p == 0:

@@ -1,7 +1,8 @@
 """Test-side helpers that the shipped package does not need.
 
 * :func:`tensor` — the graded tensor product of two algebras, for joint-ring
-  and additivity checks.
+  and additivity checks; :class:`JointAlgebra` is its product form, which
+  names its generators from the factors'.
 * :func:`ring_to_json` — a monomial or table algebra in ring-descriptor form,
   for writing ring files and inline rings.
 * :func:`bound_entry_from_json`, :func:`bound_report_from_json` — a report
@@ -31,12 +32,26 @@ from frametc.bounds import BoundEntry, BoundReport
 from frametc.cuplength import DEFAULT_BUDGET, CupLengthResult
 
 
+class JointAlgebra(ProductAlgebra):
+    """A tensor product whose generators are x⊗1 and 1⊗y.
+
+    x and y run over the factors' generators, and the result is in
+    (degree, index) order, as the searches for cl and zcl expect.
+    """
+
+    def generators(self) -> list[int]:
+        left, right = self.left, self.right
+        gens = [self.pair_index(x, right.unit_index) for x in left.generators()]
+        gens += [self.pair_index(left.unit_index, y) for y in right.generators()]
+        return sorted(gens, key=lambda k: (self.degrees[k], k))
+
+
 def tensor(left: Algebra, right: Algebra) -> Algebra:
     """Graded (Künneth) tensor product.
 
     Two monomial algebras tensor to a monomial algebra by concatenating the
     generator lists (duplicate right-hand names get a ``'`` suffix); any other
-    combination yields a :class:`ProductAlgebra`.  Dimensions multiply and the
+    combination yields a :class:`JointAlgebra`.  Dimensions multiply and the
     Poincaré polynomial is the coefficientwise product.
     """
     if left.field != right.field:
@@ -51,7 +66,7 @@ def tensor(left: Algebra, right: Algebra) -> Algebra:
             taken.add(name)
             gens.append(GeneratorSpec(name, g.degree, g.truncation))
         return MonomialAlgebra(left.field, gens)
-    return ProductAlgebra(left, right)
+    return JointAlgebra(left, right)
 
 
 def ring_to_json(algebra: Algebra) -> dict:

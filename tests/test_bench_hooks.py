@@ -31,3 +31,18 @@ def test_tracer_hooks_install_and_restore(tracer):
     finally:
         left = patches.restore()
     assert left == []
+
+
+def test_table_check_is_timed_under_its_hooked_name(tracer):
+    # The tracer times ``Algebra.check_axioms``; an override on a subclass
+    # would leave ``algebra.check_axioms_s`` at zero without failing a run.
+    from frametc import catalog
+
+    tr = tracer.Tracer()
+    patches = tracer.Patches()
+    try:
+        tracer.install(tr, patches)
+        catalog.catalog_ring("sigma:2:char0")
+    finally:
+        patches.restore()
+    assert tr.calls["algebra.check_axioms"] == 1

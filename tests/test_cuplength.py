@@ -45,6 +45,7 @@ from frametc.linalg import Echelon
 from closed_forms import korbas_cl
 from helpers import searched_cl, tensor
 from oracle import brute_force_cl
+from test_algebra import table_from
 from zero_divisors import zero_divisor_generators
 
 
@@ -164,6 +165,9 @@ class TestZeroDivisorGenerators:
                 assert (power * b).is_zero, (n, g.name)
 
 
+JOINT_CAP = 32  # classes of a joint ring re-encoded as a table, to keep it quick
+
+
 class TestGeneratorIndices:
     def test_monomial_generators_are_the_generator_monomials(self):
         A = so_ring(5, F2)
@@ -191,6 +195,22 @@ class TestGeneratorIndices:
         P = tensor(A, B)
         labels = [P.labels[i] for i in P.generators()]
         assert labels == ["1⊗a", "a1⊗1", "b1⊗1"]  # (degree, index) order
+
+    def test_joint_generators_match_the_table_route(self, small_entries):
+        # The factor-by-factor generators of a joint ring against the
+        # decomposables route run on the same ring as a table.
+        pairs = 0
+        for a in small_entries:
+            for b in small_entries:
+                A, B = a.algebra, b.algebra
+                if A.field != B.field or A.dim * B.dim > JOINT_CAP:
+                    continue
+                P = tensor(A, B)
+                if isinstance(P, MonomialAlgebra):
+                    continue
+                assert table_from(P).generators() == P.generators(), (a.entry_id, b.entry_id)
+                pairs += 1
+        assert pairs > 0
 
     def test_found_once_per_algebra(self, monkeypatch):
         # ``ring --compute cl,zcl-full`` builds a table ring, whose axiom
