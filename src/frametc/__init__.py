@@ -17,7 +17,7 @@ from .algebra import (
 from .bounds import BoundEntry, BoundReport, cat_so, compute_bounds
 from .catalog import CatalogError, catalog_ring, parse_catalog_id
 from .cuplength import CupLengthResult, bar, cup_length, zcl_full
-from .examples import evaluate_examples, example_rows
+from .examples import evaluate_examples, example_descriptor
 from .fields import F2, Field, FieldError, QQ, field_of, parse_field
 from .manifold import DescriptorError, ManifoldDescriptor, load_descriptor
 
@@ -48,7 +48,7 @@ __all__ = [
     "compute_bounds",
     "cup_length",
     "evaluate_examples",
-    "example_rows",
+    "example_descriptor",
     "field_of",
     "load_descriptor",
     "parse_catalog_id",

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from collections import abc
 from fractions import Fraction
-from math import prod
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .fields import Coeff, Field, field_from_json
@@ -147,20 +148,17 @@ class Element:
 class Algebra:
     """Common interface of all encodings.
 
-    Subclasses populate ``field``, ``degrees``, ``labels``, ``unit_index`` and
-    implement :meth:`mul_basis`.  Instances are immutable after construction
-    and safe to share; all operations are pure.  The dict ``mul_basis``
-    returns may be the stored one, so callers only read it.
+    Subclasses populate ``field``, ``dim``, ``degrees``, ``labels``,
+    ``unit_index`` and implement :meth:`mul_basis`.  Instances are immutable
+    after construction and safe to share; all operations are pure.  The dict
+    ``mul_basis`` returns may be the stored one, so callers only read it.
     """
 
     field: Field
+    dim: int  # an int, not len(degrees): len() stops at sys.maxsize
     degrees: Sequence[int]
     labels: Sequence[str]
     unit_index: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.degrees)
 
     @property
     def top_degree(self) -> int:
@@ -321,12 +319,13 @@ class MonomialAlgebra(Algebra):
                     )
         self.field = field
         self.gens = gens
-        self.strides = tuple(
-            prod(g.truncation for g in gens[t + 1 :]) for t in range(len(gens))
+        # One running product, from the last generator: its strides, then dim.
+        *strides, self.dim = accumulate(
+            (g.truncation for g in reversed(gens)), mul, initial=1
         )
-        dim = prod(g.truncation for g in gens)
-        self.degrees = _LazySeq(dim, self._degree)
-        self.labels = _LazySeq(dim, self._label)
+        self.strides = tuple(reversed(strides))
+        self.degrees = _LazySeq(self.dim, self._degree)
+        self.labels = _LazySeq(self.dim, self._label)
         self.unit_index = 0
         self._radix = [(g.truncation, g.degree % 2 == 1) for g in reversed(gens)]
 
@@ -411,6 +410,7 @@ class TableAlgebra(Algebra):
                 f"need exactly one degree-0 basis class, found {len(units)}"
             )
         self.field = field
+        self.dim = len(names)
         self.labels = list(names)
         self.degrees = list(degrees)
         self.unit_index = units[0]
@@ -478,8 +478,8 @@ class ProductAlgebra(Algebra):
 
     ``degrees`` and ``labels`` are read-only views: entry
     ``pair_index(i, j)`` is computed from entries i and j of the factors'
-    sequences when it is asked for, so construction and ``dim`` (the
-    views' length) are O(1) whatever the dimension.
+    sequences when it is asked for, so construction is O(1) whatever the
+    dimension.
     """
 
     def __init__(self, left: Algebra, right: Algebra):
@@ -489,11 +489,12 @@ class ProductAlgebra(Algebra):
         self.left = left
         self.right = right
         n = right.dim
+        self.dim = left.dim * n
         self.degrees = _LazySeq(
-            left.dim * n, lambda k: left.degrees[k // n] + right.degrees[k % n]
+            self.dim, lambda k: left.degrees[k // n] + right.degrees[k % n]
         )
         self.labels = _LazySeq(
-            left.dim * n, lambda k: f"{left.labels[k // n]}⊗{right.labels[k % n]}"
+            self.dim, lambda k: f"{left.labels[k // n]}⊗{right.labels[k % n]}"
         )
         self.unit_index = self.pair_index(left.unit_index, right.unit_index)
 

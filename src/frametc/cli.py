@@ -29,7 +29,7 @@ from .algebra import DEFAULT_CAPACITY, CapacityError
 from .bounds import compute_bounds
 from .catalog import resolve_ring
 from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
-from .examples import EXAMPLE_KEYS, evaluate_examples, example_rows
+from .examples import EXAMPLE_KEYS, evaluate_examples, example_descriptor
 from .fields import parse_field
 from .manifold import load_descriptor
 from .report import render_bounds, render_examples, render_ring
@@ -160,8 +160,7 @@ def _cmd_frame_bundle(args) -> int:
     if os.path.exists(args.manifold) or args.manifold.endswith(".json"):
         descriptor = load_descriptor(args.manifold)
     elif args.manifold in EXAMPLE_KEYS:
-        (row,) = example_rows([args.manifold])
-        descriptor = row.descriptor
+        descriptor = example_descriptor(args.manifold)
     else:
         raise ValueError(
             f"{args.manifold!r} is neither a descriptor file nor a built-in key "
@@ -180,7 +179,7 @@ def _cmd_examples(args) -> int:
     )
     elapsed = None if args.no_timing else time.monotonic() - t0
     print(render_examples(rows, json_mode=args.json, elapsed=elapsed))
-    disagreements = [r for r in rows if r["agrees"] is False]
+    disagreements = [r for r in rows if not r["agrees"]]
     warned = [r for r in rows if r["warnings"]]
     return 2 if disagreements or warned else 0
 

@@ -5,7 +5,7 @@ package, with the interval for TC(F(M)) stated in the source material, so the
 rule engine's derived interval can be compared against it.  The built-in keys
 are exactly those files; the table below only adds a title, the stated
 interval and an optional note, and fixes the order rows are printed in.
-``agrees`` is True when every stated endpoint matches the derived one.  One
+``agrees`` is True when the stated interval equals the derived one.  One
 row (the 3-torus) intentionally disagrees: the stated family value for tori is
 cat(SO(n)) + n + 1 while the upper bound rules only ever reach cat(SO(n)) + n,
 and the derived lower bound meets them there; the row carries a note to that
@@ -18,11 +18,9 @@ import os
 from typing import Optional
 
 from .algebra import DEFAULT_CAPACITY
-from .bounds import BoundReport, compute_bounds
+from .bounds import compute_bounds
 from .cuplength import DEFAULT_BUDGET
 from .manifold import ManifoldDescriptor, load_descriptor
-
-Interval = tuple[Optional[int], Optional[int]]
 
 _DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "descriptors")
 
@@ -61,69 +59,12 @@ _TABLE = (
 )
 
 
-class ExampleRow:
-    def __init__(
-        self,
-        key: str,
-        title: str,
-        descriptor: ManifoldDescriptor,
-        stated: Optional[Interval],
-        note: str = "",
-    ):
-        self.key = key
-        self.title = title
-        self.descriptor = descriptor
-        self.stated = stated
-        self.note = note
-
-
 EXAMPLE_KEYS = tuple(row[0] for row in _TABLE)
 
 
-def example_rows(keys: Optional[list] = None) -> list[ExampleRow]:
-    """The built-in rows in table order; only those named in ``keys`` if given.
-
-    Only the descriptor files of the rows returned are read.
-    """
-    return [
-        ExampleRow(
-            key,
-            title,
-            load_descriptor(os.path.join(_DESCRIPTOR_DIR, f"{key}.json")),
-            stated,
-            note,
-        )
-        for key, title, stated, note in _TABLE
-        if not keys or key in keys
-    ]
-
-
-def _agrees(stated: Optional[Interval], derived: tuple) -> Optional[bool]:
-    if stated is None:
-        return None
-    lo_ok = stated[0] is None or stated[0] == derived[0]
-    hi_ok = stated[1] is None or stated[1] == derived[1]
-    return lo_ok and hi_ok
-
-
-def evaluate_example(
-    row: ExampleRow,
-    capacity: int = DEFAULT_CAPACITY,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
-    report: BoundReport = compute_bounds(row.descriptor, capacity=capacity, budget=budget)
-    derived = report.interval
-    out = {
-        "key": row.key,
-        "title": row.title,
-        "stated": list(row.stated) if row.stated else None,
-        "derived": [derived[0], derived[1]],
-        "agrees": _agrees(row.stated, derived),
-        "warnings": list(report.warnings),
-    }
-    if row.note:
-        out["note"] = row.note
-    return out
+def example_descriptor(key: str) -> ManifoldDescriptor:
+    """The built-in descriptor of ``key``, read from its package file."""
+    return load_descriptor(os.path.join(_DESCRIPTOR_DIR, f"{key}.json"))
 
 
 def evaluate_examples(
@@ -131,10 +72,27 @@ def evaluate_examples(
     capacity: int = DEFAULT_CAPACITY,
     budget: int = DEFAULT_BUDGET,
 ) -> list[dict]:
+    """The rows in table order; only those named in ``keys`` if given.
+
+    Only the descriptor files of the rows evaluated are read.
+    """
     unknown = set(keys or ()) - set(EXAMPLE_KEYS)
     if unknown:
         raise ValueError(f"unknown example keys: {sorted(unknown)}")
-    return [
-        evaluate_example(r, capacity=capacity, budget=budget)
-        for r in example_rows(keys)
-    ]
+    out = []
+    for key, title, stated, note in _TABLE:
+        if keys and key not in keys:
+            continue
+        report = compute_bounds(example_descriptor(key), capacity=capacity, budget=budget)
+        row = {
+            "key": key,
+            "title": title,
+            "stated": list(stated),
+            "derived": list(report.interval),
+            "agrees": stated == report.interval,
+            "warnings": list(report.warnings),
+        }
+        if note:
+            row["note"] = note
+        out.append(row)
+    return out

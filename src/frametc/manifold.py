@@ -8,6 +8,15 @@ cohomology rings per coefficient field, known topological complexity and
 category of the base, and the dimension of a compact Lie group known to act
 freely.
 
+There is one constructor, ``ManifoldDescriptor(obj, base_dir=None)``, which
+reads a descriptor object as parsed from JSON; :func:`load_descriptor` reads
+one from a file.  One table, ``_KEYS``, lists every key with its default:
+an unknown key is refused, an absent key takes its default, and ``to_json``
+writes the keys in the table's order.  JSON null for ``parallelizable``,
+``spin``, ``lie_group`` or ``cohomology`` means the default, as an absent
+key does; null for a key whose default is a value (``name``, ``dim``,
+``orientable``, ``connectivity``, ``tncz_fields``) is refused.
+
 Implication closure applied at construction: a Lie group is parallelizable,
 and a parallelizable manifold is spin and has trivial (hence TNCZ) frame
 bundle over every field.  The descriptor stores the closure so downstream
@@ -66,39 +75,47 @@ def _as_interval(value, what: str) -> Optional[Interval]:
     raise DescriptorError(f"{what} must be an integer or [lo, hi], got {value!r}")
 
 
-class ManifoldDescriptor:
-    """Structural facts about a closed oriented manifold."""
+# Every descriptor key with its default, in the order ``to_json`` writes
+# them.  Null means the default for the keys in ``_NULL_MEANS_DEFAULT`` and
+# for those whose default is None; for any other key it is refused.
+_KEYS = {
+    "name": "",
+    "dim": 0,
+    "orientable": True,
+    "parallelizable": False,
+    "spin": False,
+    "lie_group": False,
+    "connectivity": 0,
+    "free_action_dim": None,  # dim for a Lie group, else 0
+    "frame_bundle_lie_group": None,
+    "tncz_fields": (),
+    "cohomology": {},
+    "known_tc_base": None,
+    "known_cat_base": None,
+}
+_NULL_MEANS_DEFAULT = ("parallelizable", "spin", "lie_group", "cohomology")
 
-    def __init__(
-        self,
-        name: str = "",
-        dim: int = 0,
-        orientable: bool = True,
-        parallelizable: bool = False,
-        spin: bool = False,
-        lie_group: bool = False,
-        frame_bundle_lie_group: Optional[str] = None,
-        tncz_fields: tuple[str, ...] = (),
-        cohomology: Optional[dict] = None,
-        known_tc_base: Optional[Interval] = None,
-        known_cat_base: Optional[Interval] = None,
-        free_action_dim: Optional[int] = None,
-        connectivity: int = 0,
-        base_dir: Optional[str] = None,  # resolves relative ring paths
-    ):
-        self.name = name
-        self.dim = dim
-        self.orientable = orientable
-        self.parallelizable = parallelizable
-        self.spin = spin
-        self.lie_group = lie_group
-        self.frame_bundle_lie_group = frame_bundle_lie_group
-        self.tncz_fields = tncz_fields
-        self.cohomology = {} if cohomology is None else cohomology
-        self.known_tc_base = known_tc_base
-        self.known_cat_base = known_cat_base
-        self.free_action_dim = free_action_dim
-        self.connectivity = connectivity
+
+class ManifoldDescriptor:
+    """Structural facts about a closed oriented manifold.
+
+    Built from a descriptor object (the parsed JSON) and the directory that
+    relative ring paths in its ``cohomology`` resolve against.
+    """
+
+    def __init__(self, obj: dict, base_dir: Optional[str] = None):
+        if not isinstance(obj, dict):
+            raise DescriptorError("manifold descriptor must be a JSON object")
+        unknown = set(obj) - set(_KEYS)
+        if unknown:
+            raise DescriptorError(f"unknown descriptor keys: {sorted(unknown)}")
+        for key, default in _KEYS.items():
+            value = obj.get(key, default)
+            if value is None and key in _NULL_MEANS_DEFAULT:
+                value = default
+            if isinstance(value, dict):  # cohomology: share no dict with obj or _KEYS
+                value = dict(value)
+            setattr(self, key, value)
         self.base_dir = base_dir
         self._check()
 
@@ -213,47 +230,18 @@ class ManifoldDescriptor:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "dim": self.dim,
-            "orientable": self.orientable,
-            "parallelizable": self.parallelizable,
-            "spin": self.spin,
-            "lie_group": self.lie_group,
-            "connectivity": self.connectivity,
-            "free_action_dim": self.free_action_dim,
-        }
-        if self.frame_bundle_lie_group:
-            out["frame_bundle_lie_group"] = self.frame_bundle_lie_group
-        if self.tncz_fields:
-            out["tncz_fields"] = [f.token() for f in self.tncz_fields]
-        if self.cohomology:
-            out["cohomology"] = self.cohomology
-        if self.known_tc_base:
-            out["known_tc_base"] = list(self.known_tc_base)
-        if self.known_cat_base:
-            out["known_cat_base"] = list(self.known_cat_base)
+        """The checked facts as JSON, in table order; unset keys are left out."""
+        out = {}
+        for key in _KEYS:
+            value = getattr(self, key)
+            if isinstance(value, tuple):  # tncz_fields and the intervals
+                value = [v.token() if isinstance(v, Field) else v for v in value]
+            if value not in (None, [], {}):
+                out[key] = value
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict, base_dir: Optional[str] = None) -> "ManifoldDescriptor":
-        if not isinstance(obj, dict):
-            raise DescriptorError("manifold descriptor must be a JSON object")
-        known = {
-            "name", "dim", "orientable", "parallelizable", "spin", "lie_group",
-            "frame_bundle_lie_group", "tncz_fields", "cohomology",
-            "known_tc_base", "known_cat_base", "free_action_dim", "connectivity",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise DescriptorError(f"unknown descriptor keys: {sorted(unknown)}")
-        # null leaves these flags at their default, as an absent key does
-        nullable = ("parallelizable", "spin", "lie_group")
-        obj = {k: v for k, v in obj.items() if v is not None or k not in nullable}
-        return cls(**obj, base_dir=base_dir)
 
 
 def load_descriptor(path: str) -> ManifoldDescriptor:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return ManifoldDescriptor.from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    return ManifoldDescriptor(obj, base_dir=os.path.dirname(os.path.abspath(path)))

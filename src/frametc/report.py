@@ -103,14 +103,11 @@ def render_examples(
     lines = ["key\tstated\tderived\tagrees\ttitle"]
 
     def fmt(iv) -> str:
-        if iv is None:
-            return "-"
-        lo = "?" if iv[0] is None else str(iv[0])
-        hi = "?" if iv[1] is None else str(iv[1])
-        return f"[{lo}, {hi}]"
+        lo, hi = iv
+        return f"[{lo}, {'?' if hi is None else hi}]"  # no upper bound: ?
 
     for r in rows:
-        agrees = {True: "yes", False: "NO", None: "-"}[r["agrees"]]
+        agrees = "yes" if r["agrees"] else "NO"
         lines.append(
             f"{r['key']}\t{fmt(r['stated'])}\t{fmt(r['derived'])}\t{agrees}\t{r['title']}"
         )

@@ -74,6 +74,14 @@ class TestMonomialAlgebra:
         assert list(A.degrees) == [0, 1, 1, 2]
         assert A.degrees[A.unit_index] == 0
 
+    def test_strides_and_dim_are_products_of_truncations(self):
+        # Generator t sits at the product of the truncations after it.
+        A = MonomialAlgebra(F2, [GeneratorSpec("a", 1, 2), GeneratorSpec("b", 2, 3),
+                                 GeneratorSpec("c", 4, 5)])
+        assert A.strides == (15, 5, 1)
+        assert A.dim == 30 == len(A.degrees) == len(list(A.labels))
+        assert MonomialAlgebra(F2, []).dim == 1  # the point
+
     def test_index_arithmetic_matches_exponent_table(self, entries):
         # The reference is the exponent table MonomialAlgebra used to build:
         # every exponent vector in lexicographic order, with the Koszul sign

@@ -17,7 +17,7 @@ from frametc import bounds
 from frametc.bounds import cat_so, compute_bounds
 from frametc.catalog import so_ring
 from frametc.cuplength import cup_length, zcl_full
-from frametc.examples import example_rows
+from frametc.examples import EXAMPLE_KEYS, example_descriptor
 from frametc.fields import F2, QQ, field_of
 from frametc.manifold import DescriptorError, ManifoldDescriptor, load_descriptor
 from closed_forms import cat_so_lower, korbas_cl, zcl_so_closed_form
@@ -29,8 +29,7 @@ RP7 = os.path.join(os.path.dirname(__file__), "..", "descriptors", "rp7.json")
 
 @pytest.fixture(scope="module")
 def reports():
-    rows = {r.key: r for r in example_rows()}
-    return {key: compute_bounds(rows[key].descriptor) for key in rows}
+    return {key: compute_bounds(example_descriptor(key)) for key in EXAMPLE_KEYS}
 
 
 def by_rule(report, rule, kind=None, field=None):
@@ -158,8 +157,7 @@ class TestRuleOutputs:
         # A zero node budget leaves every zero-divisor value a lower bound:
         # the entries that use one must say so, and the interval can only
         # get weaker, never stronger.
-        rows = {r.key: r for r in example_rows()}
-        starved = compute_bounds(rows["t2"].descriptor, budget=0)
+        starved = compute_bounds(example_descriptor("t2"), budget=0)
         assert starved.lower <= reports["t2"].lower
         assert starved.upper == reports["t2"].upper
         for entry in starved.entries:
@@ -203,7 +201,7 @@ class TestRuleOutputs:
         assert sorted(built) == [(7, "char=0"), (7, "char=2")]
 
     def test_bare_descriptor_defaults(self):
-        rep = compute_bounds(ManifoldDescriptor(name="bare", dim=4))
+        rep = compute_bounds(ManifoldDescriptor({"name": "bare", "dim": 4}))
         assert rep.interval == (1, 15)
         rules = [e.rule for e in rep.entries]
         assert rules == ["upper-farber", "upper-free-action"]
@@ -230,11 +228,13 @@ class TestRuleOutputs:
 class TestWarnings:
     def test_inconsistent_bounds_warn(self):
         d = ManifoldDescriptor(
-            name="odd",
-            dim=3,
-            parallelizable=True,
-            known_tc_base=(None, 1),
-            cohomology={"char=2": "rp:3"},
+            {
+                "name": "odd",
+                "dim": 3,
+                "parallelizable": True,
+                "known_tc_base": [None, 1],
+                "cohomology": {"char=2": "rp:3"},
+            }
         )
         rep = compute_bounds(d)
         lo, hi = rep.interval
@@ -246,17 +246,17 @@ class TestFrameBundleLieGroupRule:
     # The descriptor refuses these at construction, before any rule runs.
     def test_requires_rotation_group_id(self):
         with pytest.raises(DescriptorError):
-            ManifoldDescriptor(name="X", dim=2, frame_bundle_lie_group="rp:3")
+            ManifoldDescriptor({"name": "X", "dim": 2, "frame_bundle_lie_group": "rp:3"})
 
     def test_requires_matching_dimension(self):
         with pytest.raises(DescriptorError):
-            ManifoldDescriptor(name="X", dim=2, frame_bundle_lie_group="so:5")
+            ManifoldDescriptor({"name": "X", "dim": 2, "frame_bundle_lie_group": "so:5"})
 
     def test_beyond_exact_window_only_bounds_below(self):
         # dim SO(11) = 55 = dim F(M) for dim M = 10.  cat(SO(11)) is only
         # known to be at least cl(SO(11); F2) + 1 = 24, so no upper entry.
         rep = compute_bounds(
-            ManifoldDescriptor(name="X", dim=10, frame_bundle_lie_group="so:11")
+            ManifoldDescriptor({"name": "X", "dim": 10, "frame_bundle_lie_group": "so:11"})
         )
         entries = [e for e in rep.entries if e.rule == "frame-bundle-lie-group"]
         assert [(e.kind, e.value) for e in entries] == [("lower", 24)]
@@ -271,8 +271,7 @@ class TestFrameBundleLieGroupRule:
             return cup_length(ring, *args, **kwargs)
 
         monkeypatch.setattr(bounds, "cup_length", counting)
-        (s2,) = example_rows(["s2"])
-        rep = compute_bounds(s2.descriptor)
+        rep = compute_bounds(example_descriptor("s2"))
         assert len(calls) == 1
         lie = [e for e in rep.entries if e.rule == "frame-bundle-lie-group"]
         assert [(e.kind, e.value) for e in lie] == [("lower", 4), ("upper", 4)]

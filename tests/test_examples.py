@@ -6,7 +6,7 @@ import os
 import pytest
 
 from frametc import examples
-from frametc.examples import evaluate_examples, example_rows
+from frametc.examples import EXAMPLE_KEYS, evaluate_examples, example_descriptor
 from frametc.manifold import load_descriptor
 
 KEYS = [
@@ -39,12 +39,18 @@ def results():
 
 class TestRows:
     def test_keys_and_order(self):
-        assert [r.key for r in example_rows()] == KEYS
+        assert list(EXAMPLE_KEYS) == KEYS
+        assert [r["key"] for r in evaluate_examples()] == KEYS
 
     def test_every_row_has_stated_interval(self):
-        for row in example_rows():
-            lo, hi = row.stated
-            assert lo is None or hi is None or lo <= hi
+        for key, _, stated, _ in examples._TABLE:
+            lo, hi = stated
+            assert type(lo) is int and type(hi) is int and lo <= hi, key
+
+    def test_descriptor_of_a_key_is_its_file(self):
+        for key in KEYS:
+            got = example_descriptor(key).to_json()
+            assert got == load_descriptor(os.path.join(ROOT_DIR, f"{key}.json")).to_json()
 
 
 class TestAgreement:
@@ -82,7 +88,7 @@ class TestSelection:
 class TestDescriptorFiles:
     def test_keys_are_the_shipped_files(self):
         stems = sorted(f[:-5] for f in os.listdir(PACKAGE_DIR) if f.endswith(".json"))
-        assert stems == sorted(r.key for r in example_rows())
+        assert stems == sorted(EXAMPLE_KEYS)
 
     @pytest.mark.parametrize("key", KEYS)
     def test_root_path_is_the_package_file(self, key):

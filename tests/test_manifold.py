@@ -5,26 +5,26 @@ import os
 
 import pytest
 
+from frametc import manifold
 from frametc.catalog import rp_ring
 from frametc.fields import F2, QQ, field_of
 from frametc.manifold import DescriptorError, ManifoldDescriptor, load_descriptor
 from helpers import ring_to_json
 
 DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")
+SCHEMA_DIR = os.path.join(os.path.dirname(manifold.__file__), "schemas")
 
 
-def minimal(**kw):
-    base = dict(name="M", dim=3)
-    base.update(kw)
-    return ManifoldDescriptor(**base)
+def minimal(base_dir=None, **kw):
+    return ManifoldDescriptor({"name": "M", "dim": 3, **kw}, base_dir=base_dir)
 
 
 class TestValidation:
     def test_needs_name_and_dimension(self):
         with pytest.raises(DescriptorError):
-            ManifoldDescriptor(name="", dim=3)
+            ManifoldDescriptor({"name": "", "dim": 3})
         with pytest.raises(DescriptorError):
-            ManifoldDescriptor(name="M", dim=0)
+            ManifoldDescriptor({"name": "M", "dim": 0})
 
     def test_orientable_required(self):
         with pytest.raises(DescriptorError):
@@ -122,9 +122,7 @@ class TestRingResolution:
         ring_path.parent.mkdir()
         ring_path.write_text(json.dumps(ring_to_json(rp_ring(3))))
         d = ManifoldDescriptor(
-            name="M",
-            dim=3,
-            cohomology={"char=2": "rings/m.json"},
+            {"name": "M", "dim": 3, "cohomology": {"char=2": "rings/m.json"}},
             base_dir=str(tmp_path),
         )
         assert d.ring(F2).dim == 4
@@ -151,7 +149,7 @@ class TestFrameBundleLieGroup:
     def test_refused_at_construction_and_load(self, tmp_path, value):
         # F(S^2) has dimension 3 = dim SO(3); SO(5) has dimension 10.
         with pytest.raises(DescriptorError):
-            ManifoldDescriptor(name="S^2", dim=2, frame_bundle_lie_group=value)
+            ManifoldDescriptor({"name": "S^2", "dim": 2, "frame_bundle_lie_group": value})
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"name": "S^2", "dim": 2, "frame_bundle_lie_group": value}))
         with pytest.raises(DescriptorError):
@@ -171,23 +169,41 @@ class TestJson:
             cohomology={"char=2": "rp:3"},
             known_tc_base=[2, 2],
         )
-        again = ManifoldDescriptor.from_json(d.to_json())
+        again = ManifoldDescriptor(d.to_json())
         assert again.to_json() == d.to_json()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(DescriptorError):
-            ManifoldDescriptor.from_json({"name": "M", "dim": 2, "mystery": 1})
+            ManifoldDescriptor({"name": "M", "dim": 2, "mystery": 1})
 
     def test_not_an_object(self):
         with pytest.raises(DescriptorError):
-            ManifoldDescriptor.from_json([1, 2])
+            ManifoldDescriptor([1, 2])
 
     @pytest.mark.parametrize(
         "bad", [{"dim": "3"}, {"connectivity": None}, {"free_action_dim": "1"}]
     )
     def test_mistyped_values_rejected(self, bad):
         with pytest.raises(DescriptorError):
-            ManifoldDescriptor.from_json({"name": "M", "dim": 3, **bad})
+            ManifoldDescriptor({"name": "M", "dim": 3, **bad})
+
+    @pytest.mark.parametrize("key", ["parallelizable", "spin", "lie_group", "cohomology"])
+    def test_null_means_the_default(self, key):
+        # These keys read null as absent; the other keys refuse it.
+        assert minimal(**{key: None}).to_json() == minimal().to_json()
+
+    @pytest.mark.parametrize(
+        "key", ["name", "dim", "orientable", "connectivity", "tncz_fields"]
+    )
+    def test_null_refused_where_the_default_is_a_value(self, key):
+        with pytest.raises(DescriptorError):
+            minimal(**{key: None})
+
+    def test_keywords_are_not_a_constructor(self):
+        # The one constructor takes the descriptor object, never its keys.
+        with pytest.raises(TypeError):
+            ManifoldDescriptor(name="M", dim=3)
+        assert not hasattr(ManifoldDescriptor, "from_json")
 
     def test_shipped_descriptors_load(self):
         files = sorted(os.listdir(DESCRIPTOR_DIR))
@@ -209,6 +225,17 @@ class TestSchema:
             with open(os.path.join(DESCRIPTOR_DIR, fname)) as fh:
                 obj = json.load(fh)
             assert not list(validator.iter_errors(obj)), fname
+
+    def test_key_table_is_the_schema(self):
+        # Every key the schema allows is in the table and the reverse, and a
+        # default the schema states is the table's default.
+        with open(os.path.join(SCHEMA_DIR, "manifold.schema.json")) as fh:
+            properties = json.load(fh)["properties"]
+        assert set(properties) - set(manifold._KEYS) == set()
+        assert set(manifold._KEYS) - set(properties) == set()
+        for key, spec in properties.items():
+            if "default" in spec:
+                assert spec["default"] == manifold._KEYS[key], key
 
     def test_cohomology_keys_are_field_tokens(self, schema_validator):
         validator = schema_validator("manifold.schema.json")

@@ -247,6 +247,19 @@ class TestRingCommand:
         )
         assert code == 0 and sum(json.loads(out)["results"]["poincare"]) == 2**13
 
+    @pytest.mark.parametrize(
+        "ring, dimension, cl",
+        [("t:63:char0", 2**63, 63), ("so:65:char2", 2**64, 256)],
+    )
+    def test_dimension_past_sys_maxsize(self, run_cli, ring, dimension, cl):
+        # len() of a lazy view stops at sys.maxsize; the encoding's dim does not.
+        for item in ("cl", "zcl-full"):
+            code, out, err = run_cli(["ring", ring, "--compute", item, "--no-timing"])
+            assert code == 0 and err == ""
+            assert f"dimension: {dimension}\n" in out
+        code, out, _ = run_cli(["ring", ring, "--no-timing"])
+        assert code == 0 and f"cl: {cl} (exact" in out
+
 
 class TestFrameBundleCommand:
     def test_text_shape(self, run_cli):
@@ -398,6 +411,16 @@ class TestFrameBundleCommand:
         assert values[("lower-parallelizable", "char=2")] == 28 + 13 + 1
         assert values[("lower-parallelizable", "char=0")] == 6 + 13 + 1
         assert len(report["entries"]) == 9
+
+    def test_frame_bundle_of_dimension_past_sys_maxsize(self, run_cli, tmp_path):
+        # F(S^64) = SO(65), whose mod-2 ring has 2^64 classes.
+        path = tmp_path / "s64.json"
+        path.write_text(
+            json.dumps({"name": "S^64", "dim": 64, "frame_bundle_lie_group": "so:65"})
+        )
+        code, out, err = run_cli(["frame-bundle", str(path), "--json", "--no-timing"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["interval"] == [257, 2145]
 
     def test_exhausted_budget_is_a_warning_exit(self, run_cli):
         path = os.path.join(os.path.dirname(DESCRIPTOR), "t2.json")
