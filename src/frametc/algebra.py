@@ -564,11 +564,6 @@ def _times(f: Field, c: Coeff, a: Coeff) -> Coeff:
     return c if a == 1 else f.mul(c, a)
 
 
-def tensor_square(algebra: Algebra) -> ProductAlgebra:
-    """The tensor square A (x) A in product form (labels ``x⊗y``)."""
-    return ProductAlgebra(algebra, algebra)
-
-
 # -- descriptor files ---------------------------------------------------------
 #
 # Ring descriptor JSON (schema shipped in frametc/schemas/ring.schema.json):

@@ -21,11 +21,10 @@ Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
 
 * cl(SO(n); F2) — ``cup_length``, which on the monomial encoding is the top
   monomial: exact, witnessed, and free of any search budget.
-* ``cat_so(n)`` — cat(SO(n)) = cl(SO(n); F2) + 1, known exact for n <= 10;
-  beyond that only the lower bound cl + 1 is available and the rules that
-  need an exact category fall silent.  Each cat(SO(k)) is computed once per
-  report; ``frame-bundle-lie-group`` reuses its lower entry's cl + 1 as the
-  exact upper one.
+* cat(SO(k)) = cl(SO(k); F2) + 1, known exact for k <= ``EXACT_CAT_SO_MAX``
+  (10); beyond that cl + 1 is only a lower bound and the rules that need an
+  exact category fall silent.  One memo computes it once per k per report,
+  for every rule.
 * zcl(SO(n); K) and zcl(M; K) — ``zcl_full``, the witnessed zero-divisor cup
   length, searched at most once per (field, ring) per report through one
   memo.  Every rule reading a value shares it, and when the node budget runs
@@ -54,25 +53,13 @@ from functools import cache
 from math import ceil
 from typing import Optional
 
-from .algebra import Algebra, DEFAULT_CAPACITY
+from .algebra import DEFAULT_CAPACITY
 from .catalog import so_ring
 from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
 from .fields import F2, QQ, Field
 from .manifold import ManifoldDescriptor
 
 EXACT_CAT_SO_MAX = 10
-
-
-def cat_so(n: int, ring: Optional[Algebra] = None) -> int:
-    """cat(SO(n)) = cl(SO(n); F2) + 1, exact for n <= EXACT_CAT_SO_MAX; raises beyond.
-
-    ``ring`` is H*(SO(n); F2) when the caller has already built it.
-    """
-    if n > EXACT_CAT_SO_MAX:
-        raise ValueError(
-            f"cat(SO({n})) is only bounded below for n > {EXACT_CAT_SO_MAX}"
-        )
-    return cup_length(so_ring(n, F2) if ring is None else ring).value + 1
 
 
 _PARITY_NOTE = (
@@ -205,7 +192,8 @@ def compute_bounds(
     )
     starved = False  # set when a zero-divisor search runs out of budget
     so = cache(so_ring)  # H*(SO(k); K), built once per (k, K)
-    cat = cache(lambda k: cat_so(k, so(k, F2)))  # cat(SO(k)), once per k
+    # cl(SO(k); F2) + 1 = cat(SO(k)) for k <= EXACT_CAT_SO_MAX; once per k
+    cat = cache(lambda k: cup_length(so(k, F2)).value + 1)
 
     @cache
     def zcl(fld: Field, who: str) -> tuple[int, list]:
@@ -277,10 +265,9 @@ def compute_bounds(
 
     # frame-bundle-lie-group: F(M) is itself a connected Lie group SO(k), and
     # for a connected Lie group TC = cat; k must satisfy dim SO(k) = dim F(M).
-    # cat(SO(k)) = cl(SO(k); F2) + 1 is exact for k <= EXACT_CAT_SO_MAX.
     k = descriptor.frame_bundle_k
     if k is not None:
-        lo = cup_length(so(k, F2)).value + 1
+        lo = cat(k)
         group = f"F(M) is the Lie group SO({k})"
         add(
             "frame-bundle-lie-group",

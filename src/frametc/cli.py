@@ -204,7 +204,8 @@ def main(argv: Optional[list] = None) -> int:
         return 1
     except MemoryError:
         print(
-            "error: out of memory; lower --capacity to refuse rings this large",
+            "error: out of memory; --capacity caps only table rings and "
+            "--compute basis,poincare",
             file=sys.stderr,
         )
         return 1

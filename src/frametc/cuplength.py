@@ -58,19 +58,18 @@ a lower bound; callers that need upper bounds must reject inexact results.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from typing import Optional
 
-from .algebra import (
-    Algebra,
-    Element,
-    MonomialAlgebra,
-    ProductAlgebra,
-    tensor_square,
-)
+from .algebra import Algebra, Element, MonomialAlgebra, ProductAlgebra
 from .linalg import kernel_of_map
 
 DEFAULT_BUDGET = 500_000
+
+
+class WitnessTooLongError(ValueError):
+    """A witness too long to be stored as a list of factors."""
 
 
 def join_factors(factors: list[str]) -> str:
@@ -166,7 +165,8 @@ def cup_length(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     A monomial encoding answers with its top monomial; a table encoding
     takes the search over products of its ``generators()``, which loses
     nothing (module docstring) and gives ``exact=False`` when its node
-    budget runs out.
+    budget runs out.  A monomial witness longer than a list can hold raises
+    :class:`WitnessTooLongError` before any of it is built.
     """
     if not isinstance(A, MonomialAlgebra):
         gens = [A.basis_element(i) for i in A.generators()]
@@ -174,10 +174,15 @@ def cup_length(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     # The top monomial (each generator at its top power) is a nonzero class,
     # and total exponent weight is additive and capped, so the value is
     # exactly the sum of (truncation - 1).
+    value = sum(g.truncation - 1 for g in A.gens)
+    if value > sys.maxsize:
+        raise WitnessTooLongError(
+            f"the cl witness would have {value} factors; a list holds at most "
+            f"{sys.maxsize}"
+        )
     witness: list[Element] = []
     for g in A.gens:
         witness += [A.generator_element(g.name)] * (g.truncation - 1)
-    value = len(witness)
     top = A.basis_element(A.dim - 1)
     return _checked(
         CupLengthResult(value, True, "closed-form", witness, top if value else None)
@@ -287,7 +292,7 @@ def _longest_product(
 
 def _generator_bar_search(A: Algebra, budget: int) -> CupLengthResult:
     """Longest nonzero product of generator bars, in the lazy tensor square."""
-    T = tensor_square(A)
+    T = ProductAlgebra(A, A)
     return _longest_product(T, _bars(T, A.generators()), budget, "generator-bars")
 
 

@@ -19,7 +19,6 @@ from frametc.algebra import (
     ProductAlgebra,
     TableAlgebra,
     ring_from_json,
-    tensor_square,
 )
 from frametc.catalog import catalog_ring, rp_ring, so_ring, surface_ring, torus_ring
 from frametc.cuplength import cup_length, zcl_basic, zcl_full
@@ -329,7 +328,7 @@ class TestTableAlgebra:
 class TestTensor:
     def test_product_algebra_koszul_sign(self):
         A = torus_ring(1, QQ)
-        T = tensor_square(A)
+        T = ProductAlgebra(A, A)
         left = Element(T, {T.pair_index(1, 0): 1})   # u (x) 1
         right = Element(T, {T.pair_index(0, 1): 1})  # 1 (x) u
         # (1 (x) u)(u (x) 1) = -(u (x) u); (u (x) 1)(1 (x) u) = +(u (x) u)
@@ -338,7 +337,8 @@ class TestTensor:
         assert right * left == negated(uu)
 
     def test_pair_and_split_index_round_trip(self):
-        T = tensor_square(torus_ring(2, QQ))
+        A = torus_ring(2, QQ)
+        T = ProductAlgebra(A, A)
         for k in range(T.dim):
             i, j = T.split_index(k)
             assert T.pair_index(i, j) == k
@@ -373,14 +373,15 @@ class TestTensor:
         # Tensor products are lazy and take no cap; the cap stays on the
         # table factor, which lists its basis.
         S = surface_ring(2, F2, capacity=6)
-        assert tensor_square(S).dim == 36 and tensor(S, S).dim == 36
-        assert tensor_square(so_ring(24, F2)).dim == 2**46
+        assert ProductAlgebra(S, S).dim == 36 and tensor(S, S).dim == 36
+        SO = so_ring(24, F2)
+        assert ProductAlgebra(SO, SO).dim == 2**46
         with pytest.raises(CapacityError):
             surface_ring(2, F2, capacity=5)
 
     def test_tensor_square_axioms(self):
-        reference_check_axioms(tensor_square(surface_ring(1, F2)))
-        reference_check_axioms(tensor_square(torus_ring(2, QQ)))
+        for A in (surface_ring(1, F2), torus_ring(2, QQ)):
+            reference_check_axioms(ProductAlgebra(A, A))
 
     def test_lazy_degrees_and_labels_match_eager_lists(self, small_entries):
         # The eager comprehensions are the lists ProductAlgebra used to build.
@@ -408,7 +409,8 @@ class TestTensor:
         assert {(x, y) for x in both for y in both} <= kinds
 
     def test_lazy_views_index_like_lists(self):
-        T = tensor_square(surface_ring(1, F2))
+        A = surface_ring(1, F2)
+        T = ProductAlgebra(A, A)
         labels = list(T.labels)
         assert T.labels[-1] == labels[-1] and T.labels[-T.dim] == labels[0]
         assert T.labels.index(labels[T.unit_index]) == T.unit_index
@@ -514,7 +516,7 @@ class TestProductKernel:
         rng = random.Random(0)
         signed = {}
         for e in small_entries:
-            T = tensor_square(e.algebra)
+            T = ProductAlgebra(e.algebra, e.algebra)
             p = T.field.characteristic
             signed[p] = signed.get(p, 0) + self.check_basis(T, rng)
             self.check_vectors(T, rng)
@@ -525,7 +527,8 @@ class TestProductKernel:
         rng = random.Random(1)
         for source in SOURCES:
             for seed in SEEDS:
-                T = tensor_square(reencode(catalog_ring(source)[1], seed))
+                A = reencode(catalog_ring(source)[1], seed)
+                T = ProductAlgebra(A, A)
                 self.check_basis(T, rng, limit=1024)
                 self.check_vectors(T, rng)
 
@@ -540,7 +543,8 @@ class TestProductKernel:
             self.check_vectors(P, rng, count=200)
 
     def test_unit_and_empty_vectors(self):
-        T = tensor_square(surface_ring(1, QQ))
+        A = surface_ring(1, QQ)
+        T = ProductAlgebra(A, A)
         u = random_vector(random.Random(3), T, 5)
         one = {T.unit_index: 1}
         assert T.mul_vec(one, u) == u == T.mul_vec(u, one)

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from frametc import bounds
-from frametc.bounds import cat_so, compute_bounds
+from frametc.bounds import compute_bounds
 from frametc.catalog import so_ring
 from frametc.cuplength import cup_length, zcl_full
 from frametc.examples import EXAMPLE_KEYS, example_descriptor
@@ -59,13 +59,11 @@ class TestClosedForms:
 
     def test_category_of_rotation_groups(self):
         # cat = cl + 1 holds exactly in this range.
-        assert [cat_so(n) for n in range(1, 11)] == [
+        assert [cup_length(so_ring(n, F2)).value + 1 for n in range(1, 11)] == [
             1, 2, 4, 5, 9, 10, 12, 13, 21, 22,
         ]
 
     def test_category_exactness_window(self):
-        with pytest.raises(ValueError):
-            cat_so(11)
         # Beyond the window only the lower bound cl + 1 is available.
         assert cat_so_lower(11) == 24
         assert cup_length(so_ring(11, F2)).value + 1 == 24
@@ -76,8 +74,6 @@ class TestClosedForms:
         for n in range(1, 13):
             cl = cup_length(so_ring(n, F2))
             assert (cl.value, cl.exact) == (korbas_cl(n), True), n
-            if n <= 10:
-                assert cat_so(n) == cat_so(n, so_ring(n, F2)) == cl.value + 1, n
             for fld in (QQ, F2, field_of(3)):
                 zcl = zcl_full(so_ring(n, fld))
                 assert zcl.exact and zcl.verify(), (n, fld.characteristic)
@@ -223,6 +219,36 @@ class TestRuleOutputs:
             seen = [e.rule for e in rep.entries]
             positions = [order.index(r) for r in seen]
             assert positions == sorted(positions)
+
+
+class TestCategoryWindow:
+    # upper-parallelizable and upper-lie need cat(SO(n)) exactly, known for
+    # n <= EXACT_CAT_SO_MAX = 10.
+    @staticmethod
+    def lie_group(dim):
+        return ManifoldDescriptor({
+            "name": "G", "dim": dim, "parallelizable": True, "lie_group": True,
+            "known_tc_base": [1, 5], "known_cat_base": [1, 5],
+        })
+
+    def test_inside_the_window_both_rules_apply(self, monkeypatch):
+        calls = []
+
+        def counting(ring, *args, **kwargs):
+            calls.append(ring)
+            return cup_length(ring, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "cup_length", counting)
+        rep = compute_bounds(self.lie_group(10))
+        # cat(SO(10)) + 5 - 1 = 22 + 5 - 1, from one cl(SO(10); F2).
+        assert by_rule(rep, "upper-parallelizable").value == 26
+        assert by_rule(rep, "upper-lie").value == 26
+        assert len(calls) == 1
+
+    def test_beyond_the_window_neither_rule_applies(self):
+        rep = compute_bounds(self.lie_group(11))
+        rules = {e.rule for e in rep.entries}
+        assert not rules & {"upper-parallelizable", "upper-lie"}
 
 
 class TestWarnings:

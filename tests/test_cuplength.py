@@ -21,7 +21,6 @@ from frametc.algebra import (
     MonomialAlgebra,
     ProductAlgebra,
     TableAlgebra,
-    tensor_square,
 )
 from frametc.catalog import (
     cp_ring,
@@ -124,7 +123,7 @@ class TestZeroDivisorGenerators:
 
     def test_bar_coefficients(self):
         A = cp_ring(2, QQ)
-        T = tensor_square(A)
+        T = ProductAlgebra(A, A)
         u = A.generator_element("u")
         b = bar(T, u)
         assert b.coeffs == {
@@ -136,7 +135,7 @@ class TestZeroDivisorGenerators:
         # For |u| even: bar(u)^2 = 1 (x) u^2 - 2 u (x) u + u^2 (x) 1; in a
         # height-2 truncation only the middle term survives.
         A = cp_ring(1, QQ)
-        T = tensor_square(A)
+        T = ProductAlgebra(A, A)
         b = bar(T, A.generator_element("u"))
         assert (b * b).coeffs == {T.pair_index(1, 1): Fraction(-2)}
 
@@ -145,7 +144,7 @@ class TestZeroDivisorGenerators:
         # field: bar(u)^2 = u^2 (x) 1 + 1 (x) u^2 - (1 + (-1)^{|u|}) u (x) u.
         for field in (QQ, F2, field_of(3)):
             A = torus_ring(1, field)
-            T = tensor_square(A)
+            T = ProductAlgebra(A, A)
             b = bar(T, A.generator_element("u1"))
             assert (b * b).is_zero
 
@@ -155,7 +154,7 @@ class TestZeroDivisorGenerators:
         # nilpotent of exponent exactly its truncation.
         for n in range(2, 7):
             A = so_ring(n, F2)
-            T = tensor_square(A)
+            T = ProductAlgebra(A, A)
             for g in A.gens:
                 b = bar(T, A.generator_element(g.name))
                 power = T.basis_element(T.unit_index)
@@ -236,7 +235,7 @@ class TestZclBasic:
         # the middle term C(2n, n) * (-1)^n u^n (x) u^n.
         for n in range(1, 5):
             A = cp_ring(n, QQ)
-            T = tensor_square(A)
+            T = ProductAlgebra(A, A)
             res = zcl_basic(A)
             assert res.value == 2 * n
             assert res.exact and res.verify()
@@ -332,7 +331,7 @@ class TestZclFull:
 
     def test_ideal_basis_is_kernel(self):
         A = surface_ring(1, QQ)
-        T = tensor_square(A)
+        T = ProductAlgebra(A, A)
         vecs, degs = zero_divisor_ideal_basis(T)
         assert len(vecs) == len(degs)
         assert degs == sorted(degs)
@@ -445,7 +444,7 @@ def embedded_witness_product(A: MonomialAlgebra, res):
     either encoding indexes its basis.
     """
     index = {label: k for k, label in enumerate(A.labels)}
-    T = tensor_square(A)
+    T = ProductAlgebra(A, A)
     product = T.basis_element(T.unit_index)
     for w in res.witness:
         P = w.algebra
@@ -569,7 +568,7 @@ class TestDegreeBoundStop:
         fewer = 0
         for A in algebras:
             gens = A.generators()
-            T = tensor_square(A)
+            T = ProductAlgebra(A, A)
             for res, S, elements in (
                 (searched_cl(A), A, [A.basis_element(i) for i in gens]),
                 (zcl_basic(A), T, [bar(T, A.basis_element(i)) for i in gens]),

@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from frametc import cuplength, linalg
-from frametc.algebra import tensor_square
+from frametc.algebra import ProductAlgebra
 from frametc.fields import F2, QQ, field_of
 from frametc.linalg import Echelon, kernel_of_map
 
@@ -309,7 +309,7 @@ class TestAgainstAugmentedReference:
             assert ech.inserted == [(True, row) for _, row in rows]
 
     def test_ideal_basis_matches_reference_on_catalog_squares(self, small_entries, monkeypatch):
-        squares = [tensor_square(e.algebra) for e in small_entries]
+        squares = [ProductAlgebra(e.algebra, e.algebra) for e in small_entries]
         ours = [cuplength.zero_divisor_ideal_basis(T) for T in squares]
 
         def reference(images, field):

@@ -1,6 +1,6 @@
-"""Package-wide contracts: what ``import frametc.cli`` loads, what the package
-exports, that every shipped function is reached from the CLI, and the fresh
-default containers of the hand-written record classes."""
+"""Package-wide contracts: what ``import frametc.cli`` loads, that the package
+root re-exports nothing, that every shipped function is reached from the CLI,
+and the fresh default containers of the hand-written record classes."""
 
 import importlib
 import inspect
@@ -161,17 +161,24 @@ def test_every_shipped_function_is_entered_by_a_cli_run(tmp_path):
     assert unreached >= UNREACHED_BY_DESIGN  # the allow-list is not stale
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in frametc.__all__ if not hasattr(frametc, name)]
-    assert not missing
+def test_package_root_binds_only_its_version_and_submodules():
+    # Every name is imported from the module that defines it; the root
+    # re-exports nothing.
+    public = {
+        name: value for name, value in vars(frametc).items()
+        if not (name.startswith("__") and name.endswith("__"))
+    }
+    assert [
+        name for name, value in public.items()
+        if not (isinstance(value, types.ModuleType) and value.__name__ == f"frametc.{name}")
+    ] == []
+    assert not hasattr(frametc, "__all__") and frametc.__version__
 
 
 @pytest.mark.parametrize("name", ["korbas_cl", "zcl_so_closed_form", "cat_so_lower"])
 def test_fibre_closed_forms_are_not_shipped(name):
     # The bound rules read SO(n) values from the cup-length engine; the
     # closed forms are a test-side reference only (tests/closed_forms.py).
-    assert name not in frametc.__all__
-    assert not hasattr(frametc, name)
     assert not hasattr(bounds, name)
 
 
@@ -187,15 +194,11 @@ def test_fibre_closed_forms_are_not_shipped(name):
 def test_test_only_helpers_are_not_shipped(module, name):
     # The ring registry and these helpers live under tests/ (conftest.py,
     # helpers.py); nothing the CLI runs needs them.
-    assert name not in frametc.__all__
-    assert not hasattr(frametc, name)
     assert not hasattr(module, name)
 
 
 def test_built_in_descriptors_are_only_files():
     # Every built-in descriptor is read from a shipped file; no code builds one.
-    assert "torus_descriptor" not in frametc.__all__
-    assert not hasattr(frametc, "torus_descriptor")
     assert not hasattr(examples, "torus_descriptor")
 
 

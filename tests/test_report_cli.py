@@ -260,6 +260,15 @@ class TestRingCommand:
         code, out, _ = run_cli(["ring", ring, "--no-timing"])
         assert code == 0 and f"cl: {cl} (exact" in out
 
+    def test_cl_witness_longer_than_a_list_is_refused(self, run_cli):
+        # cl(RP^n; F2) = n, witnessed by n copies of the generator: past
+        # sys.maxsize no list holds them, so the closed form refuses.
+        n = 99999999999999999999
+        code, out, err = run_cli(["ring", f"rp:{n}", "--compute", "cl"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"would have {n} factors" in err
+
 
 class TestFrameBundleCommand:
     def test_text_shape(self, run_cli):
@@ -506,6 +515,8 @@ class TestCommonFlags:
         assert code == 1 and out == ""
         assert err.startswith("error: out of memory")
         assert "--capacity" in err and "Traceback" not in err
+        # The advice names what the cap covers; it caps no monomial ring.
+        assert "--capacity caps only table rings and --compute basis,poincare" in err
 
 
 class TestEntryPoint:

@@ -2,13 +2,13 @@
 
 The engine searches over generator bars only (``frametc.cuplength``); the
 tests also look at the bar of every positive-degree class.  Built with the
-engine's own ``bar`` and ``tensor_square``, so unlike ``tests/oracle.py``
+engine's own ``bar`` and ``ProductAlgebra``, so unlike ``tests/oracle.py``
 this is not an independent reference.
 """
 
 from __future__ import annotations
 
-from frametc.algebra import Algebra, Element, ProductAlgebra, tensor_square
+from frametc.algebra import Algebra, Element, ProductAlgebra
 from frametc.cuplength import _bars
 
 
@@ -38,7 +38,7 @@ def zero_divisor_generators(A: Algebra) -> ZeroDivisorBasis:
     Each element is verified to lie in the kernel of the multiplication map.
     Bars are ordered by (degree, basis index).
     """
-    T = tensor_square(A)
+    T = ProductAlgebra(A, A)
     order = sorted(
         (i for i in range(A.dim) if A.degrees[i] > 0),
         key=lambda i: (A.degrees[i], i),
