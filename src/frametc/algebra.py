@@ -6,7 +6,8 @@ Three encodings share one interface (:class:`Algebra`):
   truncations ``q_i`` (the relation ``g_i**q_i = 0``), basis = exponent
   vectors ``e`` with ``0 <= e_i < q_i`` in lexicographic order over the
   declared generator order.  Basis class k is the mixed-radix number with
-  digits ``e``, so nothing is stored per basis class: multiplication adds
+  digits ``e``, so nothing is stored per basis class: its degree and label
+  are decoded from the digits when asked for, and multiplication adds
   digits, is zero when one overflows its truncation, and otherwise lands on
   index i + j with the Koszul sign from counting transpositions of
   odd-degree factors.
@@ -17,11 +18,12 @@ Three encodings share one interface (:class:`Algebra`):
   (:meth:`Algebra.check_axioms`).  Its generators are read from the table.
 * :class:`ProductAlgebra` — the graded tensor product of two algebras with
   structure constants computed lazily:
-  ``(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'``.  Its degrees and
-  labels are lazy too: basis class k = (i, j) is answered from the factors'
-  lists on demand, so a tensor square costs nothing per basis class until
-  it is multiplied in.
+  ``(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'``.  The degree and
+  label of basis class k = (i, j) are read from the factors' classes i and
+  j, so a tensor square costs nothing per basis class until it is
+  multiplied in.
 
+Every encoding answers ``degree(k)`` and ``label(k)`` for a basis class k.
 Monomial and table encodings name a set of algebra generators
 (``generators()``), found once per algebra and shared by the axiom check and
 the cup-length searches.  Basis ordering is deterministic everywhere, so
@@ -34,11 +36,10 @@ nothing per basis class and take no cap.
 
 from __future__ import annotations
 
-from collections import abc
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .fields import Coeff, Field, field_from_json
 from .linalg import Echelon
@@ -105,7 +106,7 @@ class Element:
         """Common degree of the support, None for 0, error if mixed."""
         if not self.coeffs:
             return None
-        degs = {self.algebra.degrees[i] for i in self.coeffs}
+        degs = {self.algebra.degree(i) for i in self.coeffs}
         if len(degs) > 1:
             raise ValueError(f"element is not homogeneous (degrees {sorted(degs)})")
         return degs.pop()
@@ -127,7 +128,7 @@ class Element:
             return "0"
         parts = []
         for i in sorted(self.coeffs):
-            c, lab = self.coeffs[i], self.algebra.labels[i]
+            c, lab = self.coeffs[i], self.algebra.label(i)
             if lab == "1":
                 term = str(c)
             elif c == 1:
@@ -148,40 +149,32 @@ class Element:
 class Algebra:
     """Common interface of all encodings.
 
-    Subclasses populate ``field``, ``dim``, ``degrees``, ``labels``,
-    ``unit_index`` and implement :meth:`mul_basis`.  Instances are immutable
+    Subclasses populate ``field``, ``dim``, ``unit_index`` and
+    ``top_degree``, answer ``degree(k)`` and ``label(k)`` for each basis
+    class k < dim, and implement :meth:`mul_basis`.  Instances are immutable
     after construction and safe to share; all operations are pure.  The dict
     ``mul_basis`` returns may be the stored one, so callers only read it.
     """
 
     field: Field
-    dim: int  # an int, not len(degrees): len() stops at sys.maxsize
-    degrees: Sequence[int]
-    labels: Sequence[str]
+    dim: int
     unit_index: int
-
-    @property
-    def top_degree(self) -> int:
-        return max(self.degrees)
+    top_degree: int
 
     def mul_basis(self, i: int, j: int) -> dict:
         raise NotImplementedError
 
     def indices_by_degree(self) -> dict[int, list[int]]:
-        try:
-            return self._by_degree
-        except AttributeError:
-            by: dict[int, list[int]] = {}
-            for i, d in enumerate(self.degrees):
-                by.setdefault(d, []).append(i)
-            self._by_degree = by
-            return by
+        by: dict[int, list[int]] = {}
+        for i in range(self.dim):
+            by.setdefault(self.degree(i), []).append(i)
+        return by
 
     def poincare_polynomial(self) -> list[int]:
         """Coefficient c_d = number of basis classes of degree d, d = 0..top."""
         out = [0] * (self.top_degree + 1)
-        for d in self.degrees:
-            out[d] += 1
+        for i in range(self.dim):
+            out[self.degree(i)] += 1
         return out
 
     def basis_element(self, i: int) -> Element:
@@ -231,7 +224,7 @@ class Algebra:
         """
         f = self.field
         table = self._table
-        degs = self.degrees
+        degs, labels = self._degrees, self._labels
         signs = (1, f.sign_to_coeff(1))  # (-1)**(even), (-1)**(odd)
         # One visit per unordered pair: if (j, i) passes both checks then
         # prod_ij = ±prod_ji, so (i, j) passes too.  The first offender of
@@ -242,14 +235,14 @@ class Algebra:
             for k in prod_ij:
                 if degs[k] != d:
                     raise InvalidPresentationError(
-                        f"product {self.labels[i]}·{self.labels[j]} violates grading"
+                        f"product {labels[i]}·{labels[j]} violates grading"
                     )
             sign = signs[degs[i] * degs[j] % 2]
             prod_ji = table.get((j, i), _NO_TERMS)
             expect = {k: f.mul(sign, c) for k, c in prod_ji.items()}
             if prod_ij != expect:
                 raise InvalidPresentationError(
-                    f"graded commutativity fails on {self.labels[i]}, {self.labels[j]}"
+                    f"graded commutativity fails on {labels[i]}, {labels[j]}"
                 )
         partners: list[list[int]] = [[] for _ in degs]  # non-unit z with y·z ≠ 0
         for y, z in table:
@@ -273,27 +266,8 @@ class Algebra:
                     if left != right:
                         raise InvalidPresentationError(
                             "associativity fails on "
-                            f"{self.labels[g]}, {self.labels[y]}, {self.labels[z]}"
+                            f"{labels[g]}, {labels[y]}, {labels[z]}"
                         )
-
-
-class _LazySeq(abc.Sequence):
-    """Read-only sequence whose entry k is ``entry(k)``, computed when read."""
-
-    def __init__(self, length: int, entry: Callable):
-        self._length = length
-        self._entry = entry
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, k: int):
-        if not -self._length <= k < self._length:
-            raise IndexError(f"index {k} out of range for length {self._length}")
-        return self._entry(k % self._length)
-
-    def __iter__(self):
-        return map(self._entry, range(self._length))
 
 
 class MonomialAlgebra(Algebra):
@@ -301,8 +275,8 @@ class MonomialAlgebra(Algebra):
 
     Basis index k has digits e_i in the mixed radix (q_1, ..., q_r), the
     last generator least significant, so generator i sits at index
-    ``strides[i]`` and the top monomial at index dim - 1.  ``degrees`` and
-    ``labels`` are lazy views decoded from the digits.
+    ``strides[i]`` and the top monomial at index dim - 1.  ``degree(k)`` and
+    ``label(k)`` are decoded from the digits of k.
     """
 
     def __init__(self, field: Field, gens: Sequence[GeneratorSpec]):
@@ -324,8 +298,6 @@ class MonomialAlgebra(Algebra):
             (g.truncation for g in reversed(gens)), mul, initial=1
         )
         self.strides = tuple(reversed(strides))
-        self.degrees = _LazySeq(self.dim, self._degree)
-        self.labels = _LazySeq(self.dim, self._label)
         self.unit_index = 0
         self._radix = [(g.truncation, g.degree % 2 == 1) for g in reversed(gens)]
 
@@ -341,10 +313,10 @@ class MonomialAlgebra(Algebra):
             out.append(e)
         return out[::-1]
 
-    def _degree(self, k: int) -> int:
+    def degree(self, k: int) -> int:
         return sum(e * g.degree for e, g in zip(self._digits(k), self.gens))
 
-    def _label(self, k: int) -> str:
+    def label(self, k: int) -> str:
         parts = [
             g.name if e == 1 else f"{g.name}^{e}"
             for e, g in zip(self._digits(k), self.gens)
@@ -354,7 +326,7 @@ class MonomialAlgebra(Algebra):
 
     def generators(self) -> list[int]:
         """The generator monomials, at their strides, in (degree, index) order."""
-        return sorted(self.strides, key=lambda i: (self.degrees[i], i))
+        return [i for _, i in sorted(zip((g.degree for g in self.gens), self.strides))]
 
     def generator_element(self, name: str) -> Element:
         for g, stride in zip(self.gens, self.strides):
@@ -409,10 +381,19 @@ class TableAlgebra(Algebra):
             raise InvalidPresentationError(
                 f"need exactly one degree-0 basis class, found {len(units)}"
             )
+        if "1" in names and names.index("1") != units[0]:
+            raise InvalidPresentationError(
+                f'basis class "1" has degree {degrees[names.index("1")]}; '
+                'only the unit may be named "1", which prints as a scalar'
+            )
         self.field = field
         self.dim = len(names)
-        self.labels = list(names)
-        self.degrees = list(degrees)
+        self._labels = list(names)
+        self._degrees = list(degrees)
+        # Bound list reads: ProductAlgebra.mul_vec reads a degree per term.
+        self.label = self._labels.__getitem__
+        self.degree = self._degrees.__getitem__
+        self.top_degree = max(degrees)
         self.unit_index = units[0]
         table: dict[tuple[int, int], dict] = {}
         for (i, j), terms in products.items():
@@ -457,7 +438,7 @@ class TableAlgebra(Algebra):
             decomposables: dict[int, list[dict]] = {}
             for (i, j), prod_ij in sorted(self._table.items()):
                 if i <= j:
-                    d = self.degrees[i] + self.degrees[j]
+                    d = self._degrees[i] + self._degrees[j]
                     decomposables.setdefault(d, []).append(prod_ij)
             gens: list[int] = []
             for d, classes in sorted(self.indices_by_degree().items()):
@@ -476,10 +457,9 @@ class TableAlgebra(Algebra):
 class ProductAlgebra(Algebra):
     """Graded tensor product with lazily computed structure constants.
 
-    ``degrees`` and ``labels`` are read-only views: entry
-    ``pair_index(i, j)`` is computed from entries i and j of the factors'
-    sequences when it is asked for, so construction is O(1) whatever the
-    dimension.
+    The degree and label of class ``pair_index(i, j)`` are read from the
+    factors' classes i and j when asked for, so construction is O(1)
+    whatever the dimension.
     """
 
     def __init__(self, left: Algebra, right: Algebra):
@@ -488,14 +468,7 @@ class ProductAlgebra(Algebra):
         self.field = left.field
         self.left = left
         self.right = right
-        n = right.dim
-        self.dim = left.dim * n
-        self.degrees = _LazySeq(
-            self.dim, lambda k: left.degrees[k // n] + right.degrees[k % n]
-        )
-        self.labels = _LazySeq(
-            self.dim, lambda k: f"{left.labels[k // n]}⊗{right.labels[k % n]}"
-        )
+        self.dim = left.dim * right.dim
         self.unit_index = self.pair_index(left.unit_index, right.unit_index)
 
     @property
@@ -507,6 +480,14 @@ class ProductAlgebra(Algebra):
 
     def split_index(self, k: int) -> tuple[int, int]:
         return divmod(k, self.right.dim)
+
+    def degree(self, k: int) -> int:
+        i, j = self.split_index(k)
+        return self.left.degree(i) + self.right.degree(j)
+
+    def label(self, k: int) -> str:
+        i, j = self.split_index(k)
+        return f"{self.left.label(i)}⊗{self.right.label(j)}"
 
     def mul_basis(self, i: int, j: int) -> dict:
         return self.mul_vec({i: 1}, {j: 1})
@@ -525,11 +506,11 @@ class ProductAlgebra(Algebra):
         vterms = []
         for y, cy in v.items():
             i2, j2 = divmod(y, n)
-            vterms.append((i2, j2, left.degrees[i2] % 2, cy))
+            vterms.append((i2, j2, left.degree(i2) % 2, cy))
         out: dict = {}
         for x, cx in u.items():
             i1, j1 = divmod(x, n)
-            odd = right.degrees[j1] % 2
+            odd = right.degree(j1) % 2
             for i2, j2, odd2, cy in vterms:
                 lterms = _factor_terms(left, i1, i2)
                 if not lterms:

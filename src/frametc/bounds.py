@@ -50,7 +50,6 @@ verifies it; for n >= 4 its entries carry a note saying so.
 from __future__ import annotations
 
 from functools import cache
-from math import ceil
 from typing import Optional
 
 from .algebra import DEFAULT_CAPACITY
@@ -213,7 +212,7 @@ def compute_bounds(
 
     # upper-farber: TC(X) <= ceil((2 dim X + 1)/(r + 1)) for an r-connected X.
     r = descriptor.connectivity
-    value = ceil((2 * dim_f + 1) / (r + 1))
+    value = -(-(2 * dim_f + 1) // (r + 1))
     add(
         "upper-farber",
         "upper",

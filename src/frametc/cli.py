@@ -125,7 +125,7 @@ def _cmd_ring(args) -> int:
             )
         if w == "basis":
             results["basis"] = [
-                {"index": i, "degree": algebra.degrees[i], "label": algebra.labels[i]}
+                {"index": i, "degree": algebra.degree(i), "label": algebra.label(i)}
                 for i in range(algebra.dim)
             ]
         elif w == "poincare":

@@ -230,7 +230,7 @@ def _bars(T: ProductAlgebra, sources: list[int]) -> list[Element]:
         b = bar(T, A.basis_element(i))
         if diagonal_image(T, b.coeffs):
             raise AssertionError(
-                f"internal error: bar({A.labels[i]}) is not a zero-divisor"
+                f"internal error: bar({A.label(i)}) is not a zero-divisor"
             )
         bars.append(b)
     return bars

@@ -11,6 +11,8 @@
   route ``cup_length`` takes for non-monomial rings; on monomial rings it
   cross-checks the closed form.
 * :func:`negated` — -x, for sign checks: elements only multiply.
+* :func:`degrees`, :func:`labels` — every basis class's degree or label, as
+  a list in index order.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class JointAlgebra(ProductAlgebra):
         left, right = self.left, self.right
         gens = [self.pair_index(x, right.unit_index) for x in left.generators()]
         gens += [self.pair_index(left.unit_index, y) for y in right.generators()]
-        return sorted(gens, key=lambda k: (self.degrees[k], k))
+        return sorted(gens, key=lambda k: (self.degree(k), k))
 
 
 def tensor(left: Algebra, right: Algebra) -> Algebra:
@@ -87,9 +89,9 @@ def ring_to_json(algebra: Algebra) -> dict:
                 c = terms[k]
                 rows.append(
                     [
-                        algebra.labels[i],
-                        algebra.labels[j],
-                        algebra.labels[k],
+                        algebra.label(i),
+                        algebra.label(j),
+                        algebra.label(k),
                         str(c) if isinstance(c, Fraction) and c.denominator != 1 else int(c),
                     ]
                 )
@@ -98,7 +100,7 @@ def ring_to_json(algebra: Algebra) -> dict:
             "type": "table",
             "basis": [
                 {"name": n, "degree": d}
-                for n, d in zip(algebra.labels, algebra.degrees)
+                for n, d in zip(labels(algebra), degrees(algebra))
             ],
             "products": rows,
         }
@@ -140,6 +142,14 @@ def searched_cl(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     """cl(A) from the search over products of algebra generators, checked."""
     gens = [A.basis_element(i) for i in A.generators()]
     return cuplength._checked(cuplength._longest_product(A, gens, budget, "search"))
+
+
+def degrees(A: Algebra) -> list[int]:
+    return [A.degree(k) for k in range(A.dim)]
+
+
+def labels(A: Algebra) -> list[str]:
+    return [A.label(k) for k in range(A.dim)]
 
 
 def negated(x: Element) -> Element:

@@ -128,7 +128,7 @@ def _tmul(A: Algebra, x: dict, y: dict, p: int) -> dict:
     out: dict = {}
     for (i1, j1), c1 in x.items():
         for (i2, j2), c2 in y.items():
-            sign = -1 if (A.degrees[j1] * A.degrees[i2]) % 2 else 1
+            sign = -1 if (A.degree(j1) * A.degree(i2)) % 2 else 1
             c = c1 * c2 * sign
             left = A.mul_basis(i1, i2)
             if not left:
@@ -154,14 +154,15 @@ def _tmul(A: Algebra, x: dict, y: dict, p: int) -> dict:
 class _PlainView:
     """The algebra as the searches read it, built once per call.
 
-    Degrees are decoded into a list, and each basis product is looked up in
-    ``A`` once and kept, so a lazy encoding pays its decoding only once.  The
-    products are the algebra's own multiplication table, read and not changed.
+    Degrees are read once into a list that ``degree`` indexes, and each
+    basis product is looked up in ``A`` once and kept, so a lazy encoding
+    pays its decoding only once.  The products are the algebra's own
+    multiplication table, read and not changed.
     """
 
     def __init__(self, A: Algebra):
         self.dim = A.dim
-        self.degrees = list(A.degrees)
+        self.degree = [A.degree(k) for k in range(A.dim)].__getitem__
         self.top_degree = A.top_degree
         self.unit_index = A.unit_index
         self._mul_basis = A.mul_basis
@@ -200,7 +201,7 @@ def brute_force_cl(A: Algebra, ideal: str, max_len: int = 0) -> int:
 
 def _longest_positive(A: _PlainView, p: int, cap: int) -> int:
     one = 1 if p else Fraction(1)
-    pos = [i for i in range(A.dim) if A.degrees[i] > 0]
+    pos = [i for i in range(A.dim) if A.degree(i) > 0]
 
     def mul_by_basis(vec: dict, g: int) -> dict:
         out: dict = {}
@@ -252,7 +253,7 @@ def _longest_bars(A: _PlainView, p: int, cap: int) -> int:
     bars = [
         {(unit, i): one, (i, unit): (-one) % p if p else -one}
         for i in range(A.dim)
-        if A.degrees[i] > 0
+        if A.degree(i) > 0
     ]
     state = {"nodes": 0}
     memo: dict = {}
@@ -289,7 +290,7 @@ def _ideal_power_length(A: _PlainView, p: int, cap: int) -> int:
     """Largest k with Z^k != 0, Z = ker(A⊗A → A), by dense ideal powers."""
     dim = A.dim
     pairs = [(i, j) for i in range(dim) for j in range(dim)]
-    degree_of = {ij: A.degrees[ij[0]] + A.degrees[ij[1]] for ij in pairs}
+    degree_of = {ij: A.degree(ij[0]) + A.degree(ij[1]) for ij in pairs}
     blocks: dict[int, list] = {}
     for ij in pairs:
         blocks.setdefault(degree_of[ij], []).append(ij)

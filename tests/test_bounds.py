@@ -202,6 +202,20 @@ class TestRuleOutputs:
         rules = [e.rule for e in rep.entries]
         assert rules == ["upper-farber", "upper-free-action"]
 
+    @pytest.mark.parametrize(
+        "r, farber, upper",
+        [(0, 18014398643699713, 9007199456067585), (2, 6004799547899905, 6004799547899905)],
+    )
+    def test_farber_bound_is_exact_beyond_float_precision(self, r, farber, upper):
+        # dim F(M) = 2**53 + 2**26, so 2 dim F(M) + 1 has no exact float and
+        # a float division rounds the ceiling down by one.  With r = 2 the
+        # Farber bound is the interval's upper end.
+        d = ManifoldDescriptor({"name": "big", "dim": 2**27, "connectivity": r})
+        rep = compute_bounds(d)
+        assert rep.frame_bundle_dim == 2**53 + 2**26
+        assert by_rule(rep, "upper-farber").value == farber
+        assert rep.upper == upper
+
     def test_rule_order_is_fixed(self, reports):
         order = [
             "upper-farber",

@@ -42,7 +42,7 @@ from frametc.cuplength import (
 from frametc.fields import F2, QQ, field_of
 from frametc.linalg import Echelon
 from closed_forms import korbas_cl
-from helpers import searched_cl, tensor
+from helpers import degrees, labels, searched_cl, tensor
 from oracle import brute_force_cl
 from test_algebra import table_from
 from zero_divisors import zero_divisor_generators
@@ -112,7 +112,7 @@ class TestZeroDivisorGenerators:
     def test_bars_sorted_by_degree_then_index(self):
         zdb = zero_divisor_generators(so_ring(5, F2))
         degs = [
-            zdb.algebra.degrees[i] for i in zdb.sources
+            zdb.algebra.degree(i) for i in zdb.sources
         ]
         assert degs == sorted(degs)
 
@@ -170,12 +170,12 @@ JOINT_CAP = 32  # classes of a joint ring re-encoded as a table, to keep it quic
 class TestGeneratorIndices:
     def test_monomial_generators_are_the_generator_monomials(self):
         A = so_ring(5, F2)
-        assert [A.labels[i] for i in A.generators()] == ["b1", "b3"]
+        assert [A.label(i) for i in A.generators()] == ["b1", "b3"]
 
     def test_table_surface_generated_in_degree_one(self):
         A = surface_ring(2, QQ)
         gens = A.generators()
-        assert [A.labels[i] for i in gens] == ["a1", "a2", "b1", "b2"]
+        assert [A.label(i) for i in gens] == ["a1", "a2", "b1", "b2"]
 
     def test_table_encoding_of_monomial_ring_finds_same_generators(self):
         # A structure-constant copy of a monomial ring goes through the
@@ -183,8 +183,8 @@ class TestGeneratorIndices:
         for A in (so_ring(5, F2), so_ring(6, QQ), cp_ring(3, QQ), torus_ring(3, F2)):
             table = TableAlgebra(
                 A.field,
-                A.labels,
-                A.degrees,
+                labels(A),
+                degrees(A),
                 {(i, j): A.mul_basis(i, j) for i in range(A.dim) for j in range(A.dim)},
             )
             assert table.generators() == A.generators()
@@ -192,8 +192,7 @@ class TestGeneratorIndices:
     def test_product_algebra_generators_are_the_factor_generators(self):
         A, B = surface_ring(1, F2), rp_ring(3)
         P = tensor(A, B)
-        labels = [P.labels[i] for i in P.generators()]
-        assert labels == ["1⊗a", "a1⊗1", "b1⊗1"]  # (degree, index) order
+        assert [P.label(i) for i in P.generators()] == ["1⊗a", "a1⊗1", "b1⊗1"]  # (degree, index) order
 
     def test_joint_generators_match_the_table_route(self, small_entries):
         # The factor-by-factor generators of a joint ring against the
@@ -443,7 +442,7 @@ def embedded_witness_product(A: MonomialAlgebra, res):
     its classes are matched to A's basis by label, independently of how
     either encoding indexes its basis.
     """
-    index = {label: k for k, label in enumerate(A.labels)}
+    index = {label: k for k, label in enumerate(labels(A))}
     T = ProductAlgebra(A, A)
     product = T.basis_element(T.unit_index)
     for w in res.witness:
@@ -451,7 +450,7 @@ def embedded_witness_product(A: MonomialAlgebra, res):
         embedded = {}
         for k, c in w.coeffs.items():
             i, j = P.split_index(k)
-            embedded[T.pair_index(index[P.left.labels[i]], index[P.right.labels[j]])] = c
+            embedded[T.pair_index(index[P.left.label(i)], index[P.right.label(j)])] = c
         product = product * Element(T, embedded)
     return product
 
@@ -574,7 +573,7 @@ class TestDegreeBoundStop:
                 (zcl_basic(A), T, [bar(T, A.basis_element(i)) for i in gens]),
             ):
                 best, nodes = exhaustive_longest_product(S, elements)
-                assert res.exact and res.value == len(best), A.labels
+                assert res.exact and res.value == len(best), labels(A)
                 assert [str(w) for w in res.witness] == [str(elements[t]) for t in best]
                 assert res.nodes <= nodes
                 fewer += res.nodes < nodes

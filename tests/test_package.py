@@ -38,9 +38,6 @@ UNREACHED_BY_DESIGN = {
     "algebra.ProductAlgebra.mul_basis",
     # The abstract method that every encoding overrides.
     "algebra.Algebra.mul_basis",
-    # Serves the tests' Sequence use of a lazy view; the package reads an
-    # encoding's ``dim``, since len() stops at sys.maxsize.
-    "algebra._LazySeq.__len__",
     # The immutability guard and the debugging form.
     "fields.Field.__setattr__",
     "fields.Field.__repr__",
@@ -195,6 +192,22 @@ def test_test_only_helpers_are_not_shipped(module, name):
     # The ring registry and these helpers live under tests/ (conftest.py,
     # helpers.py); nothing the CLI runs needs them.
     assert not hasattr(module, name)
+
+
+def test_every_encoding_reads_a_basis_class_one_way():
+    # No abstract method declares degree(k) and label(k); this holds every
+    # encoding, and a tensor square of each, to answering both for every
+    # class, with no list view beside them.
+    rings = [catalog.catalog_ring(ring_id)[1] for ring_id in ("so:5:char2", "sigma:2:char0")]
+    encodings = rings + [algebra.ProductAlgebra(A, A) for A in rings]
+    assert [type(A).__name__ for A in encodings] == [
+        "MonomialAlgebra", "TableAlgebra", "ProductAlgebra", "ProductAlgebra",
+    ]
+    for A in encodings:
+        for k in range(A.dim):
+            assert 0 <= A.degree(k) <= A.top_degree and A.label(k), (A, k)
+        assert A.degree(A.unit_index) == 0
+        assert not hasattr(A, "degrees") and not hasattr(A, "labels")
 
 
 def test_built_in_descriptors_are_only_files():

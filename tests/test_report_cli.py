@@ -187,6 +187,23 @@ class TestRingCommand:
         assert "zcl-full: 4 (exact; method generator-bars)" in lines
         assert "zcl-full witness product: 2/3·w⊗w" in lines
 
+    def test_non_unit_class_named_one_is_refused(self, run_cli, tmp_path):
+        # "1" prints as a bare scalar, so the witness product x·x of this
+        # table would read as the unit although its degree is 2.
+        path = tmp_path / "named_one.json"
+        path.write_text(json.dumps({
+            "field": {"char": 2},
+            "type": "table",
+            "basis": [{"name": n, "degree": d} for n, d in [("e", 0), ("x", 1), ("1", 2)]],
+            "products": [["x", "x", "1", 1]],
+        }))
+        code, out, err = run_cli(["ring", str(path), "--compute", "cl", "--no-timing"])
+        assert (code, out) == (1, "")
+        assert err == (
+            'error: basis class "1" has degree 2; only the unit may be named "1", '
+            "which prints as a scalar\n"
+        )
+
     def test_budget_must_be_nonnegative(self, run_cli):
         with pytest.raises(SystemExit) as exc:
             run_cli(["ring", "so:5:char2", "--compute", "zcl-basic", "--budget", "-5"])

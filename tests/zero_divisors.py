@@ -29,7 +29,7 @@ class ZeroDivisorBasis:
 
     @property
     def labels(self) -> list[str]:
-        return [f"bar({self.algebra.labels[i]})" for i in self.sources]
+        return [f"bar({self.algebra.label(i)})" for i in self.sources]
 
 
 def zero_divisor_generators(A: Algebra) -> ZeroDivisorBasis:
@@ -40,7 +40,7 @@ def zero_divisor_generators(A: Algebra) -> ZeroDivisorBasis:
     """
     T = ProductAlgebra(A, A)
     order = sorted(
-        (i for i in range(A.dim) if A.degrees[i] > 0),
-        key=lambda i: (A.degrees[i], i),
+        (i for i in range(A.dim) if A.degree(i) > 0),
+        key=lambda i: (A.degree(i), i),
     )
     return ZeroDivisorBasis(A, T, _bars(T, order), order)
