@@ -36,7 +36,6 @@ nothing per basis class and take no cap.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
@@ -75,6 +74,11 @@ class GeneratorSpec:
         if not isinstance(name, str) or not name:
             raise InvalidPresentationError(
                 f"generator name must be a nonempty string, got {name!r}"
+            )
+        if name == "1":  # a generator is never the unit
+            raise InvalidPresentationError(
+                f'generator "1" has degree {degree!r}; '
+                'only the unit may be named "1", which prints as a scalar'
             )
         for what, value, least in (("degree", degree, 1), ("truncation", truncation, 2)):
             if type(value) is not int or value < least:  # JSON true is no integer
@@ -564,6 +568,8 @@ def _times(f: Field, c: Coeff, a: Coeff) -> Coeff:
 def _coeff_from_json(c, field: Field) -> Coeff:
     try:
         if isinstance(c, str):
+            from fractions import Fraction
+
             return field.coerce(Fraction(c))
         if type(c) is int:
             return field.coerce(c)

@@ -19,11 +19,12 @@ single-threaded and the flag never changes output; combined with
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 import time
-from typing import Optional
+from types import SimpleNamespace
+from typing import NoReturn, Optional
 
 from .algebra import DEFAULT_CAPACITY, CapacityError
 from .bounds import compute_bounds
@@ -37,68 +38,187 @@ from .report import render_bounds, render_examples, render_ring
 _COMPUTE_CHOICES = ("cl", "zcl-basic", "zcl-full", "basis", "poincare")
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help=f"search node budget (default {DEFAULT_BUDGET})",
-    )
-    p.add_argument(
+_DESCRIPTION = (
+    "Exact cup-length computations and topological-complexity bounds for "
+    "oriented frame bundles."
+)
+# The options every subcommand takes: (flag, int or str for the type of its
+# value or None for a switch, default, help).  The value lands on ``args``
+# under the flag's name with "-" read as "_"; ``-h``/``--help`` is implicit.
+_COMMON_OPTIONS = (
+    ("--json", None, False, "emit JSON instead of text"),
+    ("--budget", int, DEFAULT_BUDGET, f"search node budget (default {DEFAULT_BUDGET})"),
+    (
         "--capacity",
-        type=int,
-        default=DEFAULT_CAPACITY,
-        help="dimension cap on whatever lists every basis class: table rings "
+        int,
+        DEFAULT_CAPACITY,
+        "dimension cap on whatever lists every basis class: table rings "
         f"and --compute basis,poincare (default {DEFAULT_CAPACITY})",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; never affects results",
-    )
-    p.add_argument(
-        "--no-timing",
-        action="store_true",
-        help="omit elapsed time for byte-reproducible output",
+    ),
+    ("--threads", int, 1, "accepted for interface stability; never affects results"),
+    ("--no-timing", None, False, "omit elapsed time for byte-reproducible output"),
+)
+# Each subcommand: its help, its positional argument (name, whether it takes
+# any number of values, help) and its options.  This table alone drives
+# parsing, defaults and the help text.
+_COMMANDS = {
+    "ring": (
+        "invariants of one cohomology ring",
+        ("ring", False, "catalog id (so:5:char2) or ring JSON path"),
+        (
+            ("--field", str, None, "coefficient field as char=P (overrides/validates the id)"),
+            ("--compute", str, "cl", "comma-separated: " + ",".join(_COMPUTE_CHOICES)),
+        )
+        + _COMMON_OPTIONS,
+    ),
+    "frame-bundle": (
+        "TC bounds for the frame bundle of a manifold",
+        ("manifold", False, "manifold descriptor JSON path or built-in example key"),
+        _COMMON_OPTIONS,
+    ),
+    "examples": (
+        "run the built-in worked examples",
+        ("keys", True, "subset of example keys (default all)"),
+        _COMMON_OPTIONS,
+    ),
+}
+# A leading "-" marks an option, except on a negative number.
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _wrap(head: str, words: list, width: int = 79) -> str:
+    """``head`` followed by ``words``, wrapped under the end of ``head``."""
+    lines, line = [], head
+    for word in words:
+        if len(line) + len(word) > width and len(line) > len(head):
+            lines.append(line.rstrip())
+            line = " " * len(head)
+        line += word + " "
+    lines.append(line.rstrip())
+    return "\n".join(lines)
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: frametc [-h] {" + ",".join(_COMMANDS) + "} ..."
+    _, (name, many, _), options = _COMMANDS[command]
+    words = ["[-h]"] + [
+        f"[{flag}]" if kind is None else f"[{flag} {flag[2:].upper()}]"
+        for flag, kind, _, _ in options
+    ]
+    words.append(f"[{name} ...]" if many else name)
+    return _wrap(f"usage: frametc {command} ", words)
+
+
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        blocks = [_usage(None), _wrap("", _DESCRIPTION.split())]
+        return "\n\n".join(blocks + [_help(c) for c in _COMMANDS])
+    about, (name, _, positional_help), options = _COMMANDS[command]
+    rows = [(name, positional_help), ("-h, --help", "show this help message and exit")]
+    rows += [
+        (flag if kind is None else f"{flag} {flag[2:].upper()}", text)
+        for flag, kind, _, text in options
+    ]
+    return "\n".join(
+        [_usage(command), "", about, ""]
+        + [_wrap(f"  {left:<22}", text.split()) for left, text in rows]
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="frametc",
-        description="Exact cup-length computations and topological-complexity "
-        "bounds for oriented frame bundles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(command: Optional[str], message: str) -> NoReturn:
+    print(_usage(command), f"frametc: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
 
-    ring = sub.add_parser("ring", help="invariants of one cohomology ring")
-    ring.add_argument("ring", help="catalog id (so:5:char2) or ring JSON path")
-    ring.add_argument(
-        "--field",
-        default=None,
-        help="coefficient field as char=P (overrides/validates the id)",
-    )
-    ring.add_argument(
-        "--compute",
-        default="cl",
-        help="comma-separated: " + ",".join(_COMPUTE_CHOICES),
-    )
-    _add_common(ring)
 
-    fb = sub.add_parser(
-        "frame-bundle", help="TC bounds for the frame bundle of a manifold"
-    )
-    fb.add_argument(
-        "manifold", help="manifold descriptor JSON path or built-in example key"
-    )
-    _add_common(fb)
+def _option(command: Optional[str], arg: str, flags: tuple):
+    """How an argument reads, as argparse reads it.
 
-    ex = sub.add_parser("examples", help="run the built-in worked examples")
-    ex.add_argument("keys", nargs="*", help="subset of example keys (default all)")
-    _add_common(ex)
-    return parser
+    None for a value or positional argument; otherwise (flag, value given
+    after "=" or None), where flag is None for an unknown option.  A long
+    option may be shortened to any prefix that names only it.
+    """
+    if arg == "-h":
+        return "--help", None
+    if arg.startswith("--") and arg != "--":
+        name, eq, value = arg.partition("=")
+        hits = [flag for flag in flags if flag.startswith(name)]
+        if len(hits) > 1 and name not in hits:
+            _usage_error(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+        if hits:
+            return (name if name in hits else hits[0]), (value if eq else None)
+    if arg[:1] != "-" or arg == "-" or _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _parse_args(argv: list) -> SimpleNamespace:
+    """Parse ``argv`` as argparse parses the interface ``_COMMANDS`` describes.
+
+    Options may come before or after the positional argument, ``--`` ends
+    them, and the last of a repeated option wins.  ``-h``/``--help`` prints
+    the help and exits 0; a usage error exits 2.
+    """
+    unrecognized = []
+    at = 0
+    while at < len(argv):  # before the command, only -h/--help is an option
+        read = _option(None, argv[at], ("--help",))
+        if read is None:
+            break
+        if read[0]:
+            print(_help(None))
+            raise SystemExit(0)
+        unrecognized.append(argv[at])
+        at += 1
+    if at == len(argv):
+        _usage_error(None, "the following arguments are required: command")
+    command = argv[at]
+    if command not in _COMMANDS:
+        choices = ", ".join(repr(c) for c in _COMMANDS)
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, (name, many, _), options = _COMMANDS[command]
+    flags = ("--help",) + tuple(flag for flag, _, _, _ in options)
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values = {flag: default for flag, _, default, _ in options}
+    positional = []
+    closed = False  # a positional argument takes one unbroken run of values
+    rest = iter(argv[at + 1:])
+    for arg in rest:
+        read = None if arg == "--" else _option(command, arg, flags)
+        if read is None:  # after "--", every argument is positional
+            for value in list(rest) if arg == "--" else [arg]:
+                if not positional or (many and not closed):
+                    positional.append(value)
+                else:
+                    unrecognized.append(value)
+            continue
+        closed = bool(positional)
+        flag, value = read
+        if flag is None:
+            unrecognized.append(arg)
+        elif flag == "--help":
+            print(_help(command))
+            raise SystemExit(0)
+        elif kinds[flag] is None:
+            if value is not None:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {value!r}")
+            values[flag] = True
+        else:
+            if value is None:
+                value = next(rest, "--")
+                if value == "--" or _option(command, value, flags) is not None:
+                    _usage_error(command, f"argument {flag}: expected one argument")
+            try:
+                values[flag] = kinds[flag](value)
+            except ValueError:
+                _usage_error(command, f"argument {flag}: invalid int value: {value!r}")
+    if not (positional or many):
+        _usage_error(command, f"the following arguments are required: {name}")
+    if unrecognized:
+        _usage_error(None, f"unrecognized arguments: {' '.join(unrecognized)}")
+    args = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    args[name] = positional if many else positional[0]
+    return SimpleNamespace(command=command, **args)
 
 
 def _cmd_ring(args) -> int:
@@ -185,14 +305,10 @@ def _cmd_examples(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    if args.budget < 0:
-        parser.error("--budget must be >= 0")
-    if args.capacity < 1:
-        parser.error("--capacity must be >= 1")
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    for flag, least in (("threads", 1), ("budget", 0), ("capacity", 1)):
+        if getattr(args, flag) < least:
+            _usage_error(args.command, f"--{flag} must be >= {least}")
     try:
         if args.command == "ring":
             return _cmd_ring(args)

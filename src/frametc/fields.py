@@ -4,7 +4,8 @@ Two kinds of field are supported and both are exact:
 
 * characteristic 0, the rationals, realized as Python ints; a
   `fractions.Fraction` enters only with a non-integral input such as a
-  table's ``"p/q"`` constant (``coerce`` turns integral ones into ints);
+  table's ``"p/q"`` constant (``coerce`` turns integral ones into ints), and
+  `fractions` is imported only where one is built or tested;
 * prime characteristic p, realized as Python ints in ``range(p)``.
 
 Zero and one are ``0`` and ``1`` in every field, and a coefficient is zero
@@ -17,11 +18,13 @@ takes) and in JSON form as ``{"char": P}``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-Coeff = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Coeff = Union[int, "Fraction"]
 
 
 class FieldError(ValueError):
@@ -78,18 +81,18 @@ class Field:
     def coerce(self, x: Coeff) -> Coeff:
         # Only ints and Fractions are field elements; floats are never
         # accepted, by design (exact arithmetic throughout).
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise TypeError(f"coefficients must be int or Fraction, got {x!r}")
         p = self.characteristic
+        if isinstance(x, int) and not isinstance(x, bool):
+            return x if p == 0 else x % p
+        from fractions import Fraction
+
+        if not isinstance(x, Fraction):
+            raise TypeError(f"coefficients must be int or Fraction, got {x!r}")
         if p == 0:
-            if isinstance(x, Fraction) and x.denominator == 1:
-                return x.numerator
-            return x
-        if isinstance(x, Fraction):
-            if x.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator not invertible mod {p}")
-            return (x.numerator * pow(x.denominator, -1, p)) % p
-        return x % p
+            return x.numerator if x.denominator == 1 else x
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator not invertible mod {p}")
+        return (x.numerator * pow(x.denominator, -1, p)) % p
 
     def add(self, a: Coeff, b: Coeff) -> Coeff:
         p = self.characteristic
@@ -112,6 +115,8 @@ class Field:
         if p == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
+            from fractions import Fraction
+
             return Fraction(1) / a
         return pow(a, -1, p)
 

@@ -582,6 +582,23 @@ class TestRingJson:
         c = ring_from_json(js).mul_basis(1, 1)[2]
         assert c == 2 and type(c) is int
 
+    @pytest.mark.parametrize(
+        "char, text, stored",
+        [(0, "1/2", Fraction(1, 2)), (0, "2/1", 2), (3, "1/2", 2)],
+    )
+    def test_fraction_string_constants(self, char, text, stored):
+        # Over Q a non-integral constant stays a Fraction and an integral one
+        # becomes an int; over F_3, 1/2 is the inverse of 2, which is 2.
+        js = {
+            "field": {"char": char},
+            "type": "table",
+            "basis": [{"name": "1", "degree": 0}, {"name": "x", "degree": 2},
+                      {"name": "z", "degree": 4}],
+            "products": [["x", "x", "z", text]],
+        }
+        c = ring_from_json(js).mul_basis(1, 1)[2]
+        assert c == stored and type(c) is type(stored)
+
     def test_integral_sums_of_fraction_rows_are_stored_as_ints(self):
         js = {
             "field": {"char": 0},

@@ -99,6 +99,21 @@ class TestNoFloats:
         with pytest.raises(TypeError):
             F2.coerce(False)
 
+    @pytest.mark.parametrize("fld", [QQ, F2, field_of(3)])
+    @pytest.mark.parametrize("text", ["1/2", "3"])
+    def test_strings_rejected(self, fld, text):
+        # A "p/q" string is read by the ring JSON reader, never by coerce.
+        with pytest.raises(TypeError):
+            fld.coerce(text)
+
+    @pytest.mark.parametrize("fld", [QQ, F2, field_of(3)])
+    def test_int_subclasses_accepted(self, fld):
+        class Count(int):
+            pass
+
+        p = fld.characteristic
+        assert fld.coerce(Count(7)) == (7 % p if p else 7)
+
 
 class TestConstructionAndIdentity:
     @pytest.mark.parametrize("bad", [1, 4, 6, 9, -2, 15])

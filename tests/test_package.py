@@ -20,8 +20,12 @@ from frametc.cuplength import CupLengthResult, cup_length
 from frametc.fields import Field
 from frametc.manifold import ManifoldDescriptor
 
-# Modules that ``dataclasses`` pulls in behind it; none is needed at start-up.
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# Modules that ``dataclasses``, ``argparse`` and ``fractions`` pull in behind
+# them; none is needed at start-up.
+HEAVY_MODULES = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+    "argparse", "gettext", "locale", "fractions", "decimal", "numbers",
+)
 # The benchmark's tracer relies on ``import frametc.cli`` loading every layer.
 LAYERS = (
     "algebra", "bounds", "catalog", "cuplength", "examples",
@@ -142,7 +146,11 @@ def test_every_shipped_function_is_entered_by_a_cli_run(tmp_path):
         ["frame-bundle", str(tmp_path / "missing.json")],
         ["examples", "rp9"],
     ]
-    argvs = [*CASES.values(), ["ring", fractional, "--compute", RING_ITEMS], *errors]
+    # A usage error exits 2 and --help exits 0, each through SystemExit.
+    usage = [["ring", "so:3:char2", "--budget", "-5"], ["--help"]]
+    argvs = [
+        *CASES.values(), ["ring", fractional, "--compute", RING_ITEMS], *errors, *usage
+    ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frametc.__file__))
     out = subprocess.run(
@@ -150,7 +158,7 @@ def test_every_shipped_function_is_entered_by_a_cli_run(tmp_path):
         env=env, capture_output=True, text=True, timeout=300, check=True,
     ).stdout
     probe = json.loads(out)
-    assert probe["codes"][-len(errors) - 1:] == [0] + [1] * len(errors)
+    assert probe["codes"][-len(errors) - 3:] == [0] + [1] * len(errors) + [2, 0]
     entered = {tuple(key) for key in probe["entered"]}
     defined = _defined_functions()
     unreached = {name for key, name in defined.items() if key not in entered}

@@ -204,6 +204,22 @@ class TestRingCommand:
             "which prints as a scalar\n"
         )
 
+    def test_monomial_generator_named_one_is_refused(self, run_cli, tmp_path):
+        # A generator named "1" would print its powers as the unit and share
+        # the label "1" with the unit class.
+        path = tmp_path / "generator_one.json"
+        path.write_text(json.dumps({
+            "field": {"char": 2},
+            "type": "monomial",
+            "generators": [{"name": "1", "degree": 1, "truncation": 3}],
+        }))
+        code, out, err = run_cli(["ring", str(path), "--compute", "cl,basis", "--no-timing"])
+        assert (code, out) == (1, "")
+        assert err == (
+            'error: generator "1" has degree 1; only the unit may be named "1", '
+            "which prints as a scalar\n"
+        )
+
     def test_budget_must_be_nonnegative(self, run_cli):
         with pytest.raises(SystemExit) as exc:
             run_cli(["ring", "so:5:char2", "--compute", "zcl-basic", "--budget", "-5"])
