@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 scripts/bench_pr.py --pr 22
+    python3 scripts/bench_pr.py --pr N
 
 ``--root`` measures another checkout (for example the parent commit, cloned
 elsewhere) and ``--out`` names the output file, by default
@@ -33,14 +33,38 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 2, 3)
+SECONDS = 25  # run length of every bench/run.py run
 CHILD_TIMEOUT_S = 300
 STARTUP_SAMPLES = 9
 CLI = "import sys; from frametc.cli import main; sys.exit(main())"
+# Runs the command after its timeout argument in a forked child, with output
+# discarded and SIGALRM after the timeout, and prints its exit code, wall
+# time and peak RSS (os.wait4) as JSON.  A child's peak RSS counts the pages
+# it shared with its parent before exec, so the fork is made from this small
+# interpreter, not from the script: its RSS, a few MB, is the floor.
+PROBE = r"""
+import os, signal, sys, time
+t0 = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.dup2(null, 2)
+    signal.alarm(int(sys.argv[1]))
+    os.execv(sys.argv[2], sys.argv[2:])
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - t0
+import json
+print(json.dumps({
+    "exit": os.waitstatus_to_exitcode(status),
+    "wall_s": round(wall, 4),
+    "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),  # ru_maxrss is in KiB on Linux
+}))
+"""
 # Off-benchmark invocations: the "where the time goes" rows of ROADMAP.md.
 # "T10_TABLE" stands for t:10:char2 written out as a 1,024-class table.
 INVOCATIONS = (
@@ -77,30 +101,16 @@ def exterior_table(n: int) -> dict:
 
 def timed_child(cmd: list, cwd: str, env: dict) -> dict:
     """Run one child to completion: exit code, wall time and peak RSS."""
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(
-        cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-    )
-    killer = threading.Timer(CHILD_TIMEOUT_S, proc.kill)
-    killer.start()
-    try:
-        _, status, usage = os.wait4(proc.pid, 0)
-    finally:
-        killer.cancel()
-    wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return {
-        "exit": proc.returncode,
-        "wall_s": round(wall, 4),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),  # ru_maxrss is in KiB on Linux
-    }
+    probe = [sys.executable, "-S", "-c", PROBE, str(CHILD_TIMEOUT_S), *cmd]
+    proc = subprocess.run(probe, cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
-def bench_line(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench_line(root: str, workload: str, seed: int, trace: int) -> dict:
     """The final JSON line of one ``bench/run.py`` run."""
     cmd = [
         sys.executable, os.path.join(root, "bench", "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -148,7 +158,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--root", default=os.path.dirname(HERE))
     parser.add_argument("--out", default=None)
-    parser.add_argument("--seconds", type=float, default=25)
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     out = args.out or os.path.join(root, f"BENCH_{args.pr}.json")
@@ -156,12 +165,11 @@ def main(argv=None) -> int:
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
 
-    record = {"pr": args.pr, "seconds": args.seconds}
+    record = {"pr": args.pr, "seconds": SECONDS}
     record["benchmark"] = {
-        w: {f"seed{s}": bench_line(root, w, s, args.seconds, 0) for s in SEEDS}
-        for w in workloads
+        w: {f"seed{s}": bench_line(root, w, s, 0) for s in SEEDS} for w in workloads
     }
-    record["traced"] = {w: bench_line(root, w, 1, args.seconds, 1) for w in workloads}
+    record["traced"] = {w: bench_line(root, w, 1, 1) for w in workloads}
 
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
