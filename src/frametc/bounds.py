@@ -1,21 +1,24 @@
 """Bound rules for the topological complexity of oriented frame bundles.
 
 Input: a :class:`~frametc.manifold.ManifoldDescriptor` for a closed,
-connected, oriented smooth n-manifold M.  Output: a :class:`BoundReport`
-collecting every applicable upper and lower bound for TC(F(M)), where F(M) is
-the oriented frame bundle (an SO(n)-principal space of dimension n(n+1)/2)
-and TC is the unreduced topological complexity, normalized so that
-TC(point) = 1.
+connected, oriented smooth n-manifold M.  Output: the payload that
+``frametc frame-bundle --json`` prints, a dict collecting every applicable
+upper and lower bound for TC(F(M)), where F(M) is the oriented frame bundle
+(an SO(n)-principal space of dimension n(n+1)/2) and TC is the unreduced
+topological complexity, normalized so that TC(point) = 1.  Its keys are
+``manifold``, ``fiber``, ``frame_bundle_dim``, ``entries``, ``interval`` and
+``warnings``.
 
-Each rule contributes a :class:`BoundEntry` with the substituted formula, the
-name of the result it instantiates, and the assumptions it consumed.  Each
-rule's citation is spelled once, in the ``_CITATIONS`` table, which lists the
-rules in the fixed order they are evaluated; the zero-divisor twins
-(``lower-tncz`` and ``lower-parallelizable``) and the category twins
-(``upper-parallelizable`` and ``upper-lie``) each run through one code path.
-The aggregate interval is [max of lower bounds, min of upper bounds]; an empty
-lower side defaults to the trivial TC >= 1.  Per-field loops run over the
-descriptor's fields in ascending characteristic, so reports are deterministic.
+Each rule contributes one entry: the substituted formula, the name of the
+result it instantiates, and the assumptions it consumed.  Each rule's
+citation is spelled once, in the ``_CITATIONS`` table, which lists the rules
+in the fixed order they are evaluated; the zero-divisor twins (``lower-tncz``
+and ``lower-parallelizable``) and the category twins (``upper-parallelizable``
+and ``upper-lie``) each run through one code path.  The interval is [max of
+lower bounds, min of upper bounds], computed once from the entries; an empty
+lower side defaults to the trivial TC >= 1 and an empty upper side is null.
+Per-field loops run over the descriptor's fields in ascending characteristic,
+so reports are deterministic.
 
 Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
 
@@ -50,7 +53,6 @@ verifies it; for n >= 4 its entries carry a note saying so.
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional
 
 from .algebra import DEFAULT_CAPACITY
 from .catalog import so_ring
@@ -71,89 +73,6 @@ _BUDGET_NOTE = (
     "zero-divisor search budget exhausted for {}; the searched value is a "
     "valid lower bound"
 )
-
-
-class BoundEntry:
-    """One applied rule: a single inequality for TC(F(M))."""
-
-    def __init__(
-        self,
-        rule: str,
-        kind: str,  # "upper" or "lower"
-        value: int,
-        statement: str,
-        citation: str,
-        field: Optional[str] = None,
-        assumptions: Optional[list] = None,
-        notes: Optional[list] = None,
-    ):
-        self.rule = rule
-        self.kind = kind
-        self.value = value
-        self.statement = statement
-        self.citation = citation
-        self.field = field
-        self.assumptions = [] if assumptions is None else assumptions
-        self.notes = [] if notes is None else notes
-
-    def to_json(self) -> dict:
-        out = {
-            "rule": self.rule,
-            "kind": self.kind,
-            "value": self.value,
-            "statement": self.statement,
-            "citation": self.citation,
-        }
-        if self.field:
-            out["field"] = self.field
-        if self.assumptions:
-            out["assumptions"] = list(self.assumptions)
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
-
-
-class BoundReport:
-    """All applicable bounds for one manifold, plus the aggregate interval."""
-
-    def __init__(
-        self,
-        manifold: dict,
-        fiber: int,
-        frame_bundle_dim: int,
-        entries: Optional[list] = None,
-        warnings: Optional[list] = None,
-    ):
-        self.manifold = manifold
-        self.fiber = fiber
-        self.frame_bundle_dim = frame_bundle_dim
-        self.entries = [] if entries is None else entries
-        self.warnings = [] if warnings is None else warnings
-
-    @property
-    def lower(self) -> int:
-        values = [e.value for e in self.entries if e.kind == "lower"]
-        return max(values, default=1)  # TC >= 1 for any nonempty space
-
-    @property
-    def upper(self) -> Optional[int]:
-        values = [e.value for e in self.entries if e.kind == "upper"]
-        return min(values) if values else None
-
-    @property
-    def interval(self) -> tuple[int, Optional[int]]:
-        return (self.lower, self.upper)
-
-    def to_json(self) -> dict:
-        lo, hi = self.interval
-        return {
-            "manifold": self.manifold,
-            "fiber": self.fiber,
-            "frame_bundle_dim": self.frame_bundle_dim,
-            "entries": [e.to_json() for e in self.entries],
-            "interval": [lo, hi],
-            "warnings": list(self.warnings),
-        }
 
 
 # -- rule engine -------------------------------------------------------------------
@@ -182,13 +101,12 @@ def compute_bounds(
     descriptor: ManifoldDescriptor,
     capacity: int = DEFAULT_CAPACITY,
     budget: int = DEFAULT_BUDGET,
-) -> BoundReport:
-    """Evaluate every applicable rule and aggregate the interval."""
+) -> dict:
+    """Evaluate every applicable rule: the payload ``frame-bundle --json`` prints."""
     n = descriptor.dim
     dim_f = n * (n + 1) // 2
-    report = BoundReport(
-        manifold=descriptor.to_json(), fiber=n, frame_bundle_dim=dim_f
-    )
+    entries: list = []
+    warnings: list = []
     starved = False  # set when a zero-divisor search runs out of budget
     so = cache(so_ring)  # H*(SO(k); K), built once per (k, K)
     # cl(SO(k); F2) + 1 = cat(SO(k)) for k <= EXACT_CAT_SO_MAX; once per k
@@ -205,10 +123,17 @@ def compute_bounds(
         starved = True
         return res.value, [_BUDGET_NOTE.format(who)]
 
-    def add(rule: str, kind: str, value: int, statement: str, **extra):
-        report.entries.append(
-            BoundEntry(rule, kind, value, statement, _CITATIONS[rule], **extra)
-        )
+    def add(rule, kind, value, statement, field=None, assumptions=None, notes=None):
+        """Append one entry; field, assumptions and notes only when non-empty."""
+        optional = {"field": field, "assumptions": assumptions, "notes": notes}
+        entries.append({
+            "rule": rule,
+            "kind": kind,  # "upper" or "lower"
+            "value": value,
+            "statement": statement,
+            "citation": _CITATIONS[rule],
+            **{key: v for key, v in optional.items() if v},
+        })
 
     # upper-farber: TC(X) <= ceil((2 dim X + 1)/(r + 1)) for an r-connected X.
     r = descriptor.connectivity
@@ -355,14 +280,22 @@ def compute_bounds(
         )
 
     if starved:
-        report.warnings.append(
+        warnings.append(
             "zero-divisor search budget exhausted: entries noting it use a "
             "searched lower value, so the lower end may rise with a larger --budget"
         )
-    lo, hi = report.interval
+    lo = max((e["value"] for e in entries if e["kind"] == "lower"), default=1)  # TC >= 1
+    hi = min((e["value"] for e in entries if e["kind"] == "upper"), default=None)
     if hi is not None and lo > hi:
-        report.warnings.append(
+        warnings.append(
             f"inconsistent bounds: max lower {lo} exceeds min upper {hi}; "
             "check the descriptor's assumptions"
         )
-    return report
+    return {
+        "manifold": descriptor.to_json(),
+        "fiber": n,
+        "frame_bundle_dim": dim_f,
+        "entries": entries,
+        "interval": [lo, hi],
+        "warnings": warnings,
+    }

@@ -225,7 +225,8 @@ def _cmd_ring(args) -> int:
     t0 = time.monotonic()
     fld = parse_field(args.field) if args.field else None
     ring_id, algebra = resolve_ring(args.ring, fld, args.capacity)
-    wanted = [w.strip() for w in args.compute.split(",") if w.strip()]
+    # A repeated item is read once, where it first appears.
+    wanted = list(dict.fromkeys(w.strip() for w in args.compute.split(",") if w.strip()))
     if not wanted:
         raise ValueError(
             f"--compute names no item; choose from {', '.join(_COMPUTE_CHOICES)}"
@@ -286,10 +287,10 @@ def _cmd_frame_bundle(args) -> int:
             f"{args.manifold!r} is neither a descriptor file nor a built-in key "
             f"({', '.join(EXAMPLE_KEYS)})"
         )
-    report = compute_bounds(descriptor, capacity=args.capacity, budget=args.budget)
+    payload = compute_bounds(descriptor, capacity=args.capacity, budget=args.budget)
     elapsed = None if args.no_timing else time.monotonic() - t0
-    print(render_bounds(report, json_mode=args.json, elapsed=elapsed))
-    return 2 if report.warnings else 0
+    print(render_bounds(payload, json_mode=args.json, elapsed=elapsed))
+    return 2 if payload["warnings"] else 0
 
 
 def _cmd_examples(args) -> int:

@@ -128,11 +128,14 @@ class CupLengthResult:
         return True
 
     def describe(self) -> dict:
+        """The printed result; a factor repeated as one object is formatted once."""
+        printed = {id(w): w for w in self.witness}
+        printed = {key: str(w) for key, w in printed.items()}
         out = {
             "value": self.value,
             "exact": self.exact,
             "method": self.method,
-            "witness": [str(w) for w in self.witness],
+            "witness": [printed[id(w)] for w in self.witness],
         }
         products = [
             str(p.witness_product)

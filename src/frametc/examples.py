@@ -83,14 +83,14 @@ def evaluate_examples(
     for key, title, stated, note in _TABLE:
         if keys and key not in keys:
             continue
-        report = compute_bounds(example_descriptor(key), capacity=capacity, budget=budget)
+        payload = compute_bounds(example_descriptor(key), capacity=capacity, budget=budget)
         row = {
             "key": key,
             "title": title,
             "stated": list(stated),
-            "derived": list(report.interval),
-            "agrees": stated == report.interval,
-            "warnings": list(report.warnings),
+            "derived": payload["interval"],
+            "agrees": list(stated) == payload["interval"],
+            "warnings": payload["warnings"],
         }
         if note:
             row["note"] = note

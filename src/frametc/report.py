@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .bounds import BoundReport
 from .cuplength import join_factors
 
 
 def _finish(payload: dict, elapsed: Optional[float], json_mode: bool, lines: list) -> str:
     if elapsed is not None:
-        payload["elapsed_seconds"] = round(elapsed, 3)
+        payload = {**payload, "elapsed_seconds": round(elapsed, 3)}
     if json_mode:
         return json.dumps(payload, indent=2)
     if elapsed is not None:
@@ -30,7 +29,7 @@ def _finish(payload: dict, elapsed: Optional[float], json_mode: bool, lines: lis
 def render_ring(payload: dict, json_mode: bool = False, elapsed: Optional[float] = None) -> str:
     """Render the ``ring`` subcommand payload."""
     if json_mode:
-        return _finish(dict(payload), elapsed, True, [])
+        return _finish(payload, elapsed, True, [])
     ring = payload["ring"]
     lines = [
         f"ring: {ring['id']}",
@@ -61,34 +60,31 @@ def render_ring(payload: dict, json_mode: bool = False, elapsed: Optional[float]
     return _finish(payload, elapsed, False, lines)
 
 
-def render_bounds(
-    report: BoundReport, json_mode: bool = False, elapsed: Optional[float] = None
-) -> str:
-    """Render a frame-bundle bound report."""
-    payload = report.to_json()
+def render_bounds(payload: dict, json_mode: bool = False, elapsed: Optional[float] = None) -> str:
+    """Render the ``frame-bundle`` payload, as ``bounds.compute_bounds`` returns it."""
     if json_mode:
         return _finish(payload, elapsed, True, [])
-    lo, hi = report.interval
-    name = report.manifold.get("name", "?")
+    lo, hi = payload["interval"]
+    manifold = payload["manifold"]
     lines = [
-        f"manifold: {name} (dim {report.manifold.get('dim')})",
-        f"frame bundle: dimension {report.frame_bundle_dim}, fiber SO({report.fiber})",
+        f"manifold: {manifold.get('name', '?')} (dim {manifold.get('dim')})",
+        f"frame bundle: dimension {payload['frame_bundle_dim']}, fiber SO({payload['fiber']})",
         f"interval: TC(F(M)) in [{lo}, {hi if hi is not None else 'inf'}]",
         "",
         "rule\tkind\tvalue\tfield\tstatement",
     ]
-    for e in report.entries:
+    for e in payload["entries"]:
         lines.append(
-            f"{e.rule}\t{e.kind}\t{e.value}\t{e.field or '-'}\t{e.statement}"
+            f"{e['rule']}\t{e['kind']}\t{e['value']}\t{e.get('field', '-')}\t{e['statement']}"
         )
-    notes = [(e.rule, n) for e in report.entries for n in (e.notes or [])]
+    notes = [(e["rule"], n) for e in payload["entries"] for n in e.get("notes", [])]
     if notes:
         lines.append("")
         for rule, note in notes:
             lines.append(f"note ({rule}): {note}")
-    if report.warnings:
+    if payload["warnings"]:
         lines.append("")
-        for w in report.warnings:
+        for w in payload["warnings"]:
             lines.append(f"warning: {w}")
     return _finish(payload, elapsed, False, lines)
 

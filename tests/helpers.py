@@ -5,8 +5,8 @@
   names its generators from the factors'.
 * :func:`ring_to_json` — a monomial or table algebra in ring-descriptor form,
   for writing ring files and inline rings.
-* :func:`bound_entry_from_json`, :func:`bound_report_from_json` — a report
-  read back from ``frame-bundle --json``.
+* :func:`interval_from_entries` — the interval a ``frame-bundle`` payload's
+  entries give, recomputed apart from ``compute_bounds``.
 * :func:`searched_cl` — cl from the generator search on any encoding, the
   route ``cup_length`` takes for non-monomial rings; on monomial rings it
   cross-checks the closed form.
@@ -30,7 +30,6 @@ from frametc.algebra import (
     ProductAlgebra,
     TableAlgebra,
 )
-from frametc.bounds import BoundEntry, BoundReport
 from frametc.cuplength import DEFAULT_BUDGET, CupLengthResult
 
 
@@ -107,35 +106,11 @@ def ring_to_json(algebra: Algebra) -> dict:
     raise InvalidPresentationError("only monomial and table algebras serialize")
 
 
-def bound_entry_from_json(obj: dict) -> BoundEntry:
-    return BoundEntry(
-        rule=obj["rule"],
-        kind=obj["kind"],
-        value=obj["value"],
-        statement=obj["statement"],
-        citation=obj["citation"],
-        field=obj.get("field"),
-        assumptions=list(obj.get("assumptions", [])),
-        notes=list(obj.get("notes", [])),
-    )
-
-
-def bound_report_from_json(obj: dict) -> BoundReport:
-    """Rebuild a report, refusing a stored interval its entries disagree with."""
-    report = BoundReport(
-        manifold=obj["manifold"],
-        fiber=obj["fiber"],
-        frame_bundle_dim=obj["frame_bundle_dim"],
-        entries=[bound_entry_from_json(e) for e in obj.get("entries", [])],
-        warnings=list(obj.get("warnings", [])),
-    )
-    stored = obj.get("interval")
-    if stored is not None and list(stored) != [report.lower, report.upper]:
-        raise ValueError(
-            f"stored interval {stored} disagrees with entries "
-            f"{[report.lower, report.upper]}"
-        )
-    return report
+def interval_from_entries(payload: dict) -> list:
+    """[largest lower value, or 1; smallest upper value, or None]."""
+    lower = [e["value"] for e in payload["entries"] if e["kind"] == "lower"]
+    upper = [e["value"] for e in payload["entries"] if e["kind"] == "upper"]
+    return [max(lower) if lower else 1, min(upper) if upper else None]
 
 
 def searched_cl(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:

@@ -21,10 +21,11 @@ from frametc.examples import EXAMPLE_KEYS, example_descriptor
 from frametc.fields import F2, QQ, field_of
 from frametc.manifold import DescriptorError, ManifoldDescriptor, load_descriptor
 from closed_forms import cat_so_lower, korbas_cl, zcl_so_closed_form
-from helpers import bound_report_from_json
+from helpers import interval_from_entries
 from oracle import brute_force_cl
 
-RP7 = os.path.join(os.path.dirname(__file__), "..", "descriptors", "rp7.json")
+DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")
+RP7 = os.path.join(DESCRIPTOR_DIR, "rp7.json")
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +36,10 @@ def reports():
 def by_rule(report, rule, kind=None, field=None):
     hits = [
         e
-        for e in report.entries
-        if e.rule == rule
-        and (kind is None or e.kind == kind)
-        and (field is None or e.field == field)
+        for e in report["entries"]
+        if e["rule"] == rule
+        and (kind is None or e["kind"] == kind)
+        and (field is None or e.get("field") == field)
     ]
     assert hits, f"no entry for {rule}/{kind}/{field}"
     assert len(hits) == 1
@@ -104,69 +105,69 @@ class TestClosedForms:
 class TestRuleOutputs:
     def test_sphere_report(self, reports):
         rep = reports["s2"]
-        assert rep.interval == (4, 4)
-        assert by_rule(rep, "upper-farber").value == 7
-        assert by_rule(rep, "upper-free-action").value == 6
-        assert by_rule(rep, "frame-bundle-lie-group", kind="lower").value == 4
-        assert by_rule(rep, "frame-bundle-lie-group", kind="upper").value == 4
-        assert by_rule(rep, "lower-tncz", field="char=2").value == 3
-        assert by_rule(rep, "lower-spin").value == 2
-        assert len(rep.entries) == 6
+        assert rep["interval"] == [4, 4]
+        assert by_rule(rep, "upper-farber")["value"] == 7
+        assert by_rule(rep, "upper-free-action")["value"] == 6
+        assert by_rule(rep, "frame-bundle-lie-group", kind="lower")["value"] == 4
+        assert by_rule(rep, "frame-bundle-lie-group", kind="upper")["value"] == 4
+        assert by_rule(rep, "lower-tncz", field="char=2")["value"] == 3
+        assert by_rule(rep, "lower-spin")["value"] == 2
+        assert len(rep["entries"]) == 6
 
     def test_torus_report(self, reports):
         rep = reports["t2"]
-        assert rep.interval == (4, 4)
-        assert by_rule(rep, "upper-free-action").value == 4
-        assert by_rule(rep, "upper-parallelizable").value == 4
-        assert by_rule(rep, "upper-lie").value == 4
-        assert by_rule(rep, "lower-tncz", field="char=0").value == 4
-        assert by_rule(rep, "lower-parallelizable", field="char=2").value == 4
-        assert by_rule(rep, "lower-dim-theorem", field="char=0").value == 4
+        assert rep["interval"] == [4, 4]
+        assert by_rule(rep, "upper-free-action")["value"] == 4
+        assert by_rule(rep, "upper-parallelizable")["value"] == 4
+        assert by_rule(rep, "upper-lie")["value"] == 4
+        assert by_rule(rep, "lower-tncz", field="char=0")["value"] == 4
+        assert by_rule(rep, "lower-parallelizable", field="char=2")["value"] == 4
+        assert by_rule(rep, "lower-dim-theorem", field="char=0")["value"] == 4
 
     def test_projective_space_report(self, reports):
         rep = reports["rp3"]
-        assert rep.interval == (7, 7)
+        assert rep["interval"] == [7, 7]
         # The two characteristics disagree sharply; the aggregate takes the max.
-        assert by_rule(rep, "lower-tncz", field="char=0").value == 3
-        assert by_rule(rep, "lower-tncz", field="char=2").value == 7
-        assert by_rule(rep, "upper-parallelizable").value == 7
+        assert by_rule(rep, "lower-tncz", field="char=0")["value"] == 3
+        assert by_rule(rep, "lower-tncz", field="char=2")["value"] == 7
+        assert by_rule(rep, "upper-parallelizable")["value"] == 7
 
     def test_complex_projective_report(self, reports):
         rep = reports["cp2"]
-        assert rep.interval == (9, 15)
-        assert by_rule(rep, "upper-free-action").value == 15
+        assert rep["interval"] == [9, 15]
+        assert by_rule(rep, "upper-free-action")["value"] == 15
         # The parity bump of lower-dim-theorem is quoted, not verified: for
         # SO(n), n >= 4, it exceeds the searched zcl(SO(n)) + 1; the entry
         # must say so.
         entry = by_rule(rep, "lower-dim-theorem", field="char=0")
-        assert entry.value == 9
-        assert any("parity bump" in note for note in entry.notes)
+        assert entry["value"] == 9
+        assert any("parity bump" in note for note in entry.get("notes", []))
         # lower-tncz uses the searched fiber value: 2 + zcl(CP^2) + 1 = 7.
         entry = by_rule(rep, "lower-tncz", field="char=0")
-        assert entry.value == 7
-        assert not any("parity bump" in note for note in entry.notes)
+        assert entry["value"] == 7
+        assert not any("parity bump" in note for note in entry.get("notes", []))
         # Below n = 4 the bump equals zcl(SO(n)) + 1, and no note is added.
         entry = by_rule(reports["t2"], "lower-dim-theorem", field="char=0")
-        assert not any("parity bump" in note for note in entry.notes)
+        assert not any("parity bump" in note for note in entry.get("notes", []))
 
     def test_exhausted_budget_is_noted_on_every_searched_entry(self, reports):
         # A zero node budget leaves every zero-divisor value a lower bound:
         # the entries that use one must say so, and the interval can only
         # get weaker, never stronger.
         starved = compute_bounds(example_descriptor("t2"), budget=0)
-        assert starved.lower <= reports["t2"].lower
-        assert starved.upper == reports["t2"].upper
-        for entry in starved.entries:
-            if entry.rule in ("lower-tncz", "lower-dim-theorem"):
-                assert any("budget exhausted for M" in n for n in entry.notes)
-            if entry.rule == "lower-tncz":
-                assert any("budget exhausted for SO(2)" in n for n in entry.notes)
+        (lo, hi), (t2_lo, t2_hi) = starved["interval"], reports["t2"]["interval"]
+        assert lo <= t2_lo and hi == t2_hi
+        for entry in starved["entries"]:
+            if entry["rule"] in ("lower-tncz", "lower-dim-theorem"):
+                assert any("budget exhausted for M" in n for n in entry.get("notes", []))
+            if entry["rule"] == "lower-tncz":
+                assert any("budget exhausted for SO(2)" in n for n in entry.get("notes", []))
         for field in ("char=0", "char=2"):
-            notes = by_rule(starved, "lower-parallelizable", field=field).notes
+            notes = by_rule(starved, "lower-parallelizable", field=field).get("notes", [])
             assert any("budget exhausted for M" in n for n in notes)
             assert any("budget exhausted for SO(2)" in n for n in notes)
-        for entry in reports["t2"].entries:
-            assert not any("budget exhausted" in n for n in entry.notes)
+        for entry in reports["t2"]["entries"]:
+            assert not any("budget exhausted" in n for n in entry.get("notes", []))
 
     def test_starved_fiber_value_is_shared(self, run_cli):
         # lower-tncz and lower-parallelizable read one zcl(SO(7)) search, so
@@ -174,15 +175,16 @@ class TestRuleOutputs:
         # the cl route behind cat(SO(7)) has no budget to starve.
         code, out, _ = run_cli(["frame-bundle", RP7, "--budget", "0", "--json", "--no-timing"])
         assert code == 2
-        report = bound_report_from_json(json.loads(out))
+        report = json.loads(out)
+        assert report["interval"] == interval_from_entries(report)
         for field in ("char=0", "char=2"):
             tncz = by_rule(report, "lower-tncz", field=field)
             par = by_rule(report, "lower-parallelizable", field=field)
-            assert tncz.value == par.value
-            assert tncz.notes == par.notes
-            assert any("budget exhausted for SO(7)" in n for n in tncz.notes)
+            assert tncz["value"] == par["value"]
+            assert tncz.get("notes", []) == par.get("notes", [])
+            assert any("budget exhausted for SO(7)" in n for n in tncz.get("notes", []))
         upper = by_rule(report, "upper-parallelizable")
-        assert "cat(SO(7)) + TC(M) - 1 = 12 + 8 - 1" in upper.statement
+        assert "cat(SO(7)) + TC(M) - 1 = 12 + 8 - 1" in upper["statement"]
 
     def test_each_fiber_ring_is_built_once(self, monkeypatch):
         built = []
@@ -193,13 +195,13 @@ class TestRuleOutputs:
 
         monkeypatch.setattr(bounds, "so_ring", counting)
         report = compute_bounds(load_descriptor(RP7))
-        assert report.interval == (19, 19)
+        assert report["interval"] == [19, 19]
         assert sorted(built) == [(7, "char=0"), (7, "char=2")]
 
     def test_bare_descriptor_defaults(self):
         rep = compute_bounds(ManifoldDescriptor({"name": "bare", "dim": 4}))
-        assert rep.interval == (1, 15)
-        rules = [e.rule for e in rep.entries]
+        assert rep["interval"] == [1, 15]
+        rules = [e["rule"] for e in rep["entries"]]
         assert rules == ["upper-farber", "upper-free-action"]
 
     @pytest.mark.parametrize(
@@ -212,9 +214,9 @@ class TestRuleOutputs:
         # Farber bound is the interval's upper end.
         d = ManifoldDescriptor({"name": "big", "dim": 2**27, "connectivity": r})
         rep = compute_bounds(d)
-        assert rep.frame_bundle_dim == 2**53 + 2**26
-        assert by_rule(rep, "upper-farber").value == farber
-        assert rep.upper == upper
+        assert rep["frame_bundle_dim"] == 2**53 + 2**26
+        assert by_rule(rep, "upper-farber")["value"] == farber
+        assert rep["interval"][1] == upper
 
     def test_rule_order_is_fixed(self, reports):
         order = [
@@ -230,7 +232,7 @@ class TestRuleOutputs:
             "lower-spin",
         ]
         for rep in reports.values():
-            seen = [e.rule for e in rep.entries]
+            seen = [e["rule"] for e in rep["entries"]]
             positions = [order.index(r) for r in seen]
             assert positions == sorted(positions)
 
@@ -255,13 +257,13 @@ class TestCategoryWindow:
         monkeypatch.setattr(bounds, "cup_length", counting)
         rep = compute_bounds(self.lie_group(10))
         # cat(SO(10)) + 5 - 1 = 22 + 5 - 1, from one cl(SO(10); F2).
-        assert by_rule(rep, "upper-parallelizable").value == 26
-        assert by_rule(rep, "upper-lie").value == 26
+        assert by_rule(rep, "upper-parallelizable")["value"] == 26
+        assert by_rule(rep, "upper-lie")["value"] == 26
         assert len(calls) == 1
 
     def test_beyond_the_window_neither_rule_applies(self):
         rep = compute_bounds(self.lie_group(11))
-        rules = {e.rule for e in rep.entries}
+        rules = {e["rule"] for e in rep["entries"]}
         assert not rules & {"upper-parallelizable", "upper-lie"}
 
 
@@ -277,9 +279,9 @@ class TestWarnings:
             }
         )
         rep = compute_bounds(d)
-        lo, hi = rep.interval
+        lo, hi = rep["interval"]
         assert lo > hi
-        assert rep.warnings and "inconsistent" in rep.warnings[0]
+        assert rep["warnings"] and "inconsistent" in rep["warnings"][0]
 
 
 class TestFrameBundleLieGroupRule:
@@ -298,9 +300,9 @@ class TestFrameBundleLieGroupRule:
         rep = compute_bounds(
             ManifoldDescriptor({"name": "X", "dim": 10, "frame_bundle_lie_group": "so:11"})
         )
-        entries = [e for e in rep.entries if e.rule == "frame-bundle-lie-group"]
-        assert [(e.kind, e.value) for e in entries] == [("lower", 24)]
-        assert rep.interval == (24, 66)
+        entries = [e for e in rep["entries"] if e["rule"] == "frame-bundle-lie-group"]
+        assert [(e["kind"], e["value"]) for e in entries] == [("lower", 24)]
+        assert rep["interval"] == [24, 66]
 
     def test_group_cup_length_is_computed_once(self, monkeypatch):
         # The upper entry cat(SO(3)) = cl + 1 reuses the lower entry's value.
@@ -313,19 +315,20 @@ class TestFrameBundleLieGroupRule:
         monkeypatch.setattr(bounds, "cup_length", counting)
         rep = compute_bounds(example_descriptor("s2"))
         assert len(calls) == 1
-        lie = [e for e in rep.entries if e.rule == "frame-bundle-lie-group"]
-        assert [(e.kind, e.value) for e in lie] == [("lower", 4), ("upper", 4)]
+        lie = [e for e in rep["entries"] if e["rule"] == "frame-bundle-lie-group"]
+        assert [(e["kind"], e["value"]) for e in lie] == [("lower", 4), ("upper", 4)]
 
 
 class TestReportJson:
     def test_round_trip(self, reports):
+        # The payload is plain JSON, and its interval is the one its entries give.
         for rep in reports.values():
-            js = rep.to_json()
-            again = bound_report_from_json(js)
-            assert again.to_json() == js
+            again = json.loads(json.dumps(rep))
+            assert again == rep
+            assert again["interval"] == interval_from_entries(again)
 
     def test_json_shape(self, reports):
-        js = reports["s2"].to_json()
+        js = reports["s2"]
         assert sorted(js.keys()) == [
             "entries", "fiber", "frame_bundle_dim", "interval",
             "manifold", "warnings",
@@ -333,7 +336,17 @@ class TestReportJson:
         assert js["fiber"] == 2 and js["frame_bundle_dim"] == 3
 
     def test_tampered_interval_rejected(self, reports):
-        js = json.loads(json.dumps(reports["cp2"].to_json()))
+        js = json.loads(json.dumps(reports["cp2"]))
         js["interval"] = [9, 3]
-        with pytest.raises(ValueError):
-            bound_report_from_json(js)
+        assert interval_from_entries(js) == [9, 15] != js["interval"]
+
+    @pytest.mark.parametrize("budget", [None, 0])
+    def test_returned_payload_is_the_printed_payload(self, run_cli, budget):
+        for name in sorted(os.listdir(DESCRIPTOR_DIR)):
+            path = os.path.join(DESCRIPTOR_DIR, name)
+            flags = [] if budget is None else ["--budget", str(budget)]
+            _, out, _ = run_cli(["frame-bundle", path, "--json", "--no-timing"] + flags)
+            kwargs = {} if budget is None else {"budget": budget}
+            payload = compute_bounds(load_descriptor(path), **kwargs)
+            assert payload == json.loads(out), name
+            assert payload["interval"] == interval_from_entries(payload), name

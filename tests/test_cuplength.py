@@ -664,6 +664,24 @@ class TestWitnessContract:
         dead = CupLengthResult(2, True, "search", [a * a, a * a])
         assert not dead.verify()
 
+    def test_describe_formats_each_distinct_factor_once(self, monkeypatch):
+        # The closed-form witness of cl(SO(12); F2) repeats one element per
+        # generator: 24 factors, 6 distinct.  Each distinct factor and the
+        # product are formatted once, one label each.
+        res = cup_length(so_ring(12, F2))
+        assert (len(res.witness), len({id(w) for w in res.witness})) == (24, 6)
+        calls = []
+        label = MonomialAlgebra.label
+
+        def counted(A, k):
+            calls.append(k)
+            return label(A, k)
+
+        monkeypatch.setattr(MonomialAlgebra, "label", counted)
+        d = res.describe()
+        assert len(calls) == 7
+        assert d["witness"] == [str(w) for w in res.witness]
+
     def test_describe_shape(self):
         d = cup_length(rp_ring(3)).describe()
         assert d["value"] == 3

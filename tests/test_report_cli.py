@@ -9,7 +9,7 @@ import pytest
 
 from frametc.catalog import rp_ring, sphere_ring
 from frametc.fields import F2
-from frametc.cuplength import zcl_full
+from frametc.cuplength import cup_length, zcl_full
 from helpers import ring_to_json
 
 DESCRIPTOR = os.path.join(os.path.dirname(__file__), "..", "descriptors", "s2.json")
@@ -254,6 +254,28 @@ class TestRingCommand:
         assert results["zcl-basic"] == results["zcl-full"]
         assert results["zcl-basic"]["value"] == 28
         assert results["zcl-basic"]["method"] == "factorization"
+
+    def test_repeated_compute_item_runs_and_warns_once(self, run_cli, monkeypatch):
+        import frametc.cli
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return cup_length(*args, **kwargs)
+
+        monkeypatch.setattr(frametc.cli, "cup_length", counted)
+        code, out, _ = run_cli(
+            ["ring", "sigma:3:char0", "--compute", "zcl-full,zcl-full,cl,cl",
+             "--budget", "1", "--json", "--no-timing"]
+        )
+        assert code == 2 and len(calls) == 1
+        payload = json.loads(out)
+        assert list(payload["results"]) == ["zcl-full", "cl"]
+        assert payload["warnings"] == [
+            "zcl-full budget exhausted; reported value is a lower bound",
+            "cl budget exhausted; reported value is a lower bound",
+        ]
 
     def test_rings_beyond_the_old_cap_answer_at_default_flags(self, run_cli):
         code, out, err = run_cli(
