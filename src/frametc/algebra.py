@@ -40,8 +40,8 @@ from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
 
+from . import linalg
 from .fields import Coeff, Field, field_from_json
-from .linalg import Echelon
 
 DEFAULT_CAPACITY = 4096
 
@@ -448,7 +448,7 @@ class TableAlgebra(Algebra):
             for d, classes in sorted(self.indices_by_degree().items()):
                 if d == 0:
                     continue
-                ech = Echelon(self.field)
+                ech = linalg.Echelon(self.field)
                 for prod_ij in decomposables.get(d, []):
                     if ech.rank == len(classes):
                         break  # every class of degree d is decomposable

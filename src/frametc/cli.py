@@ -19,6 +19,7 @@ single-threaded and the flag never changes output; combined with
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import sys
@@ -26,14 +27,33 @@ import time
 from types import SimpleNamespace
 from typing import NoReturn, Optional
 
-from .algebra import DEFAULT_CAPACITY, CapacityError
-from .bounds import compute_bounds
-from .catalog import resolve_ring
-from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full
-from .examples import EXAMPLE_KEYS, evaluate_examples, example_descriptor
-from .fields import parse_field
-from .manifold import load_descriptor
-from .report import render_bounds, render_examples, render_ring
+
+def _lazy(name: str):
+    """``frametc.<name>``, put in ``sys.modules`` and bound on the package now
+    but compiled and executed only on its first attribute access.  A module
+    imported before is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+# Only ``frame-bundle`` and ``examples`` run the bound rules and read
+# descriptors, and only table rings run linear algebra.  These four layers
+# are registered before the imports below, so that ``from . import linalg``
+# in algebra and cuplength binds the lazy module.
+bounds, examples, linalg, manifold = map(_lazy, ("bounds", "examples", "linalg", "manifold"))
+
+from .algebra import DEFAULT_CAPACITY, CapacityError  # noqa: E402
+from .catalog import resolve_ring  # noqa: E402
+from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full  # noqa: E402
+from .fields import parse_field  # noqa: E402
+from .report import render_bounds, render_examples, render_ring  # noqa: E402
 
 _COMPUTE_CHOICES = ("cl", "zcl-basic", "zcl-full", "basis", "poincare")
 
@@ -279,15 +299,15 @@ def _cmd_ring(args) -> int:
 def _cmd_frame_bundle(args) -> int:
     t0 = time.monotonic()
     if os.path.exists(args.manifold) or args.manifold.endswith(".json"):
-        descriptor = load_descriptor(args.manifold)
-    elif args.manifold in EXAMPLE_KEYS:
-        descriptor = example_descriptor(args.manifold)
+        descriptor = manifold.load_descriptor(args.manifold)
+    elif args.manifold in examples.EXAMPLE_KEYS:
+        descriptor = examples.example_descriptor(args.manifold)
     else:
         raise ValueError(
             f"{args.manifold!r} is neither a descriptor file nor a built-in key "
-            f"({', '.join(EXAMPLE_KEYS)})"
+            f"({', '.join(examples.EXAMPLE_KEYS)})"
         )
-    payload = compute_bounds(descriptor, capacity=args.capacity, budget=args.budget)
+    payload = bounds.compute_bounds(descriptor, capacity=args.capacity, budget=args.budget)
     elapsed = None if args.no_timing else time.monotonic() - t0
     print(render_bounds(payload, json_mode=args.json, elapsed=elapsed))
     return 2 if payload["warnings"] else 0
@@ -295,7 +315,7 @@ def _cmd_frame_bundle(args) -> int:
 
 def _cmd_examples(args) -> int:
     t0 = time.monotonic()
-    rows = evaluate_examples(
+    rows = examples.evaluate_examples(
         keys=args.keys or None, capacity=args.capacity, budget=args.budget
     )
     elapsed = None if args.no_timing else time.monotonic() - t0

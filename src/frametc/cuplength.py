@@ -62,8 +62,8 @@ import sys
 from bisect import bisect_right
 from typing import Optional
 
+from . import linalg
 from .algebra import Algebra, Element, MonomialAlgebra, ProductAlgebra
-from .linalg import kernel_of_map
 
 DEFAULT_BUDGET = 500_000
 
@@ -332,7 +332,7 @@ def zero_divisor_ideal_basis(T: ProductAlgebra) -> tuple[list[dict], list[int]]:
         for k in domain:
             i, j = T.split_index(k)
             images.append(dict(A.mul_basis(i, j)))
-        for combo in kernel_of_map(images, T.field):
+        for combo in linalg.kernel_of_map(images, T.field):
             vec = {domain[pos]: c for pos, c in combo.items()}
             vectors.append(vec)
             degrees.append(d)

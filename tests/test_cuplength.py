@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from frametc import algebra, cuplength
+from frametc import cuplength, linalg
 from frametc.algebra import (
     Element,
     GeneratorSpec,
@@ -216,7 +216,7 @@ class TestGeneratorIndices:
         # Finding them takes one echelon per positive degree, here 1 and 2.
         calls = []
         monkeypatch.setattr(
-            algebra, "Echelon", lambda field: calls.append(field) or Echelon(field)
+            linalg, "Echelon", lambda field: calls.append(field) or Echelon(field)
         )
         A = surface_ring(3, QQ)
         assert cup_length(A).value == 2 and zcl_full(A).value == 4

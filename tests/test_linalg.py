@@ -315,6 +315,6 @@ class TestAgainstAugmentedReference:
         def reference(images, field):
             return reference_kernel_of_map(images, field)[0]
 
-        monkeypatch.setattr(cuplength, "kernel_of_map", reference)
+        monkeypatch.setattr(linalg, "kernel_of_map", reference)
         assert ours == [cuplength.zero_divisor_ideal_basis(T) for T in squares]
         assert sum(len(vecs) for vecs, _ in ours) > 0

@@ -25,7 +25,10 @@ HEAVY_MODULES = (
     "dataclasses", "inspect", "ast", "dis", "tokenize",
     "argparse", "gettext", "locale", "fractions", "decimal", "numbers",
 )
-# The benchmark's tracer relies on ``import frametc.cli`` loading every layer.
+# The benchmark's tracer relies on ``import frametc.cli`` putting every layer
+# in ``sys.modules``.  Four of them (bounds, examples, linalg, manifold) are
+# lazy there: a layer's body runs on its first attribute access, which the
+# tracer's own ``getattr`` and ``vars`` calls make.
 LAYERS = (
     "algebra", "bounds", "catalog", "cuplength", "examples",
     "fields", "linalg", "manifold", "report",
@@ -47,7 +50,8 @@ UNREACHED_BY_DESIGN = {
 }
 # Runs each argv list read from stdin through ``frametc.cli.main`` in one
 # interpreter, profiled from before ``frametc`` is imported, and prints the
-# exit codes and the (file, first line) of every package function entered.
+# exit codes, the (file, first line) of every package function entered and
+# the files whose module body ran.
 REACH_PROBE = r"""
 import contextlib, io, json, os, sys
 entered = set()
@@ -65,11 +69,24 @@ for argv in json.load(sys.stdin):
             codes.append(exc.code)
 sys.setprofile(None)
 here = os.path.dirname(frametc.cli.__file__)
+ours = [c for c in entered if os.path.dirname(c.co_filename) == here]
 print(json.dumps({"codes": codes, "entered": sorted(
-    (os.path.basename(c.co_filename), c.co_firstlineno)
-    for c in entered if os.path.dirname(c.co_filename) == here
+    (os.path.basename(c.co_filename), c.co_firstlineno) for c in ours
+), "bodies": sorted(
+    os.path.basename(c.co_filename) for c in ours if c.co_name == "<module>"
 )}))
 """
+
+
+def _reach(argvs: list) -> dict:
+    """The output of ``REACH_PROBE`` for ``argvs``, run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frametc.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", REACH_PROBE], input=json.dumps(argvs),
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    return json.loads(out)
 
 
 def test_cli_import_loads_every_layer_and_no_heavy_module():
@@ -86,6 +103,33 @@ def test_cli_import_loads_every_layer_and_no_heavy_module():
     loaded = set(json.loads(out))
     assert not loaded & set(HEAVY_MODULES)
     assert {f"frametc.{name}" for name in LAYERS} <= loaded
+
+
+DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")
+
+
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (
+            ["ring", "so:8:char2", "--compute", "cl,zcl-full", "--json"],
+            {"bounds", "examples", "linalg", "manifold"},
+        ),
+        (
+            ["frame-bundle", os.path.join(DESCRIPTOR_DIR, "s2.json"), "--json"],
+            {"examples", "linalg"},
+        ),
+    ],
+    ids=["ring-monomial", "frame-bundle-file"],
+)
+def test_a_cli_call_runs_only_the_layers_it_uses(argv, skipped):
+    # ``import frametc.cli`` registers every layer (the test above), but a
+    # layer's body is compiled and run only when a call first uses it.
+    probe = _reach([argv])
+    assert probe["codes"] == [0]
+    ran = {name[:-3] for name in probe["bodies"]}
+    assert ran >= {"cli", "algebra", "catalog", "cuplength", "fields", "report"}
+    assert ran & skipped == set()
 
 
 def _defined_functions() -> dict:
@@ -150,13 +194,7 @@ def test_every_shipped_function_is_entered_by_a_cli_run(tmp_path):
     argvs = [
         *CASES.values(), ["ring", fractional, "--compute", RING_ITEMS], *errors, *usage
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frametc.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", REACH_PROBE], input=json.dumps(argvs),
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    ).stdout
-    probe = json.loads(out)
+    probe = _reach(argvs)
     assert probe["codes"][-len(errors) - 3:] == [0] + [1] * len(errors) + [2, 0]
     entered = {tuple(key) for key in probe["entered"]}
     defined = _defined_functions()
