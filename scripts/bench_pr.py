@@ -15,8 +15,8 @@ one process at a time, in this order:
 * wall time and peak RSS (``os.wait4``) of each off-benchmark invocation in
   ``INVOCATIONS``, each in a fresh interpreter;
 * the Tier-1 pass and fail counts and wall time;
-* the median ``python3 -c pass`` time, the commit, the SHA-256 of
-  ``src/frametc``, the CPU count and the Python version.
+* the median ``python3 -c pass`` time and peak RSS, the commit, the SHA-256
+  of ``src/frametc``, the CPU count and the Python version.
 
 A full run takes about ten minutes on two CPUs.
 """
@@ -66,8 +66,13 @@ print(json.dumps({
 }))
 """
 # Off-benchmark invocations: the "where the time goes" rows of ROADMAP.md.
-# "T10_TABLE" stands for t:10:char2 written out as a 1,024-class table.
+# "T10_TABLE" stands for t:10:char2 written out as a 1,024-class table.  The
+# two small rings show what a child compiles, seen outside the benchmark's
+# fork floor: a monomial ring compiles neither the table layer nor linalg,
+# and sigma:2 compiles both.
 INVOCATIONS = (
+    ["ring", "so:8:char2", "--compute", "cl,zcl-full"],
+    ["ring", "sigma:2:char0", "--compute", "zcl-full"],
     ["examples"],
     ["ring", "cp:300:char0", "--compute", "zcl-full"],
     ["ring", "cp:600:char0", "--compute", "zcl-full"],
@@ -184,10 +189,13 @@ def main(argv=None) -> int:
 
     record["tier1"] = tier1(root, env)
     startup = [
-        timed_child([sys.executable, "-c", "pass"], root, env)["wall_s"]
+        timed_child([sys.executable, "-c", "pass"], root, env)
         for _ in range(STARTUP_SAMPLES)
     ]
-    record["python_c_pass_s"] = statistics.median(startup)
+    record["python_c_pass_s"] = statistics.median(row["wall_s"] for row in startup)
+    record["python_c_pass_peak_rss_mb"] = statistics.median(
+        row["peak_rss_mb"] for row in startup
+    )
     record["commit"] = git(root, "rev-parse", "HEAD")
     record["dirty"] = bool(git(root, "status", "--porcelain", "--", "src"))
     record["src_sha256"] = source_sha256(root)

@@ -22,20 +22,34 @@ import json
 import os
 from typing import Callable, Optional
 
+from . import table
 from .algebra import (
     Algebra,
     DEFAULT_CAPACITY,
     GeneratorSpec,
     MonomialAlgebra,
-    TableAlgebra,
     check_capacity,
-    ring_from_json,
 )
 from .fields import F2, QQ, Field, parse_field
 
 
 class CatalogError(ValueError):
     """Unknown catalog id or unsupported field for the requested ring."""
+
+
+# A monomial ring keeps one stride per generator, and stride i has as many
+# bits as the classes of the generators after it: O(r²) bits in all, about
+# 6 MB at this many generators of truncation 2 and 625 MB at ten times as many.
+MAX_GENERATORS = 10_000
+
+
+def _check_generator_count(family: str, n: int, count: int) -> None:
+    """Refuse ``family:n`` before building its ``count`` generators."""
+    if count > MAX_GENERATORS:
+        raise CatalogError(
+            f"{family}:{n} has {count} generators; "
+            f"the catalog builds rings of at most {MAX_GENERATORS} generators"
+        )
 
 
 def pi_exponent(i: int, n: int) -> int:
@@ -63,9 +77,11 @@ def so_ring(n: int, field: Field) -> Algebra:
     (the extra generator is listed last).  Characteristic 2: the tensor
     product of F2[b_i]/(b_i^{p_i}) over odd i < n with p_i from
     :func:`pi_exponent`.  n = 1 yields the ground field (SO(1) is a point).
+    Either way there are ``n // 2`` generators, at most ``MAX_GENERATORS``.
     """
     if n < 1:
         raise CatalogError(f"so requires n >= 1, got {n}")
+    _check_generator_count("so", n, n // 2)
     if field.characteristic == 2:
         gens = [
             GeneratorSpec(f"b{i}", i, pi_exponent(i, n)) for i in range(1, n, 2)
@@ -106,10 +122,11 @@ def torus_ring(n: int, field: Field = QQ) -> Algebra:
     """Exterior algebra on n degree-1 generators — the n-torus.
 
     The square-zero truncation is imposed explicitly so the same presentation
-    is correct over characteristic 2 as well.
+    is correct over characteristic 2 as well.  At most ``MAX_GENERATORS``.
     """
     if n < 1:
         raise CatalogError(f"t requires n >= 1, got {n}")
+    _check_generator_count("t", n, n)
     gens = [GeneratorSpec(f"u{i}", 1, 2) for i in range(1, n + 1)]
     return MonomialAlgebra(field, gens)
 
@@ -141,7 +158,7 @@ def surface_ring(g: int, field: Field = F2, capacity: int = DEFAULT_CAPACITY) ->
     for i in range(1, g + 1):
         products[(i, g + i)] = {w: 1}
         products[(g + i, i)] = {w: field.neg(1)}
-    return TableAlgebra(field, names, degrees, products, capacity=capacity)
+    return table.TableAlgebra(field, names, degrees, products, capacity=capacity)
 
 
 # -- catalog ids -----------------------------------------------------------------
@@ -215,9 +232,9 @@ def resolve_ring(
     or a catalog id (the id names the field).
     """
     if isinstance(ref, dict):
-        return "inline", ring_from_json(ref, field=field, capacity=capacity)
+        return "inline", table.ring_from_json(ref, field=field, capacity=capacity)
     path = os.path.join(base_dir or "", ref)
     if "/" in ref or ref.endswith(".json") or os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            return ref, ring_from_json(json.load(fh), field=field, capacity=capacity)
+            return ref, table.ring_from_json(json.load(fh), field=field, capacity=capacity)
     return catalog_ring(ref, field=field, capacity=capacity)

@@ -44,10 +44,13 @@ def _lazy(name: str):
 
 
 # Only ``frame-bundle`` and ``examples`` run the bound rules and read
-# descriptors, and only table rings run linear algebra.  These four layers
-# are registered before the imports below, so that ``from . import linalg``
-# in algebra and cuplength binds the lazy module.
-bounds, examples, linalg, manifold = map(_lazy, ("bounds", "examples", "linalg", "manifold"))
+# descriptors, only a table ring or a ring file needs the table encoding,
+# and only table rings run linear algebra.  These five layers are registered
+# before the imports below, so that ``from . import linalg`` in cuplength and
+# table, and ``from . import table`` in catalog, bind the lazy modules.
+bounds, examples, linalg, manifold, table = map(
+    _lazy, ("bounds", "examples", "linalg", "manifold", "table")
+)
 
 from .algebra import DEFAULT_CAPACITY, CapacityError  # noqa: E402
 from .catalog import resolve_ring  # noqa: E402

@@ -28,9 +28,9 @@ from frametc.algebra import (
     InvalidPresentationError,
     MonomialAlgebra,
     ProductAlgebra,
-    TableAlgebra,
 )
 from frametc.cuplength import DEFAULT_BUDGET, CupLengthResult
+from frametc.table import TableAlgebra
 
 
 class JointAlgebra(ProductAlgebra):

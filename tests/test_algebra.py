@@ -17,12 +17,11 @@ from frametc.algebra import (
     InvalidPresentationError,
     MonomialAlgebra,
     ProductAlgebra,
-    TableAlgebra,
-    ring_from_json,
 )
 from frametc.catalog import catalog_ring, rp_ring, so_ring, surface_ring, torus_ring
 from frametc.cuplength import cup_length, zcl_basic, zcl_full
 from frametc.fields import F2, QQ
+from frametc.table import TableAlgebra, ring_from_json
 from helpers import degrees, labels, negated, ring_to_json, tensor
 from oracle import _tmul
 from test_reencoding import SEEDS, SOURCES, reencode

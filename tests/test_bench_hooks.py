@@ -33,7 +33,7 @@ try:
             codes.append(sys.modules["frametc.cli"].main(argv))
 finally:
     left = patches.restore()
-print(json.dumps({"codes": codes, "calls": tr.calls, "left": left}))
+print(json.dumps({"codes": codes, "calls": tr.calls, "counts": tr.counts, "left": left}))
 """
 
 
@@ -94,3 +94,7 @@ def test_tracer_reaches_the_lazy_layers_in_a_fresh_interpreter():
     assert calls["manifold.load"] == 2 and calls["bounds.compute"] == 2
     assert calls["examples.evaluate"] == 1
     assert calls["linalg.insert.char0"] > 0
+    # The table encoding is a lazy layer too; the tracer reaches its class
+    # through frametc.algebra and times its axiom check on Algebra.
+    assert probe["counts"]["algebra.mul_basis_calls.table"] > 0
+    assert calls["algebra.check_axioms"] > 0

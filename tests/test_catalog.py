@@ -6,6 +6,7 @@ import pytest
 
 from frametc.algebra import CapacityError
 from frametc.catalog import (
+    MAX_GENERATORS,
     CatalogError,
     catalog_ring,
     cp_ring,
@@ -135,6 +136,36 @@ class TestOtherFamilies:
             tracemalloc.stop()
         assert str(exc.value) == "dimension 200002 exceeds capacity 4096"
         assert peak < 2**20, peak
+
+    @pytest.mark.parametrize(
+        "ring_id, count",
+        [
+            ("so:2000:char2", 1000),
+            ("t:3000:char0", 3000),
+            (f"so:{2 * MAX_GENERATORS + 1}:char2", MAX_GENERATORS),
+            (f"so:{2 * MAX_GENERATORS + 1}:char0", MAX_GENERATORS),
+            (f"t:{MAX_GENERATORS}:char2", MAX_GENERATORS),
+        ],
+    )
+    def test_generator_count_up_to_the_limit_is_built(self, ring_id, count):
+        assert len(catalog_ring(ring_id)[1].gens) == count
+
+    @pytest.mark.parametrize(
+        "ring_id, count",
+        [
+            (f"so:{2 * MAX_GENERATORS + 2}:char2", MAX_GENERATORS + 1),
+            (f"so:{2 * MAX_GENERATORS + 2}:char0", MAX_GENERATORS + 1),
+            (f"t:{MAX_GENERATORS + 1}:char0", MAX_GENERATORS + 1),
+        ],
+    )
+    def test_generator_count_past_the_limit_is_refused(self, ring_id, count):
+        family, n = ring_id.split(":")[:2]
+        with pytest.raises(CatalogError) as exc:
+            catalog_ring(ring_id)
+        assert str(exc.value) == (
+            f"{family}:{n} has {count} generators; "
+            f"the catalog builds rings of at most {MAX_GENERATORS} generators"
+        )
 
 
 class TestCatalogIds:

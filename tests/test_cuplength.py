@@ -20,7 +20,6 @@ from frametc.algebra import (
     GeneratorSpec,
     MonomialAlgebra,
     ProductAlgebra,
-    TableAlgebra,
 )
 from frametc.catalog import (
     cp_ring,
@@ -41,6 +40,7 @@ from frametc.cuplength import (
 )
 from frametc.fields import F2, QQ, field_of
 from frametc.linalg import Echelon
+from frametc.table import TableAlgebra
 from closed_forms import korbas_cl
 from helpers import degrees, labels, searched_cl, tensor
 from oracle import brute_force_cl

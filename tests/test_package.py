@@ -26,14 +26,16 @@ HEAVY_MODULES = (
     "argparse", "gettext", "locale", "fractions", "decimal", "numbers",
 )
 # The benchmark's tracer relies on ``import frametc.cli`` putting every layer
-# in ``sys.modules``.  Four of them (bounds, examples, linalg, manifold) are
-# lazy there: a layer's body runs on its first attribute access, which the
-# tracer's own ``getattr`` and ``vars`` calls make.
+# in ``sys.modules``.  Five of them (bounds, examples, linalg, manifold,
+# table) are lazy there: a layer's body runs on its first attribute access,
+# which the tracer's own ``getattr`` and ``vars`` calls make.
 LAYERS = (
     "algebra", "bounds", "catalog", "cuplength", "examples",
-    "fields", "linalg", "manifold", "report",
+    "fields", "linalg", "manifold", "report", "table",
 )
 # Functions of src/frametc that no CLI run enters, each for a reason.
+# ``algebra.__getattr__`` is not one: every ``from .algebra import ...`` asks
+# it for ``__path__``, which it refuses.
 UNREACHED_BY_DESIGN = {
     # bench/tracer.py wraps these by name, and tests/test_bench_hooks.py
     # requires every name it wraps to exist.
@@ -109,27 +111,49 @@ DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")
 
 
 @pytest.mark.parametrize(
-    "argv, skipped",
+    "argv, used, skipped",
     [
         (
             ["ring", "so:8:char2", "--compute", "cl,zcl-full", "--json"],
-            {"bounds", "examples", "linalg", "manifold"},
+            set(),
+            {"bounds", "examples", "linalg", "manifold", "table"},
         ),
         (
             ["frame-bundle", os.path.join(DESCRIPTOR_DIR, "s2.json"), "--json"],
-            {"examples", "linalg"},
+            {"bounds", "manifold"},
+            {"examples", "linalg", "table"},
+        ),
+        (
+            ["ring", "sigma:2:char0", "--json"],
+            {"linalg", "table"},
+            {"bounds", "examples", "manifold"},
         ),
     ],
-    ids=["ring-monomial", "frame-bundle-file"],
+    ids=["ring-monomial", "frame-bundle-file", "ring-table"],
 )
-def test_a_cli_call_runs_only_the_layers_it_uses(argv, skipped):
+def test_a_cli_call_runs_only_the_layers_it_uses(argv, used, skipped):
     # ``import frametc.cli`` registers every layer (the test above), but a
     # layer's body is compiled and run only when a call first uses it.
     probe = _reach([argv])
     assert probe["codes"] == [0]
     ran = {name[:-3] for name in probe["bodies"]}
-    assert ran >= {"cli", "algebra", "catalog", "cuplength", "fields", "report"}
+    assert ran >= {"cli", "algebra", "catalog", "cuplength", "fields", "report"} | used
     assert ran & skipped == set()
+
+
+def test_algebra_keeps_the_table_names_the_benchmark_imports():
+    # bench/tracer.py and bench/run.py import these two from frametc.algebra;
+    # they are the objects frametc.table defines, not copies.
+    from frametc import table
+
+    assert algebra.TableAlgebra is table.TableAlgebra
+    assert algebra.ring_from_json is table.ring_from_json
+
+
+@pytest.mark.parametrize("name", ["linalg", "_coeff_from_json", "_json_list", "no_such_name"])
+def test_algebra_has_no_other_table_names(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(algebra, name)
 
 
 def _defined_functions() -> dict:

@@ -212,7 +212,7 @@ class TestRandomized:
     @given(data=st.data())
     def test_encoding_agreement(self, data):
         """Structure-constant re-encoding multiplies identically."""
-        from frametc.algebra import TableAlgebra
+        from frametc.table import TableAlgebra
 
         A = BY_ID[data.draw(st.sampled_from(SMALL_IDS), label="ring")].algebra
         products = {

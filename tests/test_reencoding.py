@@ -15,9 +15,9 @@ from collections import Counter
 
 import pytest
 
-from frametc.algebra import TableAlgebra
 from frametc.catalog import catalog_ring
 from frametc.cuplength import cup_length, zcl_basic, zcl_full
+from frametc.table import TableAlgebra
 from helpers import degrees
 from oracle import brute_force_cl
 

@@ -2,12 +2,13 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from frametc.catalog import rp_ring, sphere_ring
+from frametc.catalog import MAX_GENERATORS, rp_ring, sphere_ring
 from frametc.fields import F2
 from frametc.cuplength import cup_length, zcl_full
 from helpers import ring_to_json
@@ -323,6 +324,33 @@ class TestRingCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"would have {n} factors" in err
+
+    @pytest.mark.parametrize(
+        "ring", ["so:99999999999999999999:char2", "t:99999999999999999999:char0"]
+    )
+    def test_absurd_generator_count_is_refused_before_building(self, ring):
+        # Each ring would have about 10^20 generators.  The id is refused
+        # from its generator count, in a child held to 100 MB of address
+        # space and a wall timeout; without the refusal the child runs out
+        # of memory building GeneratorSpecs instead.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        limit = 100 * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "frametc.cli", "ring", ring, "--no-timing"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"at most {MAX_GENERATORS} generators" in proc.stderr
 
 
 class TestFrameBundleCommand:
