@@ -14,7 +14,7 @@ import types
 import pytest
 
 import frametc
-from frametc import algebra, bounds, catalog, examples
+from frametc import algebra, bounds, catalog, examples, table
 from frametc.cuplength import CupLengthResult, cup_length
 from frametc.fields import Field
 from frametc.manifold import ManifoldDescriptor
@@ -144,8 +144,6 @@ def test_a_cli_call_runs_only_the_layers_it_uses(argv, used, skipped):
 def test_algebra_keeps_the_table_names_the_benchmark_imports():
     # bench/tracer.py and bench/run.py import these two from frametc.algebra;
     # they are the objects frametc.table defines, not copies.
-    from frametc import table
-
     assert algebra.TableAlgebra is table.TableAlgebra
     assert algebra.ring_from_json is table.ring_from_json
 
