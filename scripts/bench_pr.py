@@ -13,17 +13,21 @@ one process at a time, in this order:
   --trace 0`` for every workload in ``BENCHMARK.json`` and seeds 1-3;
 * one ``--trace 1 --seed 1`` record per workload;
 * wall time and peak RSS (``os.wait4``) of each off-benchmark invocation in
-  ``INVOCATIONS``, each in a fresh interpreter;
+  ``INVOCATIONS``, each in a fresh interpreter, ``SAMPLES`` times, one
+  sample of every row per round, and per row the median, min and max of
+  each;
 * the Tier-1 pass and fail counts and wall time;
 * the median ``python3 -c pass`` time and peak RSS, the commit, the SHA-256
-  of ``src/frametc``, the CPU count and the Python version.
+  of ``src/frametc``, the line count (``wc -l``) of each ``src/frametc/*.py``
+  and their total, the CPU count and the Python version.
 
-A full run takes about ten minutes on two CPUs.
+A full run takes about fifteen minutes on two CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -39,6 +43,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 2, 3)
 SECONDS = 25  # run length of every bench/run.py run
 CHILD_TIMEOUT_S = 300
+SAMPLES = 5  # of each off-benchmark invocation
 STARTUP_SAMPLES = 9
 CLI = "import sys; from frametc.cli import main; sys.exit(main())"
 # Runs the command after its timeout argument in a forked child, with output
@@ -111,6 +116,18 @@ def timed_child(cmd: list, cwd: str, env: dict) -> dict:
     return json.loads(proc.stdout)
 
 
+def summary(samples: list) -> dict:
+    """Exit code, and median, min and max wall time and peak RSS of samples."""
+    exits = sorted({row["exit"] for row in samples})
+    out = {"exit": exits[0] if len(exits) == 1 else exits, "samples": len(samples)}
+    for key in ("wall_s", "peak_rss_mb"):
+        values = [row[key] for row in samples]
+        out[key] = statistics.median(values)
+        out[key + "_min"] = min(values)
+        out[key + "_max"] = max(values)
+    return out
+
+
 def bench_line(root: str, workload: str, seed: int, trace: int) -> dict:
     """The final JSON line of one ``bench/run.py`` run."""
     cmd = [
@@ -153,6 +170,15 @@ def source_sha256(root: str) -> str:
     return digest.hexdigest()
 
 
+def source_lines(root: str) -> dict:
+    """``wc -l`` of each ``src/frametc/*.py`` and their total."""
+    lines = {}
+    for path in sorted(glob.glob(os.path.join(root, "src", "frametc", "*.py"))):
+        with open(path, "rb") as fh:
+            lines[os.path.basename(path)] = fh.read().count(b"\n")
+    return {"files": lines, "total": sum(lines.values())}
+
+
 def git(root: str, *args: str) -> str:
     proc = subprocess.run(["git", "-C", root, *args], capture_output=True, text=True, check=False)
     return proc.stdout.strip() if proc.returncode == 0 else ""
@@ -176,16 +202,19 @@ def main(argv=None) -> int:
     }
     record["traced"] = {w: bench_line(root, w, 1, 1) for w in workloads}
 
-    rows = []
+    samples = [[] for _ in INVOCATIONS]
     with tempfile.TemporaryDirectory() as tmp:
         table = os.path.join(tmp, "t10-char2-table.json")
         with open(table, "w", encoding="utf-8") as fh:
             json.dump(exterior_table(10), fh)
-        for argv in INVOCATIONS:
-            real = [table if a == "T10_TABLE" else a for a in argv]
-            row = timed_child([sys.executable, "-c", CLI, *real, "--no-timing"], root, env)
-            rows.append({"argv": list(argv), **row})
-    record["invocations"] = rows
+        for _ in range(SAMPLES):  # round-robin, so host drift spreads over every row
+            for argv, taken in zip(INVOCATIONS, samples):
+                real = [table if a == "T10_TABLE" else a for a in argv]
+                cmd = [sys.executable, "-c", CLI, *real, "--no-timing"]
+                taken.append(timed_child(cmd, root, env))
+    record["invocations"] = [
+        {"argv": list(argv), **summary(taken)} for argv, taken in zip(INVOCATIONS, samples)
+    ]
 
     record["tier1"] = tier1(root, env)
     startup = [
@@ -199,6 +228,7 @@ def main(argv=None) -> int:
     record["commit"] = git(root, "rev-parse", "HEAD")
     record["dirty"] = bool(git(root, "status", "--porcelain", "--", "src"))
     record["src_sha256"] = source_sha256(root)
+    record["src_lines"] = source_lines(root)
     record["nproc"] = os.cpu_count()
     record["python"] = platform.python_version()
 

@@ -43,6 +43,11 @@ from typing import Optional, Sequence
 from .fields import Coeff, Field
 
 DEFAULT_CAPACITY = 4096
+# A monomial ring keeps one stride per generator, and stride i has as many
+# bits as the classes of the generators after it: O(r²) bits in all, about
+# 6 MB at this many generators of truncation 2 and 625 MB at ten times as many.
+# The catalog and the ring-JSON reader refuse a ring with more generators.
+MAX_GENERATORS = 10_000
 _NO_TERMS: dict = {}  # the product of every pair a table does not list
 
 
@@ -94,13 +99,8 @@ class Element:
     __hash__ = None
 
     def __init__(self, algebra: "Algebra", coeffs: dict):
-        clean = {}
-        for i, c in coeffs.items():
-            c = algebra.field.coerce(c)
-            if c:
-                clean[i] = c
         self.algebra = algebra
-        self.coeffs = clean
+        self.coeffs = algebra.field.clean(coeffs)
 
     @property
     def is_zero(self) -> bool:

@@ -27,6 +27,7 @@ from .algebra import (
     Algebra,
     DEFAULT_CAPACITY,
     GeneratorSpec,
+    MAX_GENERATORS,
     MonomialAlgebra,
     check_capacity,
 )
@@ -35,12 +36,6 @@ from .fields import F2, QQ, Field, parse_field
 
 class CatalogError(ValueError):
     """Unknown catalog id or unsupported field for the requested ring."""
-
-
-# A monomial ring keeps one stride per generator, and stride i has as many
-# bits as the classes of the generators after it: O(r²) bits in all, about
-# 6 MB at this many generators of truncation 2 and 625 MB at ten times as many.
-MAX_GENERATORS = 10_000
 
 
 def _check_generator_count(family: str, n: int, count: int) -> None:

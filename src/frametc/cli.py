@@ -244,8 +244,10 @@ def _parse_args(argv: list) -> SimpleNamespace:
     return SimpleNamespace(command=command, **args)
 
 
-def _cmd_ring(args) -> int:
-    t0 = time.monotonic()
+# Each command returns (renderer, payload, warned); ``main`` times it, prints
+# the rendered payload and sets the exit code.  The renderer is read from this
+# module's globals at call time, where the benchmark's tracer wraps it.
+def _cmd_ring(args):
     fld = parse_field(args.field) if args.field else None
     ring_id, algebra = resolve_ring(args.ring, fld, args.capacity)
     # A repeated item is read once, where it first appears.
@@ -294,13 +296,10 @@ def _cmd_ring(args) -> int:
         "results": results,
         "warnings": warnings,
     }
-    elapsed = None if args.no_timing else time.monotonic() - t0
-    print(render_ring(payload, json_mode=args.json, elapsed=elapsed))
-    return 2 if warnings else 0
+    return render_ring, payload, bool(warnings)
 
 
-def _cmd_frame_bundle(args) -> int:
-    t0 = time.monotonic()
+def _cmd_frame_bundle(args):
     if os.path.exists(args.manifold) or args.manifold.endswith(".json"):
         descriptor = manifold.load_descriptor(args.manifold)
     elif args.manifold in examples.EXAMPLE_KEYS:
@@ -311,21 +310,14 @@ def _cmd_frame_bundle(args) -> int:
             f"({', '.join(examples.EXAMPLE_KEYS)})"
         )
     payload = bounds.compute_bounds(descriptor, capacity=args.capacity, budget=args.budget)
-    elapsed = None if args.no_timing else time.monotonic() - t0
-    print(render_bounds(payload, json_mode=args.json, elapsed=elapsed))
-    return 2 if payload["warnings"] else 0
+    return render_bounds, payload, bool(payload["warnings"])
 
 
-def _cmd_examples(args) -> int:
-    t0 = time.monotonic()
+def _cmd_examples(args):
     rows = examples.evaluate_examples(
         keys=args.keys or None, capacity=args.capacity, budget=args.budget
     )
-    elapsed = None if args.no_timing else time.monotonic() - t0
-    print(render_examples(rows, json_mode=args.json, elapsed=elapsed))
-    disagreements = [r for r in rows if not r["agrees"]]
-    warned = [r for r in rows if r["warnings"]]
-    return 2 if disagreements or warned else 0
+    return render_examples, rows, any(r["warnings"] or not r["agrees"] for r in rows)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -333,12 +325,12 @@ def main(argv: Optional[list] = None) -> int:
     for flag, least in (("threads", 1), ("budget", 0), ("capacity", 1)):
         if getattr(args, flag) < least:
             _usage_error(args.command, f"--{flag} must be >= {least}")
+    command = {"ring": _cmd_ring, "frame-bundle": _cmd_frame_bundle, "examples": _cmd_examples}
+    t0 = time.monotonic()
     try:
-        if args.command == "ring":
-            return _cmd_ring(args)
-        if args.command == "frame-bundle":
-            return _cmd_frame_bundle(args)
-        return _cmd_examples(args)
+        render, payload, warned = command[args.command](args)
+        elapsed = None if args.no_timing else time.monotonic() - t0
+        print(render(payload, json_mode=args.json, elapsed=elapsed))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -349,6 +341,7 @@ def main(argv: Optional[list] = None) -> int:
             file=sys.stderr,
         )
         return 1
+    return 2 if warned else 0
 
 
 if __name__ == "__main__":

@@ -94,6 +94,10 @@ class Field:
             raise ZeroDivisionError(f"denominator not invertible mod {p}")
         return (x.numerator * pow(x.denominator, -1, p)) % p
 
+    def clean(self, vec: dict) -> dict:
+        """``vec`` with every coefficient coerced and the zeros dropped."""
+        return {k: c for k, x in vec.items() if (c := self.coerce(x))}
+
     def add(self, a: Coeff, b: Coeff) -> Coeff:
         p = self.characteristic
         return a + b if p == 0 else (a + b) % p

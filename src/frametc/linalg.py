@@ -4,14 +4,15 @@ Vectors are sparse dicts ``{column: coefficient}`` with no stored zeros.
 Coefficients are ints, or Fractions where non-integral, over char 0 and ints
 in ``range(p)`` over char p.
 
-Over char 0 every stored row is kept as a *primitive integer* vector (scaled
-by the lcm of denominators, divided by the content gcd, leading coefficient
-positive) and elimination is fraction-free::
+Elimination is one fraction-free step for every field::
 
     row' = piv[c] * row - row[c] * piv
 
-followed by renormalization, so the hot loops run on ints only while staying
-exact.  Over char p pivots are normalized to 1.
+and every step's result is renormalized.  Over char 0 that keeps a row a
+*primitive integer* vector (scaled by the lcm of denominators, divided by
+the content gcd, leading coefficient positive), so the hot loops run on
+ints only while staying exact; over char p it reduces mod p and drops the
+zeros.  Over char p a pivot is still scaled to 1 when it is stored.
 
 The echelon keeps one row per pivot column (pivot = smallest column index of
 the row), which is enough for exact rank and span-membership tests; rows are
@@ -63,23 +64,12 @@ class Echelon:
 
     def _eliminate(self, vec: Vec, col: int) -> Vec:
         piv = self.rows[col]
-        p = self.field.characteristic
-        if p == 0:
-            a, b = vec[col], piv[col]
-            out = {}
-            for k in vec.keys() | piv.keys():
-                c = b * vec.get(k, 0) - a * piv.get(k, 0)
-                if c:
-                    out[k] = c
-            return out
-        f = vec[col]  # pivot is normalized to 1
-        out = dict(vec)
-        for k, c in piv.items():
-            r = (out.get(k, 0) - f * c) % p
-            if r:
-                out[k] = r
-            else:
-                out.pop(k, None)
+        a, b = vec[col], piv[col]
+        out = {}
+        for k in vec.keys() | piv.keys():
+            c = b * vec.get(k, 0) - a * piv.get(k, 0)
+            if c:
+                out[k] = c
         return out
 
     # -- public API ------------------------------------------------------------

@@ -27,6 +27,7 @@ from .algebra import (
     DomainMismatchError,
     GeneratorSpec,
     InvalidPresentationError,
+    MAX_GENERATORS,
     MonomialAlgebra,
     _NO_TERMS,
     check_capacity,
@@ -76,11 +77,7 @@ class TableAlgebra(Algebra):
         self.unit_index = units[0]
         table: dict[tuple[int, int], dict] = {}
         for (i, j), terms in products.items():
-            clean = {}
-            for k, c in terms.items():
-                c = field.coerce(c)
-                if c:
-                    clean[k] = c
+            clean = field.clean(terms)
             if self.unit_index in (i, j):
                 other = j if i == self.unit_index else i
                 if clean != {other: 1}:
@@ -192,11 +189,16 @@ def ring_from_json(
         raise InvalidPresentationError("ring descriptor needs a 'field' entry")
     kind = obj.get("type")
     if kind == "monomial":
-        gens = [
-            GeneratorSpec(g.get("name"), g.get("degree"), g.get("truncation", 2))
-            for g in _json_list(obj, "generators", dict)
-        ]
-        return MonomialAlgebra(field, gens)
+        specs = _json_list(obj, "generators", dict)
+        if len(specs) > MAX_GENERATORS:
+            raise InvalidPresentationError(
+                f"ring descriptor has {len(specs)} generators; "
+                f"a monomial ring has at most {MAX_GENERATORS} generators"
+            )
+        return MonomialAlgebra(
+            field,
+            [GeneratorSpec(g.get("name"), g.get("degree"), g.get("truncation", 2)) for g in specs],
+        )
     if kind == "table":
         basis = _json_list(obj, "basis", dict)
         names = [b.get("name") for b in basis]

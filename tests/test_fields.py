@@ -115,6 +115,28 @@ class TestNoFloats:
         assert fld.coerce(Count(7)) == (7 % p if p else 7)
 
 
+class TestClean:
+    def test_drops_zeros_and_reduces_mod_p(self):
+        assert field_of(5).clean({0: 7, 1: 10, 2: -1, 3: 0}) == {0: 2, 2: 4}
+        assert QQ.clean({0: Fraction(4, 2), 1: 0, 2: Fraction(1, 3)}) == {0: 2, 2: Fraction(1, 3)}
+        assert F2.clean({0: 2, 1: Fraction(1, 3)}) == {1: 1}
+
+    @pytest.mark.parametrize("fld", [QQ, F2])
+    def test_float_raises_as_coerce_does(self, fld):
+        with pytest.raises(TypeError) as by_coerce:
+            fld.coerce(0.5)
+        with pytest.raises(TypeError) as by_clean:
+            fld.clean({0: 1, 1: 0.5})
+        assert str(by_clean.value) == str(by_coerce.value)
+
+    def test_table_refuses_a_float_product_coefficient(self):
+        from frametc.table import TableAlgebra
+
+        with pytest.raises(TypeError) as refused:
+            TableAlgebra(QQ, ["1", "x", "z"], [0, 2, 4], {(1, 1): {2: 0.5}})
+        assert str(refused.value) == "coefficients must be int or Fraction, got 0.5"
+
+
 class TestConstructionAndIdentity:
     @pytest.mark.parametrize("bad", [1, 4, 6, 9, -2, 15])
     def test_non_prime_characteristic_rejected(self, bad):

@@ -326,13 +326,20 @@ class TestRingCommand:
         assert f"would have {n} factors" in err
 
     @pytest.mark.parametrize(
-        "ring", ["so:99999999999999999999:char2", "t:99999999999999999999:char0"]
+        "ring",
+        ["so:99999999999999999999:char2", "t:99999999999999999999:char0", "monomial-file"],
     )
-    def test_absurd_generator_count_is_refused_before_building(self, ring):
-        # Each ring would have about 10^20 generators.  The id is refused
-        # from its generator count, in a child held to 100 MB of address
-        # space and a wall timeout; without the refusal the child runs out
-        # of memory building GeneratorSpecs instead.
+    def test_absurd_generator_count_is_refused_before_building(self, ring, tmp_path):
+        # Each id would have about 10^20 generators, and the ring file lists
+        # one more than the limit.  The ring is refused from its generator
+        # count, in a child held to 100 MB of address space and a wall
+        # timeout; without the refusal the child runs out of memory building
+        # GeneratorSpecs, or runs past the timeout building the ring.
+        if ring == "monomial-file":
+            ring = str(tmp_path / "many-generators.json")
+            gens = [{"name": f"x{i}", "degree": 1} for i in range(MAX_GENERATORS + 1)]
+            with open(ring, "w", encoding="utf-8") as fh:
+                json.dump({"field": {"char": 2}, "type": "monomial", "generators": gens}, fh)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         limit = 100 * 2**20
