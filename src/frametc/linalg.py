@@ -12,7 +12,8 @@ and every step's result is renormalized.  Over char 0 that keeps a row a
 *primitive integer* vector (scaled by the lcm of denominators, divided by
 the content gcd, leading coefficient positive), so the hot loops run on
 ints only while staying exact; over char p it reduces mod p and drops the
-zeros.  Over char p a pivot is still scaled to 1 when it is stored.
+zeros.  Over char p a pivot is scaled to 1 when it is stored, so there the
+step is ``row - row[c] * piv``.
 
 The echelon keeps one row per pivot column (pivot = smallest column index of
 the row), which is enough for exact rank and span-membership tests; rows are
