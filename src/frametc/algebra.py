@@ -335,12 +335,6 @@ class MonomialAlgebra(Algebra):
         """The generator monomials, at their strides, in (degree, index) order."""
         return [i for _, i in sorted(zip((g.degree for g in self.gens), self.strides))]
 
-    def generator_element(self, name: str) -> Element:
-        for g, stride in zip(self.gens, self.strides):
-            if g.name == name:
-                return self.basis_element(stride)
-        raise KeyError(f"no generator named {name!r}")
-
     def mul_basis(self, i: int, j: int) -> dict:
         # Digits add without carry, so a nonzero product is class i + j.
         # Koszul sign: each of the f_a copies of generator a crosses each of

@@ -266,10 +266,10 @@ def _cmd_ring(args):
     zcl = None  # zcl-basic and zcl-full are equal; one search answers both
     for w in wanted:
         if w in ("basis", "poincare") and algebra.dim > args.capacity:
-            raise CapacityError(
+            warnings.append(  # the other items still answer
                 f"--compute {w}: dimension {algebra.dim} exceeds capacity {args.capacity}"
             )
-        if w == "basis":
+        elif w == "basis":
             results["basis"] = [
                 {"index": i, "degree": algebra.degree(i), "label": algebra.label(i)}
                 for i in range(algebra.dim)
@@ -286,6 +286,8 @@ def _cmd_ring(args):
             results[w] = res.describe()
             if not res.exact:
                 warnings.append(f"{w} budget exhausted; reported value is a lower bound")
+    if not results:  # every item was refused
+        raise CapacityError(warnings[0])
     payload = {
         "ring": {
             "id": ring_id,

@@ -3,10 +3,10 @@
 Three quantities, in increasing strength on the zero-divisor side:
 
 * ``cup_length(A)`` — longest nonzero product from the positive-degree part.
-  Closed form for monomial encodings (sum of truncation heights minus one
-  per generator, witnessed by the top monomial); the generator-product
-  search below otherwise.  The test suite runs that search on monomial
-  rings too, as a cross-check of the closed form.
+  Closed form for monomial encodings (g^(q−1) for each generator g of
+  truncation q, in its own algebra); the generator-product search below
+  otherwise.  The test suite runs that search on monomial rings too, as a
+  cross-check of the closed form.
 * ``zcl_basic(A)`` — longest nonzero product of *basic* zero-divisors
   ``m̄ = 1⊗m − m⊗1`` in A⊗A, m running over positive-degree basis classes.
 * ``zcl_full(A)`` — cup length of the whole zero-divisor ideal
@@ -38,17 +38,17 @@ is zero once k·d passes the top degree, so no product is longer than
 top degree // (least element degree), and the search stops when it finds
 one of that length.
 
-For monomial algebras ``zcl_full`` also has a factorization route: over a
-field, Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, and expanding a product of more than
-zcl(A)+zcl(B) such elements binomially always overruns one of the two
-factors, so zcl is additive across tensor factors and a monomial algebra
-contributes the sum of its single-generator values.  It keeps the search on
-tensor squares of one-generator algebras and never builds A⊗A: each
-generator's witness is checked in its own square, which is exact because
-A⊗A is the tensor product of those squares and, over a field, a tensor
-product of nonzero elements is nonzero.  Both routes are cross-checked
-against the independent dense kernel-power oracle by the test suite, never
-only against each other.
+Monomial algebras take a per-generator route for cl and zcl.  A monomial
+algebra is the tensor product of its one-generator algebras K[g]/g^q, and
+both invariants are additive across tensor factors over a field: top
+classes multiply to a top class, and Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, where
+expanding a product of more than zcl(A)+zcl(B) such elements binomially
+always overruns one of the two factors.  Each generator gets one part,
+computed in K[g]/g^q for cl and in its tensor square for zcl, and neither A
+nor A⊗A is multiplied in: each part's witness is checked in its own algebra,
+which is exact because, over a field, a tensor product of nonzero elements
+is nonzero.  Both routes are cross-checked against independent oracles by
+the test suite, never only against each other.
 
 Every result carries a witness that is re-multiplied and checked nonzero
 before it is returned, once, by the public entry that returns it.
@@ -80,9 +80,10 @@ def join_factors(factors: list[str]) -> str:
 class CupLengthResult:
     """Value with witness; ``exact=False`` means lower bound only.
 
-    A factored result has ``parts``, one result per tensor factor with its
-    witness in its own algebra; its value is their sum, its witness their
-    concatenation, and it prints their products as one factored product.
+    ``algebra`` is the ring the value is of.  A factored result has
+    ``parts``, part i on the one-generator algebra of ``algebra.gens[i]``;
+    its value is their sum, its witness their concatenation, and it prints
+    their products as one product.
     """
 
     def __init__(
@@ -94,6 +95,7 @@ class CupLengthResult:
         witness_product: Optional[Element] = None,
         nodes: int = 0,
         parts: Optional[list["CupLengthResult"]] = None,
+        algebra: Optional[Algebra] = None,
     ):
         self.value = value
         self.exact = exact
@@ -102,15 +104,18 @@ class CupLengthResult:
         self.witness_product = witness_product
         self.nodes = nodes
         self.parts = [] if parts is None else parts
+        self.algebra = algebra
 
     def verify(self) -> bool:
         """Re-multiply the witness and confirm a nonzero product of the stated length.
 
-        A factored result re-verifies its parts and checks that they add up.
+        A factored result re-verifies its parts, in generator order, and their sum.
         """
         if self.parts:
             return (
-                sum(p.value for p in self.parts) == self.value
+                [getattr(p.algebra, "gens", None) for p in self.parts]
+                == [(g,) for g in getattr(self.algebra, "gens", ())]
+                and sum(p.value for p in self.parts) == self.value
                 and self.witness == [w for p in self.parts for w in p.witness]
                 and all(p.verify() for p in self.parts)
             )
@@ -138,14 +143,13 @@ class CupLengthResult:
             "witness": [printed[id(w)] for w in self.witness],
         }
         products = [
-            str(p.witness_product)
-            for p in self.parts or [self]
-            if p.witness_product is not None
+            p.witness_product for p in self.parts or [self] if p.witness_product is not None
         ]
         if products:
-            out["witness_product"] = (
-                products[0] if len(products) == 1 else join_factors(products)
-            )
+            # Monomials multiply to the monomial whose label joins theirs.
+            strs = [str(p) for p in products]
+            one = len(strs) == 1 or isinstance(products[0].algebra, MonomialAlgebra)
+            out["witness_product"] = "·".join(strs) if one else join_factors(strs)
         if self.nodes:
             out["nodes"] = self.nodes
         return out
@@ -165,31 +169,28 @@ def _checked(result: CupLengthResult) -> CupLengthResult:
 def cup_length(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     """Longest nonzero product of positive-degree classes.
 
-    A monomial encoding answers with its top monomial; a table encoding
-    takes the search over products of its ``generators()``, which loses
-    nothing (module docstring) and gives ``exact=False`` when its node
-    budget runs out.  A monomial witness longer than a list can hold raises
-    :class:`WitnessTooLongError` before any of it is built.
+    A monomial encoding answers by generator, g^(q−1) in each K[g]/g^q; a
+    table encoding takes the search over products of its ``generators()``,
+    which loses nothing (module docstring) and gives ``exact=False`` when
+    its node budget runs out.  A monomial witness longer than a list can
+    hold raises :class:`WitnessTooLongError` before any part is built.
     """
     if not isinstance(A, MonomialAlgebra):
         gens = [A.basis_element(i) for i in A.generators()]
-        return _checked(_longest_product(A, gens, budget, "search"))
-    # The top monomial (each generator at its top power) is a nonzero class,
-    # and total exponent weight is additive and capped, so the value is
-    # exactly the sum of (truncation - 1).
+        return _checked(_longest_product(A, A, gens, budget, "search"))
     value = sum(g.truncation - 1 for g in A.gens)
     if value > sys.maxsize:
         raise WitnessTooLongError(
             f"the cl witness would have {value} factors; a list holds at most "
             f"{sys.maxsize}"
         )
-    witness: list[Element] = []
-    for g in A.gens:
-        witness += [A.generator_element(g.name)] * (g.truncation - 1)
-    top = A.basis_element(A.dim - 1)
-    return _checked(
-        CupLengthResult(value, True, "closed-form", witness, top if value else None)
-    )
+    return _checked(_by_generator(A, _top_power, "closed-form", budget))
+
+
+def _top_power(B: MonomialAlgebra, budget: int) -> CupLengthResult:
+    """cl of K[g]/g^q: q − 1 factors g, whose product g^(q−1) is the top class."""
+    g, top = B.basis_element(1), B.basis_element(B.dim - 1)
+    return CupLengthResult(B.dim - 1, True, "closed-form", [g] * (B.dim - 1), top, algebra=B)
 
 
 # -- zero-divisors ----------------------------------------------------------------
@@ -240,9 +241,9 @@ def _bars(T: ProductAlgebra, sources: list[int]) -> list[Element]:
 
 
 def _longest_product(
-    T: Algebra, elements: list[Element], budget: int, method: str
+    A: Algebra, T: Algebra, elements: list[Element], budget: int, method: str
 ) -> CupLengthResult:
-    """Longest nonzero product of ``elements`` (repetition allowed) in ``T``.
+    """Longest nonzero product of ``elements`` (repetition allowed) in ``T``, A or A⊗A.
 
     ``elements`` are homogeneous, of positive degree and sorted by degree.
     Depth-first search, on an explicit stack, over multisets of them in
@@ -290,13 +291,13 @@ def _longest_product(
             break
     witness = [elements[t] for t in best]
     product = Element(T, best_product) if best else None
-    return CupLengthResult(len(best), exact, method, witness, product, nodes)
+    return CupLengthResult(len(best), exact, method, witness, product, nodes, algebra=A)
 
 
 def _generator_bar_search(A: Algebra, budget: int) -> CupLengthResult:
     """Longest nonzero product of generator bars, in the lazy tensor square."""
     T = ProductAlgebra(A, A)
-    return _longest_product(T, _bars(T, A.generators()), budget, "generator-bars")
+    return _longest_product(A, T, _bars(T, A.generators()), budget, "generator-bars")
 
 
 def zcl_basic(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
@@ -339,28 +340,27 @@ def zero_divisor_ideal_basis(T: ProductAlgebra) -> tuple[list[dict], list[int]]:
     return vectors, degrees
 
 
-def _zcl_full_factor(A: MonomialAlgebra, budget: int) -> CupLengthResult:
-    """Sum of per-generator values, one part per generator.
+def _by_generator(A: MonomialAlgebra, part, method: str, budget: int) -> CupLengthResult:
+    """Sum of ``part`` over the one-generator algebras of A, one part each.
 
-    Justified by additivity of zcl across tensor factors over a field (see
-    module docstring); each generator's part comes from the generator-bar
-    search on its one-generator algebra, with what is left of the node
-    budget.  ``zcl_full`` checks the sum, whose ``verify`` re-multiplies
-    each part in its own square.
+    Exact for cl and zcl by additivity across tensor factors (module
+    docstring).  Each part gets what is left of the node budget; the
+    caller's check re-verifies each part in its own algebra or square.
     """
     parts: list[CupLengthResult] = []
     nodes = 0
     for g in A.gens:
-        part = _generator_bar_search(MonomialAlgebra(A.field, [g]), max(budget - nodes, 0))
-        nodes += part.nodes
-        parts.append(part)
+        p = part(MonomialAlgebra(A.field, [g]), max(budget - nodes, 0))
+        nodes += p.nodes
+        parts.append(p)
     return CupLengthResult(
         sum(p.value for p in parts),
         all(p.exact for p in parts),
-        "factorization",
+        method,
         [w for p in parts for w in p.witness],
         nodes=nodes,
         parts=parts,
+        algebra=A,
     )
 
 
@@ -371,5 +371,6 @@ def zcl_full(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     generator-bar search.  No dimension cap applies beyond the one ``A`` was
     built under; an exhausted node budget gives ``exact=False``.
     """
-    route = _zcl_full_factor if isinstance(A, MonomialAlgebra) else _generator_bar_search
-    return _checked(route(A, budget))
+    if isinstance(A, MonomialAlgebra):
+        return _checked(_by_generator(A, _generator_bar_search, "factorization", budget))
+    return _checked(_generator_bar_search(A, budget))

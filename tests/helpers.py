@@ -11,6 +11,7 @@
   route ``cup_length`` takes for non-monomial rings; on monomial rings it
   cross-checks the closed form.
 * :func:`negated` — -x, for sign checks: elements only multiply.
+* :func:`generator` — a monomial algebra's generator, by name.
 * :func:`degrees`, :func:`labels` — every basis class's degree or label, as
   a list in index order.
 """
@@ -116,7 +117,12 @@ def interval_from_entries(payload: dict) -> list:
 def searched_cl(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     """cl(A) from the search over products of algebra generators, checked."""
     gens = [A.basis_element(i) for i in A.generators()]
-    return cuplength._checked(cuplength._longest_product(A, gens, budget, "search"))
+    return cuplength._checked(cuplength._longest_product(A, A, gens, budget, "search"))
+
+
+def generator(A: MonomialAlgebra, name: str) -> Element:
+    """The basis element of the generator named ``name``, at its stride."""
+    return A.basis_element(A.strides[[g.name for g in A.gens].index(name)])
 
 
 def degrees(A: Algebra) -> list[int]:

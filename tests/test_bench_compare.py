@@ -1,0 +1,64 @@
+"""``scripts/bench_compare.py`` on two synthetic benchmark records."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_compare.py")
+spec = importlib.util.spec_from_file_location("bench_compare", SCRIPT)
+bench_compare = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_compare)
+
+
+def record(seed_walls, row_wall, row_min, row_max):
+    """A record with one workload over three seeds and one 5-sample row."""
+    return {
+        "benchmark": {
+            "so-curve": {
+                f"seed{s}": {"metrics": {"wall_s": {"value": v, "unit": "s"}}}
+                for s, v in enumerate(seed_walls, 1)
+            }
+        },
+        "invocations": [
+            {
+                "argv": ["ring", "so:8:char2"], "exit": 0, "samples": 5,
+                "wall_s": row_wall, "wall_s_min": row_min, "wall_s_max": row_max,
+                "peak_rss_mb": 14.5, "peak_rss_mb_min": 14.4, "peak_rss_mb_max": 14.6,
+            }
+        ],
+    }
+
+
+BEFORE = record([1.00, 0.98, 1.02], 1.0, 0.8, 1.3)
+
+
+def test_a_change_within_the_spread_is_not_flagged():
+    # +3 % on the workload; +15 % on the row, but inside its 0.5 s spread.
+    after = record([1.03, 1.01, 1.05], 1.15, 0.9, 1.4)
+    assert bench_compare.report(BEFORE, after) == [
+        "so-curve wall_s: 1 -> 1.03 (x1.030)",
+        "ring so:8:char2 wall_s: 1 -> 1.15 (x1.150)",
+        "ring so:8:char2 peak_rss_mb: 14.5 -> 14.5 (x1.000)",
+    ]
+
+
+def test_twenty_percent_beyond_the_spread_is_flagged():
+    after = record([1.20, 1.19, 1.21], 1.6, 1.55, 1.7)
+    lines = bench_compare.report(BEFORE, after)
+    assert lines[0] == "so-curve wall_s: 1 -> 1.2 (x1.200)  FLAG"
+    assert lines[1] == "ring so:8:char2 wall_s: 1 -> 1.6 (x1.600)  FLAG"
+    assert not lines[2].endswith("FLAG")
+
+
+@pytest.mark.parametrize("faster", [False, True])
+def test_main_reads_two_files(tmp_path, capsys, faster):
+    after = record([0.8, 0.79, 0.81], 1.0, 0.8, 1.3) if faster else BEFORE
+    paths = []
+    for name, rec in (("a.json", BEFORE), ("b.json", after)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(rec))
+    assert bench_compare.main(paths) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f"{int(faster)} of 3 lines flagged\n")

@@ -42,7 +42,7 @@ from frametc.fields import F2, QQ, field_of
 from frametc.linalg import Echelon
 from frametc.table import TableAlgebra
 from closed_forms import korbas_cl
-from helpers import degrees, labels, searched_cl, tensor
+from helpers import degrees, generator, labels, searched_cl, tensor
 from oracle import brute_force_cl
 from test_algebra import table_from
 from zero_divisors import zero_divisor_generators
@@ -50,11 +50,15 @@ from zero_divisors import zero_divisor_generators
 
 class TestCupLength:
     def test_closed_form_with_witness(self):
-        res = cup_length(rp_ring(7))
+        A = rp_ring(7)
+        res = cup_length(A)
         assert res.value == 7
         assert res.exact and res.method == "closed-form"
         assert [str(w) for w in res.witness] == ["a"] * 7
-        assert str(res.witness_product) == "a^7"
+        (part,) = res.parts  # a^7, in the one-generator algebra of a
+        assert part.algebra is not A and part.algebra.gens == A.gens
+        assert str(part.witness_product) == "a^7"
+        assert res.describe()["witness_product"] == "a^7"
         assert res.verify()
 
     def test_search_agrees_with_closed_form(self, entries):
@@ -124,7 +128,7 @@ class TestZeroDivisorGenerators:
     def test_bar_coefficients(self):
         A = cp_ring(2, QQ)
         T = ProductAlgebra(A, A)
-        u = A.generator_element("u")
+        u = generator(A, "u")
         b = bar(T, u)
         assert b.coeffs == {
             T.pair_index(0, 1): Fraction(1),
@@ -136,7 +140,7 @@ class TestZeroDivisorGenerators:
         # height-2 truncation only the middle term survives.
         A = cp_ring(1, QQ)
         T = ProductAlgebra(A, A)
-        b = bar(T, A.generator_element("u"))
+        b = bar(T, generator(A, "u"))
         assert (b * b).coeffs == {T.pair_index(1, 1): Fraction(-2)}
 
     def test_odd_degree_bar_squares_to_zero(self):
@@ -145,7 +149,7 @@ class TestZeroDivisorGenerators:
         for field in (QQ, F2, field_of(3)):
             A = torus_ring(1, field)
             T = ProductAlgebra(A, A)
-            b = bar(T, A.generator_element("u1"))
+            b = bar(T, generator(A, "u1"))
             assert (b * b).is_zero
 
     def test_bar_power_dies_at_source_truncation_char2(self):
@@ -155,8 +159,8 @@ class TestZeroDivisorGenerators:
         for n in range(2, 7):
             A = so_ring(n, F2)
             T = ProductAlgebra(A, A)
-            for g in A.gens:
-                b = bar(T, A.generator_element(g.name))
+            for g, stride in zip(A.gens, A.strides):
+                b = bar(T, A.basis_element(stride))
                 power = T.basis_element(T.unit_index)
                 for _ in range(g.truncation - 1):
                     power = power * b
@@ -238,7 +242,7 @@ class TestZclBasic:
             res = zcl_basic(A)
             assert res.value == 2 * n
             assert res.exact and res.verify()
-            b = bar(T, A.generator_element("u"))
+            b = bar(T, generator(A, "u"))
             power = T.basis_element(T.unit_index)
             for _ in range(2 * n):
                 power = power * b
@@ -455,6 +459,18 @@ def embedded_witness_product(A: MonomialAlgebra, res):
     return product
 
 
+def factored(A, res, parts, value=None):
+    """A factored result on A with the given parts, in ``res``'s method."""
+    return CupLengthResult(
+        sum(p.value for p in parts) if value is None else value,
+        True,
+        res.method,
+        [w for p in parts for w in p.witness],
+        parts=parts,
+        algebra=A,
+    )
+
+
 class TestFactorWitnesses:
     def test_embedded_witness_is_nonzero_in_the_full_square(self, entries):
         checked = 0
@@ -491,31 +507,49 @@ class TestFactorWitnesses:
             assert len(left.gens) == 1
 
     def test_tampered_part_fails_verification(self):
-        res = zcl_full(so_ring(5, F2))
-        assert res.verify() and [p.value for p in res.parts] == [7, 1]
-        b1, b3 = res.parts
-
-        def factored(parts, value=None):
-            return CupLengthResult(
-                sum(p.value for p in parts) if value is None else value,
-                True,
-                res.method,
-                [w for p in parts for w in p.witness],
-                parts=parts,
+        A = so_ring(5, F2)
+        for invariant in (cup_length, zcl_full):
+            res = invariant(A)
+            assert res.verify() and [p.value for p in res.parts] == [7, 1]
+            b1, b3 = res.parts
+            assert factored(A, res, [b1, b3]).verify()
+            # b3^2 = 0 and bar(b3)^2 = 0: the part claims a product that is zero.
+            dead = CupLengthResult(2, True, b3.method, b3.witness * 2, algebra=b3.algebra)
+            assert not factored(A, res, [b1, dead]).verify()
+            # A zero factor, and a count that is not the part's witness length.
+            zero = Element(b3.witness[0].algebra, {})
+            for tampered in (
+                CupLengthResult(1, True, b3.method, [zero], algebra=b3.algebra),
+                CupLengthResult(2, True, b3.method, b3.witness, algebra=b3.algebra),
+            ):
+                assert not factored(A, res, [b1, tampered]).verify()
+            # A part whose stated product is not its witness product.
+            wrong = CupLengthResult(
+                1, True, b3.method, b3.witness, b1.witness_product, algebra=b3.algebra
             )
+            assert not factored(A, res, [b1, wrong]).verify()
+            # Values that do not add up, and a witness that is not the parts'.
+            assert not factored(A, res, [b1, b3], value=9).verify()
+            mixed = factored(A, res, [b1, b3])
+            mixed.witness = list(reversed(mixed.witness))
+            assert not mixed.verify()
 
-        assert factored([b1, b3]).verify()
-        # bar(b3)^2 = 0: the part claims a product that is zero.
-        dead = CupLengthResult(2, True, b3.method, b3.witness * 2)
-        assert not factored([b1, dead]).verify()
-        # A part whose stated product is not its witness product.
-        wrong = CupLengthResult(1, True, b3.method, b3.witness, b1.witness_product)
-        assert not factored([b1, wrong]).verify()
-        # Values that do not add up, and a witness that is not the parts'.
-        assert not factored([b1, b3], value=9).verify()
-        mixed = factored([b1, b3])
-        mixed.witness = list(reversed(mixed.witness))
-        assert not mixed.verify()
+    @pytest.mark.parametrize("invariant", [cup_length, zcl_full], ids=["cl", "zcl-full"])
+    def test_part_i_must_be_the_part_of_generator_i(self, invariant):
+        A = torus_ring(2, QQ)
+        res = invariant(A)
+        p1, p2 = res.parts
+        assert factored(A, res, [p1, p2]).verify()
+        # The part of u2 in a second copy of the ring: same name and shape,
+        # another generator.
+        other = invariant(torus_ring(2, QQ)).parts[1]
+        assert str(other.witness[0]) == str(p2.witness[0])
+        for parts in ([p1, p1], [p2, p1], [p1], [p1, p2, p2], [p1, other]):
+            assert not factored(A, res, parts).verify(), [str(p.witness[0]) for p in parts]
+        # A factored result that names no ring has no generators to match.
+        orphan = factored(A, res, [p1, p2])
+        orphan.algebra = None
+        assert not orphan.verify()
 
     def test_factored_witness_product_is_printed_per_part(self):
         d = zcl_full(so_ring(5, F2)).describe()
@@ -660,14 +694,14 @@ class TestWitnessContract:
 
     def test_verify_rejects_zero_product(self):
         A = rp_ring(3)
-        a = A.generator_element("a")
+        a = generator(A, "a")
         dead = CupLengthResult(2, True, "search", [a * a, a * a])
         assert not dead.verify()
 
     def test_describe_formats_each_distinct_factor_once(self, monkeypatch):
         # The closed-form witness of cl(SO(12); F2) repeats one element per
-        # generator: 24 factors, 6 distinct.  Each distinct factor and the
-        # product are formatted once, one label each.
+        # generator: 24 factors, 6 distinct.  Each distinct factor and each
+        # part's product are formatted once, one label each: two per part.
         res = cup_length(so_ring(12, F2))
         assert (len(res.witness), len({id(w) for w in res.witness})) == (24, 6)
         calls = []
@@ -679,8 +713,27 @@ class TestWitnessContract:
 
         monkeypatch.setattr(MonomialAlgebra, "label", counted)
         d = res.describe()
-        assert len(calls) == 7
+        assert len(calls) == 2 * len(res.parts) == 12
         assert d["witness"] == [str(w) for w in res.witness]
+
+    def test_cl_of_a_monomial_ring_never_multiplies_or_labels_in_it(self, monkeypatch):
+        # Built, verified and described in the one-generator algebras only.
+        A = so_ring(12, F2)
+        top = A.label(A.dim - 1)
+        used = []
+        for name in ("mul_basis", "label"):
+            method = getattr(MonomialAlgebra, name)
+
+            def recording(B, *args, method=method):
+                used.append(B)
+                return method(B, *args)
+
+            monkeypatch.setattr(MonomialAlgebra, name, recording)
+        res = cup_length(A)
+        d = res.describe()
+        assert (res.value, d["witness_product"]) == (24, top)
+        assert used and all(B is not A and len(B.gens) == 1 for B in used)
+        assert {B for B in used} == {p.algebra for p in res.parts}
 
     def test_describe_shape(self):
         d = cup_length(rp_ring(3)).describe()

@@ -303,6 +303,20 @@ class TestRingCommand:
         )
         assert code == 0 and sum(json.loads(out)["results"]["poincare"]) == 2**13
 
+    def test_capacity_refusal_keeps_the_other_items(self, run_cli):
+        refused = "--compute basis: dimension 32768 exceeds capacity 4096"
+        argv = ["ring", "so:16:char2", "--compute", "cl,basis,zcl-full", "--no-timing"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (2, "")
+        assert "cl: 32 (exact; method closed-form)\n" in out
+        assert "zcl-full: 32 (exact; method factorization)\n" in out
+        assert "\nbasis:" not in out and out.endswith(f"\nwarning: {refused}\n")
+        code, out, err = run_cli(argv + ["--json"])
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert list(payload["results"]) == ["cl", "zcl-full"]
+        assert payload["warnings"] == [refused]
+
     @pytest.mark.parametrize(
         "ring, dimension, cl",
         [("t:63:char0", 2**63, 63), ("so:65:char2", 2**64, 256)],
