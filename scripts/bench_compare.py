@@ -49,7 +49,7 @@ def row_stats(record: dict) -> dict:
 def compare(a: tuple, b: tuple) -> tuple:
     """(ratio B/A, flagged) for two (median, min, max) triples."""
     (ma, lo_a, hi_a), (mb, lo_b, hi_b) = a, b
-    ratio = mb / ma if ma else float("inf") if mb else 1.0
+    ratio = mb / ma if ma else (float("inf") if mb else 1.0)
     change = abs(mb - ma)
     flagged = abs(ratio - 1) > THRESHOLD and change > hi_a - lo_a and change > hi_b - lo_b
     return ratio, flagged

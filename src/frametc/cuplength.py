@@ -40,15 +40,17 @@ one of that length.
 
 Monomial algebras take a per-generator route for cl and zcl.  A monomial
 algebra is the tensor product of its one-generator algebras K[g]/g^q, and
-both invariants are additive across tensor factors over a field: top
-classes multiply to a top class, and Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, where
-expanding a product of more than zcl(A)+zcl(B) such elements binomially
-always overruns one of the two factors.  Each generator gets one part,
-computed in K[g]/g^q for cl and in its tensor square for zcl, and neither A
-nor A⊗A is multiplied in: each part's witness is checked in its own algebra,
-which is exact because, over a field, a tensor product of nonzero elements
-is nonzero.  Both routes are cross-checked against independent oracles by
-the test suite, never only against each other.
+over a field both invariants are additive across tensor factors.  Top
+classes multiply to a top class, and a product of more than cl(A)+cl(B)
+positive-degree elements of A⊗B expands into terms with more than cl(A)
+such factors in A or more than cl(B) in B.  Likewise, with
+Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, a product of more than zcl(A)+zcl(B)
+zero-divisors always overruns one of the two factors.  Each generator gets
+one part, computed in K[g]/g^q for cl and in its tensor square for zcl, and
+neither A nor A⊗A is multiplied in: each part's witness is checked in its
+own algebra, which is exact because, over a field, a tensor product of
+nonzero elements is nonzero.  Both routes are cross-checked against
+independent oracles by the test suite, never only against each other.
 
 Every result carries a witness that is re-multiplied and checked nonzero
 before it is returned, once, by the public entry that returns it.

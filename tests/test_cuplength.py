@@ -733,7 +733,7 @@ class TestWitnessContract:
         d = res.describe()
         assert (res.value, d["witness_product"]) == (24, top)
         assert used and all(B is not A and len(B.gens) == 1 for B in used)
-        assert {B for B in used} == {p.algebra for p in res.parts}
+        assert set(used) == {p.algebra for p in res.parts}
 
     def test_describe_shape(self):
         d = cup_length(rp_ring(3)).describe()
