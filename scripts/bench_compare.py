@@ -5,12 +5,16 @@ Usage, from the root of a checkout::
     python3 scripts/bench_compare.py BENCH_26.json BENCH_27.json
 
 It prints one line per end-to-end metric of each workload (the median over
-seeds 1-3 of ``bench/run.py``) and one per off-benchmark row and measure
-(the median of its samples): the median of A, the median of B and their
-ratio B/A.  A line is flagged when the change is above ``THRESHOLD`` (10 %)
-and also larger than the spread, max - min, of each side: over the seeds
-for a workload, over the samples for a row.  A record that keeps one
-sample per row has no spread there, so the 10 % alone decides.
+seeds 1-3 of ``bench/run.py``), one per off-benchmark row and measure (the
+median of its samples) and one per module's compile step: the value of A,
+the value of B and their ratio B/A.  A row's wall time is compared at the
+reference host's speed (``wall_s_scaled``) when both records carry it, so
+host drift between the two runs does not read as change; otherwise as
+measured (``wall_s``).  A line is flagged when the change is above
+``THRESHOLD`` (10 %) and also larger than the spread, max - min, of each
+side: over the seeds for a workload, over the samples for a row.  A record
+that keeps one sample per row has no spread there, and a compile step is
+one median, so the 10 % alone decides.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import statistics
 import sys
 
 THRESHOLD = 0.10
-ROW_MEASURES = ("wall_s", "peak_rss_mb")
 
 
 def workload_stats(record: dict) -> dict:
@@ -33,17 +36,23 @@ def workload_stats(record: dict) -> dict:
     return {key: (statistics.median(v), min(v), max(v)) for key, v in values.items()}
 
 
-def row_stats(record: dict) -> dict:
+def row_stats(record: dict, wall: str = "wall_s") -> dict:
     """(argv, measure) -> (median, min, max) of each off-benchmark row."""
     out = {}
     for row in record.get("invocations", []):
         argv = " ".join(row["argv"])
-        for measure in ROW_MEASURES:
+        for measure in (wall, "peak_rss_mb"):
             median = row[measure]
             out[(argv, measure)] = (
                 median, row.get(measure + "_min", median), row.get(measure + "_max", median)
             )
     return out
+
+
+def compile_stats(record: dict) -> dict:
+    """(compile module, peak_rss_kb) -> (step, step, step) for each module."""
+    steps = record.get("compile_peak_rss_kb", {})
+    return {(f"compile {name}", "peak_rss_kb"): (kb, kb, kb) for name, kb in steps.items()}
 
 
 def compare(a: tuple, b: tuple) -> tuple:
@@ -56,9 +65,13 @@ def compare(a: tuple, b: tuple) -> tuple:
 
 
 def report(a: dict, b: dict) -> list:
-    """The printed lines, workloads first, then off-benchmark rows."""
+    """The printed lines: workloads, off-benchmark rows, then compile steps."""
+    scaled = all(
+        all("wall_s_scaled" in row for row in r.get("invocations", [])) for r in (a, b)
+    )
+    wall = "wall_s_scaled" if scaled else "wall_s"
     lines = []
-    for stats in (workload_stats, row_stats):
+    for stats in (workload_stats, lambda r: row_stats(r, wall), compile_stats):
         sa, sb = stats(a), stats(b)
         for key in [k for k in sa if k in sb]:
             ratio, flagged = compare(sa[key], sb[key])

@@ -16,6 +16,19 @@ one process at a time, in this order:
   ``INVOCATIONS``, each in a fresh interpreter, ``SAMPLES`` times, one
   sample of every row per round, and per row the median, min and max of
   each;
+* a speed reference for those rows: the rate of ``bench/run.py``'s
+  ``calibration_chunk`` (chunks per CPU second), taken for
+  ``CALIBRATION_S`` before and after each round.  Each sample's wall time
+  is also given at the reference host's speed, ``wall_s_scaled`` = wall
+  time x (the round's mean rate / ``REFERENCE_RATE``), as ``bench/run.py``
+  scales its children;
+* whether the children compiled ``frametc`` cold: ``PYTHONDONTWRITEBYTECODE``
+  and whether ``src/frametc/__pycache__`` existed before the benchmark runs
+  and after the off-benchmark rows;
+* the compile step of each ``src/frametc/*.py``: how much compiling its
+  source raises a fresh ``python3 -S`` interpreter's peak RSS
+  (``resource.getrusage`` around ``compile()``), the median of
+  ``COMPILE_SAMPLES`` interpreters, in KiB;
 * the Tier-1 pass and fail counts and wall time;
 * the median ``python3 -c pass`` time and peak RSS, the commit, the SHA-256
   of ``src/frametc``, the line count (``wc -l``) of each ``src/frametc/*.py``
@@ -29,6 +42,7 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -45,6 +59,8 @@ SECONDS = 25  # run length of every bench/run.py run
 CHILD_TIMEOUT_S = 300
 SAMPLES = 5  # of each off-benchmark invocation
 STARTUP_SAMPLES = 9
+COMPILE_SAMPLES = 3  # interpreters per module's compile step
+CALIBRATION_S = 0.5  # CPU seconds of calibration chunks before and after each round
 CLI = "import sys; from frametc.cli import main; sys.exit(main())"
 # Runs the command after its timeout argument in a forked child, with output
 # discarded and SIGALRM after the timeout, and prints its exit code, wall
@@ -70,6 +86,20 @@ print(json.dumps({
     "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),  # ru_maxrss is in KiB on Linux
 }))
 """
+# Prints how many KiB compiling the file named by its argument adds to this
+# interpreter's peak RSS.
+COMPILE_PROBE = r"""
+import resource, sys
+with open(sys.argv[1], encoding="utf-8") as fh:
+    source = fh.read()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+compile(source, sys.argv[1], "exec")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+# An exec keeps the peak RSS of the process it replaces, so the probe is
+# forked from a shell (the trailing ":" keeps the shell from exec-ing the
+# probe in its place): its peak starts at the shell's RSS, not this script's.
+FROM_SHELL = ["sh", "-c", '"$@"; :', "sh"]
 # Off-benchmark invocations: the "where the time goes" rows of ROADMAP.md.
 # "T10_TABLE" stands for t:10:char2 written out as a 1,024-class table.  The
 # two small rings show what a child compiles, seen outside the benchmark's
@@ -117,15 +147,57 @@ def timed_child(cmd: list, cwd: str, env: dict) -> dict:
 
 
 def summary(samples: list) -> dict:
-    """Exit code, and median, min and max wall time and peak RSS of samples."""
+    """Exit code, and median, min and max of each measure of samples."""
     exits = sorted({row["exit"] for row in samples})
     out = {"exit": exits[0] if len(exits) == 1 else exits, "samples": len(samples)}
-    for key in ("wall_s", "peak_rss_mb"):
+    for key in ("wall_s", "wall_s_scaled", "peak_rss_mb"):
         values = [row[key] for row in samples]
         out[key] = statistics.median(values)
         out[key + "_min"] = min(values)
         out[key + "_max"] = max(values)
     return out
+
+
+def load_bench_run(root: str):
+    """``bench/run.py`` of the measured checkout, as a module (its ``main`` is not run)."""
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(root, "bench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def chunk_rate(chunk) -> float:
+    """Calls of ``chunk`` per CPU second of this thread, over ``CALIBRATION_S``."""
+    chunks = 0
+    t0 = t = time.thread_time()
+    while t - t0 < CALIBRATION_S:
+        chunk()
+        chunks += 1
+        t = time.thread_time()
+    return chunks / (t - t0)
+
+
+def bytecode_state(root: str) -> dict:
+    """What decides whether a child compiles ``frametc`` from source."""
+    return {
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "pycache_exists": os.path.isdir(os.path.join(root, "src", "frametc", "__pycache__")),
+    }
+
+
+def compile_steps(root: str) -> dict:
+    """Median KiB that compiling each ``src/frametc/*.py`` adds to a fresh peak RSS."""
+    steps = {}
+    for path in sorted(glob.glob(os.path.join(root, "src", "frametc", "*.py"))):
+        runs = [
+            int(subprocess.run(
+                [*FROM_SHELL, sys.executable, "-S", "-c", COMPILE_PROBE, path],
+                capture_output=True, text=True, check=True,
+            ).stdout)
+            for _ in range(COMPILE_SAMPLES)
+        ]
+        steps[os.path.basename(path)] = statistics.median(runs)
+    return steps
 
 
 def bench_line(root: str, workload: str, seed: int, trace: int) -> dict:
@@ -197,24 +269,43 @@ def main(argv=None) -> int:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
 
     record = {"pr": args.pr, "seconds": SECONDS}
+    bytecode = {"before": bytecode_state(root)}
     record["benchmark"] = {
         w: {f"seed{s}": bench_line(root, w, s, 0) for s in SEEDS} for w in workloads
     }
     record["traced"] = {w: bench_line(root, w, 1, 1) for w in workloads}
 
+    bench_run = load_bench_run(root)
+    rates = []
     samples = [[] for _ in INVOCATIONS]
     with tempfile.TemporaryDirectory() as tmp:
         table = os.path.join(tmp, "t10-char2-table.json")
         with open(table, "w", encoding="utf-8") as fh:
             json.dump(exterior_table(10), fh)
         for _ in range(SAMPLES):  # round-robin, so host drift spreads over every row
-            for argv, taken in zip(INVOCATIONS, samples):
+            before = chunk_rate(bench_run.calibration_chunk)
+            taken = []
+            for argv in INVOCATIONS:
                 real = [table if a == "T10_TABLE" else a for a in argv]
                 cmd = [sys.executable, "-c", CLI, *real, "--no-timing"]
                 taken.append(timed_child(cmd, root, env))
+            after = chunk_rate(bench_run.calibration_chunk)
+            rates += [before, after]
+            speed = (before + after) / 2 / bench_run.REFERENCE_RATE
+            for row, sample in zip(samples, taken):
+                sample["wall_s_scaled"] = round(sample["wall_s"] * speed, 4)
+                row.append(sample)
     record["invocations"] = [
         {"argv": list(argv), **summary(taken)} for argv, taken in zip(INVOCATIONS, samples)
     ]
+    record["speed_reference"] = {
+        "reference_rate": bench_run.REFERENCE_RATE,
+        "rates": [round(rate, 1) for rate in rates],  # before and after each round
+        "median_rate": round(statistics.median(rates), 1),
+    }
+    bytecode["after_rows"] = bytecode_state(root)
+    record["bytecode"] = bytecode
+    record["compile_peak_rss_kb"] = compile_steps(root)
 
     record["tier1"] = tier1(root, env)
     startup = [

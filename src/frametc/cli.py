@@ -56,7 +56,7 @@ from .algebra import DEFAULT_CAPACITY, CapacityError  # noqa: E402
 from .catalog import resolve_ring  # noqa: E402
 from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full  # noqa: E402
 from .fields import parse_field  # noqa: E402
-from .report import render_bounds, render_examples, render_ring  # noqa: E402
+from .report import describe, render_bounds, render_examples, render_ring  # noqa: E402
 
 _COMPUTE_CHOICES = ("cl", "zcl-basic", "zcl-full", "basis", "poincare")
 
@@ -250,6 +250,14 @@ def _parse_args(argv: list) -> SimpleNamespace:
 def _cmd_ring(args):
     fld = parse_field(args.field) if args.field else None
     ring_id, algebra = resolve_ring(args.ring, fld, args.capacity)
+    # str(int) refuses past ``limit`` digits (0: none); 10**limit > 2**(3*limit).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = algebra.dim.bit_length()
+    if limit and bits > 3 * limit and algebra.dim >= 10**limit:
+        raise ValueError(
+            f"ring {ring_id}: its dimension, of {bits} bits, has more than the "
+            f"{limit} digits Python prints of an integer"
+        )
     # A repeated item is read once, where it first appears.
     wanted = list(dict.fromkeys(w.strip() for w in args.compute.split(",") if w.strip()))
     if not wanted:
@@ -283,7 +291,7 @@ def _cmd_ring(args):
                 res = zcl = zcl_full(algebra, budget=args.budget)
             else:
                 res = zcl
-            results[w] = res.describe()
+            results[w] = describe(res)
             if not res.exact:
                 warnings.append(f"{w} budget exhausted; reported value is a lower bound")
     if not results:  # every item was refused

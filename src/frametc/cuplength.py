@@ -56,11 +56,12 @@ Every result carries a witness that is re-multiplied and checked nonzero
 before it is returned, once, by the public entry that returns it.
 Budget-limited searches return ``exact=False`` and their value is then only
 a lower bound; callers that need upper bounds must reject inexact results.
+A cl witness of more than ``MAX_WITNESS`` factors is refused before it is
+built.  ``report.describe`` formats a result for printing.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from typing import Optional
 
@@ -68,15 +69,11 @@ from . import linalg
 from .algebra import Algebra, Element, MonomialAlgebra, ProductAlgebra
 
 DEFAULT_BUDGET = 500_000
+MAX_WITNESS = 500_000  # factors in a cl witness, which is listed and printed in full
 
 
 class WitnessTooLongError(ValueError):
-    """A witness too long to be stored as a list of factors."""
-
-
-def join_factors(factors: list[str]) -> str:
-    """Printed factors joined by `` * ``, multi-term ones in parentheses."""
-    return " * ".join(f"({w})" if " + " in w or " - " in w else w for w in factors)
+    """A witness longer than ``MAX_WITNESS`` factors."""
 
 
 class CupLengthResult:
@@ -84,8 +81,7 @@ class CupLengthResult:
 
     ``algebra`` is the ring the value is of.  A factored result has
     ``parts``, part i on the one-generator algebra of ``algebra.gens[i]``;
-    its value is their sum, its witness their concatenation, and it prints
-    their products as one product.
+    its value is their sum and its witness their concatenation.
     """
 
     def __init__(
@@ -134,28 +130,6 @@ class CupLengthResult:
             return False
         return True
 
-    def describe(self) -> dict:
-        """The printed result; a factor repeated as one object is formatted once."""
-        printed = {id(w): w for w in self.witness}
-        printed = {key: str(w) for key, w in printed.items()}
-        out = {
-            "value": self.value,
-            "exact": self.exact,
-            "method": self.method,
-            "witness": [printed[id(w)] for w in self.witness],
-        }
-        products = [
-            p.witness_product for p in self.parts or [self] if p.witness_product is not None
-        ]
-        if products:
-            # Monomials multiply to the monomial whose label joins theirs.
-            strs = [str(p) for p in products]
-            one = len(strs) == 1 or isinstance(products[0].algebra, MonomialAlgebra)
-            out["witness_product"] = "·".join(strs) if one else join_factors(strs)
-        if self.nodes:
-            out["nodes"] = self.nodes
-        return out
-
 
 def _checked(result: CupLengthResult) -> CupLengthResult:
     if not result.verify():
@@ -174,17 +148,17 @@ def cup_length(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     A monomial encoding answers by generator, g^(q−1) in each K[g]/g^q; a
     table encoding takes the search over products of its ``generators()``,
     which loses nothing (module docstring) and gives ``exact=False`` when
-    its node budget runs out.  A monomial witness longer than a list can
-    hold raises :class:`WitnessTooLongError` before any part is built.
+    its node budget runs out.  A monomial witness past ``MAX_WITNESS``
+    factors raises :class:`WitnessTooLongError` before any part is built.
     """
     if not isinstance(A, MonomialAlgebra):
         gens = [A.basis_element(i) for i in A.generators()]
         return _checked(_longest_product(A, A, gens, budget, "search"))
     value = sum(g.truncation - 1 for g in A.gens)
-    if value > sys.maxsize:
+    if value > MAX_WITNESS:
         raise WitnessTooLongError(
-            f"the cl witness would have {value} factors; a list holds at most "
-            f"{sys.maxsize}"
+            f"the cl witness would have {value} factors; at most MAX_WITNESS = "
+            f"{MAX_WITNESS} are listed"
         )
     return _checked(_by_generator(A, _top_power, "closed-form", budget))
 

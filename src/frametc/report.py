@@ -1,11 +1,12 @@
 """Rendering of computation results as human-readable text or JSON.
 
-Text output is line-oriented with tab-separated tables so it can be consumed
-by cut/awk; JSON output is ``json.dumps(..., indent=2)`` of the documented
-payload.  Both renderings are deterministic functions of the payload: any
-timing information is attached by the caller and can be suppressed entirely,
-which is what makes byte-for-byte output comparisons across thread counts
-meaningful.
+The engines compute and verify; ``describe`` and the ``render_*`` functions
+format.  Text output is line-oriented with tab-separated tables so it can be
+consumed by cut/awk; JSON output is ``json.dumps(..., indent=2)`` of the
+documented payload.  Both renderings are deterministic functions of the
+payload: any timing information is attached by the caller and can be
+suppressed entirely, which is what makes byte-for-byte output comparisons
+across thread counts meaningful.
 """
 
 from __future__ import annotations
@@ -13,7 +14,36 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .cuplength import join_factors
+from .algebra import MonomialAlgebra
+
+
+def join_factors(factors: list[str]) -> str:
+    """Printed factors joined by `` * ``, multi-term ones in parentheses."""
+    return " * ".join(f"({w})" if " + " in w or " - " in w else w for w in factors)
+
+
+def describe(res) -> dict:
+    """The printed form of a cup-length result; each distinct factor is formatted once.
+
+    A factored result prints its parts' products as one: monomials joined by
+    ``·`` (their product's label), tensor-square elements by ``join_factors``.
+    """
+    printed = {id(w): w for w in res.witness}
+    printed = {key: str(w) for key, w in printed.items()}
+    out = {
+        "value": res.value,
+        "exact": res.exact,
+        "method": res.method,
+        "witness": [printed[id(w)] for w in res.witness],
+    }
+    products = [p.witness_product for p in res.parts or [res] if p.witness_product is not None]
+    if products:
+        strs = [str(p) for p in products]
+        one = len(strs) == 1 or isinstance(products[0].algebra, MonomialAlgebra)
+        out["witness_product"] = "·".join(strs) if one else join_factors(strs)
+    if res.nodes:
+        out["nodes"] = res.nodes
+    return out
 
 
 def _finish(payload: dict, elapsed: Optional[float], json_mode: bool, lines: list) -> str:

@@ -62,3 +62,30 @@ def test_main_reads_two_files(tmp_path, capsys, faster):
     assert bench_compare.main(paths) == 0
     out = capsys.readouterr().out
     assert out.endswith(f"{int(faster)} of 3 lines flagged\n")
+
+
+def test_scaled_wall_times_are_compared_when_both_records_carry_them():
+    # The host ran 25 % slower for B: its raw wall time reads +25 %, beyond
+    # the spread, but at the reference speed the row did not move.
+    before, after = record([1.0] * 3, 1.0, 0.98, 1.02), record([1.0] * 3, 1.25, 1.23, 1.27)
+    for row, scaled in ((before["invocations"][0], 1.0), (after["invocations"][0], 1.0)):
+        row.update(wall_s_scaled=scaled, wall_s_scaled_min=scaled - 0.02,
+                   wall_s_scaled_max=scaled + 0.02)
+    assert bench_compare.report(before, after)[1] == (
+        "ring so:8:char2 wall_s_scaled: 1 -> 1 (x1.000)"
+    )
+    # One record without scaled times: both are compared as measured.
+    del before["invocations"][0]["wall_s_scaled"]
+    assert bench_compare.report(before, after)[1] == (
+        "ring so:8:char2 wall_s: 1 -> 1.25 (x1.250)  FLAG"
+    )
+
+
+def test_one_line_per_module_compile_step():
+    before, after = record([1.0] * 3, 1.0, 0.9, 1.1), record([1.0] * 3, 1.0, 0.9, 1.1)
+    before["compile_peak_rss_kb"] = {"cli.py": 1280, "cuplength.py": 1152, "gone.py": 256}
+    after["compile_peak_rss_kb"] = {"cli.py": 1280, "cuplength.py": 1024}
+    assert bench_compare.report(before, after)[-2:] == [
+        "compile cli.py peak_rss_kb: 1280 -> 1280 (x1.000)",
+        "compile cuplength.py peak_rss_kb: 1152 -> 1024 (x0.889)  FLAG",
+    ]

@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from frametc import cuplength, linalg
+from frametc import cuplength, linalg, report
 from frametc.algebra import (
     Element,
     GeneratorSpec,
@@ -58,7 +58,7 @@ class TestCupLength:
         (part,) = res.parts  # a^7, in the one-generator algebra of a
         assert part.algebra is not A and part.algebra.gens == A.gens
         assert str(part.witness_product) == "a^7"
-        assert res.describe()["witness_product"] == "a^7"
+        assert report.describe(res)["witness_product"] == "a^7"
         assert res.verify()
 
     def test_search_agrees_with_closed_form(self, entries):
@@ -552,16 +552,16 @@ class TestFactorWitnesses:
         assert not orphan.verify()
 
     def test_factored_witness_product_is_printed_per_part(self):
-        d = zcl_full(so_ring(5, F2)).describe()
+        d = report.describe(zcl_full(so_ring(5, F2)))
         assert d["witness_product"] == (
             "(1⊗b1^7 + b1⊗b1^6 + b1^2⊗b1^5 + b1^3⊗b1^4 + b1^4⊗b1^3"
             " + b1^5⊗b1^2 + b1^6⊗b1 + b1^7⊗1) * (1⊗b3 + b3⊗1)"
         )
         assert d["witness"] == ["1⊗b1 + b1⊗1"] * 7 + ["1⊗b3 + b3⊗1"]
         # One generator: the part's product, without parentheses.
-        d = zcl_full(rp_ring(3)).describe()
+        d = report.describe(zcl_full(rp_ring(3)))
         assert d["witness_product"] == "1⊗a^3 + a⊗a^2 + a^2⊗a + a^3⊗1"
-        assert "witness_product" not in zcl_full(so_ring(1, F2)).describe()
+        assert "witness_product" not in report.describe(zcl_full(so_ring(1, F2)))
 
 
 def exhaustive_longest_product(T, elements):
@@ -692,6 +692,22 @@ class TestWitnessContract:
         with pytest.raises(AssertionError, match="witness failed re-multiplication"):
             entry(A)
 
+    def test_witness_at_the_limit_answers_and_one_factor_more_is_refused(self, monkeypatch):
+        # so:12:char2 has cl 24 over six generators; rp:7 has cl 7.
+        for A, value in ((so_ring(12, F2), 24), (rp_ring(7), 7)):
+            monkeypatch.setattr(cuplength, "MAX_WITNESS", value)
+            assert cup_length(A).value == value
+            monkeypatch.setattr(cuplength, "MAX_WITNESS", value - 1)
+            built = []
+            monkeypatch.setattr(cuplength, "_by_generator", lambda *a: built.append(a))
+            with pytest.raises(
+                cuplength.WitnessTooLongError,
+                match=f"would have {value} factors; at most MAX_WITNESS = {value - 1} ",
+            ):
+                cup_length(A)
+            assert built == []  # refused before any part is built
+            monkeypatch.undo()
+
     def test_verify_rejects_zero_product(self):
         A = rp_ring(3)
         a = generator(A, "a")
@@ -712,7 +728,7 @@ class TestWitnessContract:
             return label(A, k)
 
         monkeypatch.setattr(MonomialAlgebra, "label", counted)
-        d = res.describe()
+        d = report.describe(res)
         assert len(calls) == 2 * len(res.parts) == 12
         assert d["witness"] == [str(w) for w in res.witness]
 
@@ -730,13 +746,13 @@ class TestWitnessContract:
 
             monkeypatch.setattr(MonomialAlgebra, name, recording)
         res = cup_length(A)
-        d = res.describe()
+        d = report.describe(res)
         assert (res.value, d["witness_product"]) == (24, top)
         assert used and all(B is not A and len(B.gens) == 1 for B in used)
         assert set(used) == {p.algebra for p in res.parts}
 
     def test_describe_shape(self):
-        d = cup_length(rp_ring(3)).describe()
+        d = report.describe(cup_length(rp_ring(3)))
         assert d["value"] == 3
         assert d["exact"] is True
         assert d["method"] == "closed-form"

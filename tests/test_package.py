@@ -316,6 +316,19 @@ def test_reports_are_not_read_back_and_cup_length_has_no_route_knob():
     assert list(inspect.signature(cup_length).parameters) == ["A", "budget"]
 
 
+def test_the_engine_computes_and_the_report_layer_prints():
+    # cuplength computes and verifies a result; report.describe formats it.
+    from frametc import cuplength, report
+
+    assert not {"describe", "join_factors"} & set(vars(cuplength))
+    assert not hasattr(CupLengthResult, "describe")
+    assert callable(report.describe) and callable(report.join_factors)
+    assert [
+        name for name, value in vars(report).items()
+        if value is cuplength or getattr(value, "__module__", None) == cuplength.__name__
+    ] == []
+
+
 @pytest.mark.parametrize(
     "make, attrs",
     [

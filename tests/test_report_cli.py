@@ -10,7 +10,7 @@ import pytest
 
 from frametc.catalog import MAX_GENERATORS, rp_ring, sphere_ring
 from frametc.fields import F2
-from frametc.cuplength import cup_length, zcl_full
+from frametc.cuplength import MAX_WITNESS, cup_length, zcl_full
 from helpers import ring_to_json
 
 DESCRIPTOR = os.path.join(os.path.dirname(__file__), "..", "descriptors", "s2.json")
@@ -332,12 +332,84 @@ class TestRingCommand:
 
     def test_cl_witness_longer_than_a_list_is_refused(self, run_cli):
         # cl(RP^n; F2) = n, witnessed by n copies of the generator: past
-        # sys.maxsize no list holds them, so the closed form refuses.
-        n = 99999999999999999999
-        code, out, err = run_cli(["ring", f"rp:{n}", "--compute", "cl"])
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"would have {n} factors" in err
+        # MAX_WITNESS factors the closed form refuses.
+        for n in (99999999999999999999, MAX_WITNESS + 1):
+            code, out, err = run_cli(["ring", f"rp:{n}", "--compute", "cl"])
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"would have {n} factors; at most MAX_WITNESS = {MAX_WITNESS}" in err
+
+    def test_cl_witness_past_the_limit_is_refused_at_once(self):
+        # cl(CP^n; Q) = n.  For n = 30,000,000 the witness list was built,
+        # re-multiplied and printed, past 40 s and 700 MB; now the call
+        # exits 1 in a child held to 100 MB of address space and 5 s.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        limit = 100 * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "frametc.cli", "ring", "cp:30000000:char0",
+             "--compute", "cl", "--no-timing"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: the cl witness would have 30000000 factors; at most "
+            f"MAX_WITNESS = {MAX_WITNESS} are listed\n"
+        )
+
+    def test_so_ring_too_long_to_print_is_refused(self, run_cli):
+        # so:n:char2 has dimension 2^(n-1): 2^14284 has 4300 digits, the
+        # most Python prints by default, and 2^14285 has 4301.  The limit is
+        # read at run time and the ring refused before any item runs.
+        refused = (
+            "error: ring so:14286:char2: its dimension, of 14286 bits, has more "
+            "than the 4300 digits Python prints of an integer\n"
+        )
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            for extra in ([], ["--json"], ["--compute", "zcl-full,basis"]):
+                code, out, err = run_cli(["ring", "so:14286:char2", "--no-timing", *extra])
+                assert (code, out, err) == (1, "", refused)
+                assert "set_int_max_str_digits" not in err
+            for n, cl in ((14284, 101208), (14285, 101212)):
+                code, out, err = run_cli(["ring", f"so:{n}:char2", "--no-timing"])
+                assert code == 0 and err == ""
+                assert f"\ndimension: {2 ** (n - 1)}\n" in out
+                assert f"\ncl: {cl} (exact; method closed-form)\n" in out
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    def test_ring_file_too_long_to_print_is_refused(self, run_cli, tmp_path):
+        # 7,143 generators of truncation 4: dimension 2^14286, 4301 digits.
+        # Refused under the default limit; printed when there is none (0).
+        ring = str(tmp_path / "long-dimension.json")
+        gens = [{"name": f"x{i}", "degree": 2, "truncation": 4} for i in range(7143)]
+        with open(ring, "w", encoding="utf-8") as fh:
+            json.dump({"field": {"char": 2}, "type": "monomial", "generators": gens}, fh)
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            refused = run_cli(["ring", ring, "--no-timing"])
+            sys.set_int_max_str_digits(0)
+            code, out, err = run_cli(["ring", ring, "--no-timing"])
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert refused == (
+            1,
+            "",
+            f"error: ring {ring}: its dimension, of 14287 bits, has more than the "
+            "4300 digits Python prints of an integer\n",
+        )
+        assert code == 0 and err == "" and "\ncl: 21429 (exact; method closed-form)\n" in out
 
     @pytest.mark.parametrize(
         "ring",
