@@ -7,10 +7,11 @@ Usage, from the root of a checkout::
 It prints one line per end-to-end metric of each workload (the median over
 seeds 1-3 of ``bench/run.py``), one per off-benchmark row and measure (the
 median of its samples) and one per module's compile step: the value of A,
-the value of B and their ratio B/A.  A row's wall time is compared at the
-reference host's speed (``wall_s_scaled``) when both records carry it, so
-host drift between the two runs does not read as change; otherwise as
-measured (``wall_s``).  A line is flagged when the change is above
+the value of B and their ratio B/A.  A row gives a line for each of
+``wall_s`` (as measured), ``wall_s_ref`` (at the reference host's speed,
+taken beside each child as ``bench/run.py`` takes it) and ``peak_rss_mb``
+that both records carry, so a record without per-child speeds is compared
+on its measured times only.  A line is flagged when the change is above
 ``THRESHOLD`` (10 %) and also larger than the spread, max - min, of each
 side: over the seeds for a workload, over the samples for a row.  A record
 that keeps one sample per row has no spread there, and a compile step is
@@ -36,12 +37,12 @@ def workload_stats(record: dict) -> dict:
     return {key: (statistics.median(v), min(v), max(v)) for key, v in values.items()}
 
 
-def row_stats(record: dict, wall: str = "wall_s") -> dict:
-    """(argv, measure) -> (median, min, max) of each off-benchmark row."""
+def row_stats(record: dict) -> dict:
+    """(argv, measure) -> (median, min, max) of each measure an off-benchmark row carries."""
     out = {}
     for row in record.get("invocations", []):
         argv = " ".join(row["argv"])
-        for measure in (wall, "peak_rss_mb"):
+        for measure in [m for m in ("wall_s", "wall_s_ref", "peak_rss_mb") if m in row]:
             median = row[measure]
             out[(argv, measure)] = (
                 median, row.get(measure + "_min", median), row.get(measure + "_max", median)
@@ -66,12 +67,8 @@ def compare(a: tuple, b: tuple) -> tuple:
 
 def report(a: dict, b: dict) -> list:
     """The printed lines: workloads, off-benchmark rows, then compile steps."""
-    scaled = all(
-        all("wall_s_scaled" in row for row in r.get("invocations", [])) for r in (a, b)
-    )
-    wall = "wall_s_scaled" if scaled else "wall_s"
     lines = []
-    for stats in (workload_stats, lambda r: row_stats(r, wall), compile_stats):
+    for stats in (workload_stats, row_stats, compile_stats):
         sa, sb = stats(a), stats(b)
         for key in [k for k in sa if k in sb]:
             ratio, flagged = compare(sa[key], sb[key])

@@ -12,16 +12,15 @@ one process at a time, in this order:
 * the final JSON line of ``bench/run.py --workload W --seed S --seconds 25
   --trace 0`` for every workload in ``BENCHMARK.json`` and seeds 1-3;
 * one ``--trace 1 --seed 1`` record per workload;
-* wall time and peak RSS (``os.wait4``) of each off-benchmark invocation in
-  ``INVOCATIONS``, each in a fresh interpreter, ``SAMPLES`` times, one
-  sample of every row per round, and per row the median, min and max of
-  each;
-* a speed reference for those rows: the rate of ``bench/run.py``'s
-  ``calibration_chunk`` (chunks per CPU second), taken for
-  ``CALIBRATION_S`` before and after each round.  Each sample's wall time
-  is also given at the reference host's speed, ``wall_s_scaled`` = wall
-  time x (the round's mean rate / ``REFERENCE_RATE``), as ``bench/run.py``
-  scales its children;
+* each off-benchmark invocation in ``INVOCATIONS``, ``SAMPLES`` times, one
+  sample of every row per round, each in a fresh interpreter timed as
+  ``bench/run.py`` times its children: the measured checkout's ``spawn``,
+  imported read-only and called from a small ``PROBE`` interpreter, runs the
+  child beside a calibration thread on its CPU.  Each sample gives the
+  child's wall time less that thread's share (``wall_s``), the same time at
+  the reference host's speed (``wall_s_ref``), that ``speed`` and the
+  child's peak RSS (``peak_rss_mb``), and each row the median, min and max
+  of each;
 * whether the children compiled ``frametc`` cold: ``PYTHONDONTWRITEBYTECODE``
   and whether ``src/frametc/__pycache__`` existed before the benchmark runs
   and after the off-benchmark rows;
@@ -30,9 +29,11 @@ one process at a time, in this order:
   (``resource.getrusage`` around ``compile()``), the median of
   ``COMPILE_SAMPLES`` interpreters, in KiB;
 * the Tier-1 pass and fail counts and wall time;
-* the median ``python3 -c pass`` time and peak RSS, the commit, the SHA-256
-  of ``src/frametc``, the line count (``wc -l``) of each ``src/frametc/*.py``
-  and their total, the CPU count and the Python version.
+* ``python3 -c pass``, timed as the rows, ``STARTUP_SAMPLES`` times, with
+  the same summary (``python_c_pass``);
+* the commit, the SHA-256 of ``src/frametc``, the line count (``wc -l``) of
+  each ``src/frametc/*.py`` and their total, the CPU count and the Python
+  version.
 
 A full run takes about fifteen minutes on two CPUs.
 """
@@ -42,7 +43,6 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
-import importlib.util
 import json
 import os
 import platform
@@ -60,30 +60,31 @@ CHILD_TIMEOUT_S = 300
 SAMPLES = 5  # of each off-benchmark invocation
 STARTUP_SAMPLES = 9
 COMPILE_SAMPLES = 3  # interpreters per module's compile step
-CALIBRATION_S = 0.5  # CPU seconds of calibration chunks before and after each round
 CLI = "import sys; from frametc.cli import main; sys.exit(main())"
-# Runs the command after its timeout argument in a forked child, with output
-# discarded and SIGALRM after the timeout, and prints its exit code, wall
-# time and peak RSS (os.wait4) as JSON.  A child's peak RSS counts the pages
-# it shared with its parent before exec, so the fork is made from this small
-# interpreter, not from the script: its RSS, a few MB, is the floor.
+# Loads the measured checkout's bench/run.py, pins itself off the child's CPU
+# as ``run_e2e`` does, and runs the command after its timeout and work-dir
+# arguments with ``spawn``: the child shares its CPU with a calibration
+# thread for its whole life.  Prints the exit code, the child's wall time
+# less the calibration thread's share (``wall_s``), that time at the
+# reference host's speed (``wall_s_ref``, as bench/run.py scales its
+# children), the speed and the child's peak RSS as JSON.  A child's peak RSS
+# counts the pages its parent held at fork, so the fork is made from this
+# small interpreter, not from the script.
 PROBE = r"""
-import os, signal, sys, time
-t0 = time.perf_counter()
-pid = os.fork()
-if pid == 0:
-    null = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(null, 1)
-    os.dup2(null, 2)
-    signal.alarm(int(sys.argv[1]))
-    os.execv(sys.argv[2], sys.argv[2:])
-_, status, usage = os.wait4(pid, 0)
-wall = time.perf_counter() - t0
-import json
+import importlib.util, json, os, sys
+spec = importlib.util.spec_from_file_location("bench_run", os.path.join("bench", "run.py"))
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+cpus = sorted(os.sched_getaffinity(0))
+os.sched_setaffinity(0, {cpus[-1]})
+sys.setswitchinterval(0.001)
+res = run.spawn(sys.argv[3:], sys.argv[2], float(sys.argv[1]), cpus[0])
 print(json.dumps({
-    "exit": os.waitstatus_to_exitcode(status),
-    "wall_s": round(wall, 4),
-    "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),  # ru_maxrss is in KiB on Linux
+    "exit": res["code"],
+    "wall_s": round(res["solo_wall"], 4),
+    "wall_s_ref": round(res["solo_wall"] * res["speed"], 4),
+    "speed": round(res["speed"], 4),
+    "peak_rss_mb": round(res["rss_mb"], 2),
 }))
 """
 # Prints how many KiB compiling the file named by its argument adds to this
@@ -101,10 +102,12 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 # probe in its place): its peak starts at the shell's RSS, not this script's.
 FROM_SHELL = ["sh", "-c", '"$@"; :', "sh"]
 # Off-benchmark invocations: the "where the time goes" rows of ROADMAP.md.
-# "T10_TABLE" stands for t:10:char2 written out as a 1,024-class table.  The
-# two small rings show what a child compiles, seen outside the benchmark's
-# fork floor: a monomial ring compiles neither the table layer nor linalg,
-# and sigma:2 compiles both.
+# An argv item that is a key of the script's input files stands for that
+# file, written to a temp dir: "T10_TABLE" is t:10:char2 written out as a
+# 1,024-class table, and "DIM1000_DESCRIPTOR" a dim-1000 manifold whose
+# ring is s:2:char2.  The two small rings show what a child compiles: a
+# monomial ring compiles neither the table layer nor linalg, and sigma:2
+# compiles both.
 INVOCATIONS = (
     ["ring", "so:8:char2", "--compute", "cl,zcl-full"],
     ["ring", "sigma:2:char0", "--compute", "zcl-full"],
@@ -114,10 +117,18 @@ INVOCATIONS = (
     ["ring", "sigma:600:char0", "--compute", "cl,zcl-full"],
     ["ring", "so:1000:char2", "--compute", "cl"],
     ["ring", "so:2000:char2", "--compute", "cl"],
+    ["ring", "so:4000:char2", "--compute", "zcl-full"],
     ["ring", "t:3000:char0", "--compute", "cl"],
     ["ring", "t:3000:char0", "--compute", "zcl-full"],
     ["ring", "T10_TABLE", "--compute", "cl"],
+    ["frame-bundle", "DIM1000_DESCRIPTOR"],
 )
+DIM1000_DESCRIPTOR = {
+    "name": "dim-1000 manifold with the cohomology of S^2",
+    "dim": 1000,
+    "tncz_fields": ["char=2"],
+    "cohomology": {"char=2": "s:2:char2"},
+}
 
 
 def exterior_table(n: int) -> dict:
@@ -139,10 +150,13 @@ def exterior_table(n: int) -> dict:
     }
 
 
-def timed_child(cmd: list, cwd: str, env: dict) -> dict:
-    """Run one child to completion: exit code, wall time and peak RSS."""
-    probe = [sys.executable, "-S", "-c", PROBE, str(CHILD_TIMEOUT_S), *cmd]
-    proc = subprocess.run(probe, cwd=cwd, env=env, capture_output=True, text=True, check=True)
+def timed_child(cmd: list, root: str) -> dict:
+    """Run one child with ``bench/run.py``'s ``spawn`` under ``PROBE``: its measures."""
+    with tempfile.TemporaryDirectory() as work:
+        probe = [sys.executable, "-S", "-c", PROBE, str(CHILD_TIMEOUT_S), work, *cmd]
+        proc = subprocess.run(probe, cwd=root, capture_output=True, text=True, check=False)
+    if proc.returncode:
+        raise RuntimeError(f"probe of {cmd} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
@@ -150,31 +164,12 @@ def summary(samples: list) -> dict:
     """Exit code, and median, min and max of each measure of samples."""
     exits = sorted({row["exit"] for row in samples})
     out = {"exit": exits[0] if len(exits) == 1 else exits, "samples": len(samples)}
-    for key in ("wall_s", "wall_s_scaled", "peak_rss_mb"):
+    for key in ("wall_s", "wall_s_ref", "speed", "peak_rss_mb"):
         values = [row[key] for row in samples]
         out[key] = statistics.median(values)
         out[key + "_min"] = min(values)
         out[key + "_max"] = max(values)
     return out
-
-
-def load_bench_run(root: str):
-    """``bench/run.py`` of the measured checkout, as a module (its ``main`` is not run)."""
-    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(root, "bench", "run.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def chunk_rate(chunk) -> float:
-    """Calls of ``chunk`` per CPU second of this thread, over ``CALIBRATION_S``."""
-    chunks = 0
-    t0 = t = time.thread_time()
-    while t - t0 < CALIBRATION_S:
-        chunk()
-        chunks += 1
-        t = time.thread_time()
-    return chunks / (t - t0)
 
 
 def bytecode_state(root: str) -> dict:
@@ -275,46 +270,26 @@ def main(argv=None) -> int:
     }
     record["traced"] = {w: bench_line(root, w, 1, 1) for w in workloads}
 
-    bench_run = load_bench_run(root)
-    rates = []
     samples = [[] for _ in INVOCATIONS]
     with tempfile.TemporaryDirectory() as tmp:
-        table = os.path.join(tmp, "t10-char2-table.json")
-        with open(table, "w", encoding="utf-8") as fh:
-            json.dump(exterior_table(10), fh)
+        files = {"T10_TABLE": exterior_table(10), "DIM1000_DESCRIPTOR": DIM1000_DESCRIPTOR}
+        for name, data in files.items():
+            with open(os.path.join(tmp, name + ".json"), "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
         for _ in range(SAMPLES):  # round-robin, so host drift spreads over every row
-            before = chunk_rate(bench_run.calibration_chunk)
-            taken = []
-            for argv in INVOCATIONS:
-                real = [table if a == "T10_TABLE" else a for a in argv]
-                cmd = [sys.executable, "-c", CLI, *real, "--no-timing"]
-                taken.append(timed_child(cmd, root, env))
-            after = chunk_rate(bench_run.calibration_chunk)
-            rates += [before, after]
-            speed = (before + after) / 2 / bench_run.REFERENCE_RATE
-            for row, sample in zip(samples, taken):
-                sample["wall_s_scaled"] = round(sample["wall_s"] * speed, 4)
-                row.append(sample)
+            for argv, row in zip(INVOCATIONS, samples):
+                real = [os.path.join(tmp, a + ".json") if a in files else a for a in argv]
+                row.append(timed_child([sys.executable, "-c", CLI, *real, "--no-timing"], root))
     record["invocations"] = [
         {"argv": list(argv), **summary(taken)} for argv, taken in zip(INVOCATIONS, samples)
     ]
-    record["speed_reference"] = {
-        "reference_rate": bench_run.REFERENCE_RATE,
-        "rates": [round(rate, 1) for rate in rates],  # before and after each round
-        "median_rate": round(statistics.median(rates), 1),
-    }
     bytecode["after_rows"] = bytecode_state(root)
     record["bytecode"] = bytecode
     record["compile_peak_rss_kb"] = compile_steps(root)
 
     record["tier1"] = tier1(root, env)
-    startup = [
-        timed_child([sys.executable, "-c", "pass"], root, env)
-        for _ in range(STARTUP_SAMPLES)
-    ]
-    record["python_c_pass_s"] = statistics.median(row["wall_s"] for row in startup)
-    record["python_c_pass_peak_rss_mb"] = statistics.median(
-        row["peak_rss_mb"] for row in startup
+    record["python_c_pass"] = summary(
+        [timed_child([sys.executable, "-c", "pass"], root) for _ in range(STARTUP_SAMPLES)]
     )
     record["commit"] = git(root, "rev-parse", "HEAD")
     record["dirty"] = bool(git(root, "status", "--porcelain", "--", "src"))

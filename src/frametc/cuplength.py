@@ -53,7 +53,8 @@ nonzero elements is nonzero.  Both routes are cross-checked against
 independent oracles by the test suite, never only against each other.
 
 Every result carries a witness that is re-multiplied and checked nonzero
-before it is returned, once, by the public entry that returns it.
+before it is returned, once, by the public entry that returns it; each
+distinct factor of a zcl witness is also checked to be a zero-divisor.
 Budget-limited searches return ``exact=False`` and their value is then only
 a lower bound; callers that need upper bounds must reject inexact results.
 A cl witness of more than ``MAX_WITNESS`` factors is refused before it is
@@ -107,7 +108,9 @@ class CupLengthResult:
     def verify(self) -> bool:
         """Re-multiply the witness and confirm a nonzero product of the stated length.
 
-        A factored result re-verifies its parts, in generator order, and their sum.
+        A factor outside ``algebra`` must be a zero-divisor of its tensor
+        square, each distinct one checked once.  A factored result
+        re-verifies its parts, in generator order, and their sum.
         """
         if self.parts:
             return (
@@ -121,6 +124,14 @@ class CupLengthResult:
             return not self.witness
         if len(self.witness) != self.value:
             return False
+        A = self.algebra
+        for w in {id(w): w for w in self.witness}.values():
+            T = w.algebra
+            if T is not A and not (
+                isinstance(T, ProductAlgebra) and T.left is A and T.right is A
+                and not diagonal_image(T, w.coeffs)
+            ):
+                return False
         prod = self.witness[0]
         for w in self.witness[1:]:
             prod = prod * w
@@ -202,20 +213,6 @@ def bar(T: ProductAlgebra, u: Element) -> Element:
     return Element(T, coeffs)
 
 
-def _bars(T: ProductAlgebra, sources: list[int]) -> list[Element]:
-    """Bars of the given basis classes, each checked to be a zero-divisor."""
-    A = T.left
-    bars = []
-    for i in sources:
-        b = bar(T, A.basis_element(i))
-        if diagonal_image(T, b.coeffs):
-            raise AssertionError(
-                f"internal error: bar({A.label(i)}) is not a zero-divisor"
-            )
-        bars.append(b)
-    return bars
-
-
 def _longest_product(
     A: Algebra, T: Algebra, elements: list[Element], budget: int, method: str
 ) -> CupLengthResult:
@@ -273,7 +270,8 @@ def _longest_product(
 def _generator_bar_search(A: Algebra, budget: int) -> CupLengthResult:
     """Longest nonzero product of generator bars, in the lazy tensor square."""
     T = ProductAlgebra(A, A)
-    return _longest_product(A, T, _bars(T, A.generators()), budget, "generator-bars")
+    bars = [bar(T, A.basis_element(i)) for i in A.generators()]
+    return _longest_product(A, T, bars, budget, "generator-bars")
 
 
 def zcl_basic(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:

@@ -64,21 +64,43 @@ def test_main_reads_two_files(tmp_path, capsys, faster):
     assert out.endswith(f"{int(faster)} of 3 lines flagged\n")
 
 
-def test_scaled_wall_times_are_compared_when_both_records_carry_them():
-    # The host ran 25 % slower for B: its raw wall time reads +25 %, beyond
-    # the spread, but at the reference speed the row did not move.
-    before, after = record([1.0] * 3, 1.0, 0.98, 1.02), record([1.0] * 3, 1.25, 1.23, 1.27)
-    for row, scaled in ((before["invocations"][0], 1.0), (after["invocations"][0], 1.0)):
-        row.update(wall_s_scaled=scaled, wall_s_scaled_min=scaled - 0.02,
-                   wall_s_scaled_max=scaled + 0.02)
-    assert bench_compare.report(before, after)[1] == (
-        "ring so:8:char2 wall_s_scaled: 1 -> 1 (x1.000)"
+def with_ref(rec, ref, spread=0.02):
+    """rec with a per-child reference-speed wall time on its row."""
+    rec["invocations"][0].update(wall_s_ref=ref, wall_s_ref_min=ref - spread,
+                                 wall_s_ref_max=ref + spread)
+    return rec
+
+
+def test_per_child_reference_wall_times_are_compared():
+    # The host ran 25 % slower for B: its measured wall time reads +25 %,
+    # beyond the spread, and its reference-speed time did not move.
+    before = with_ref(record([1.0] * 3, 1.0, 0.98, 1.02), 1.0)
+    after = with_ref(record([1.0] * 3, 1.25, 1.23, 1.27), 1.0)
+    assert bench_compare.report(before, after)[1:4] == [
+        "ring so:8:char2 wall_s: 1 -> 1.25 (x1.250)  FLAG",
+        "ring so:8:char2 wall_s_ref: 1 -> 1 (x1.000)",
+        "ring so:8:char2 peak_rss_mb: 14.5 -> 14.5 (x1.000)",
+    ]
+    slower = with_ref(record([1.0] * 3, 1.25, 1.23, 1.27), 1.3)
+    assert bench_compare.report(before, slower)[2] == (
+        "ring so:8:char2 wall_s_ref: 1 -> 1.3 (x1.300)  FLAG"
     )
-    # One record without scaled times: both are compared as measured.
-    del before["invocations"][0]["wall_s_scaled"]
-    assert bench_compare.report(before, after)[1] == (
-        "ring so:8:char2 wall_s: 1 -> 1.25 (x1.250)  FLAG"
-    )
+
+
+def test_round_scaled_times_are_never_compared_with_per_child_ones():
+    # A row of a record that scaled each round of rows by one speed, against
+    # a row timed beside its own calibration thread: only the measures both
+    # carry are compared.
+    old = record([1.0] * 3, 1.0, 0.98, 1.02)
+    old["invocations"][0].update(wall_s_scaled=0.8, wall_s_scaled_min=0.78,
+                                 wall_s_scaled_max=0.82)
+    new = with_ref(record([1.0] * 3, 1.0, 0.98, 1.02), 1.2)
+    for a, b in ((old, new), (new, old)):
+        lines = bench_compare.report(a, b)
+        assert lines[1:] == [
+            "ring so:8:char2 wall_s: 1 -> 1 (x1.000)",
+            "ring so:8:char2 peak_rss_mb: 14.5 -> 14.5 (x1.000)",
+        ]
 
 
 def test_one_line_per_module_compile_step():

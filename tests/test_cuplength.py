@@ -645,6 +645,7 @@ class TestWitnessContract:
             method=res.method,
             witness=res.witness[:-1],
             witness_product=res.witness_product,
+            algebra=res.algebra,
         )
         assert not broken.verify()
         wrong_product = CupLengthResult(
@@ -653,8 +654,46 @@ class TestWitnessContract:
             method=res.method,
             witness=res.witness,
             witness_product=res.witness[0],
+            algebra=res.algebra,
         )
         assert not wrong_product.verify()
+
+    def test_verify_rejects_a_zcl_witness_of_non_zero_divisors(self):
+        # a1⊗1 · b1⊗1 · 1⊗a2 · 1⊗b2 = ±w⊗w is nonzero in A⊗A, but no factor
+        # is a zero-divisor, so it witnesses nothing about zcl.
+        A = surface_ring(2, QQ)
+        T = ProductAlgebra(A, A)
+        index = {A.label(i): i for i in range(A.dim)}
+
+        def tensor_class(left, right):
+            return Element(T, {T.pair_index(index[left], index[right]): 1})
+
+        fake = [tensor_class("a1", "1"), tensor_class("b1", "1"),
+                tensor_class("1", "a2"), tensor_class("1", "b2")]
+        product = fake[0] * fake[1] * fake[2] * fake[3]
+        assert set(product.coeffs) == {T.pair_index(index["w"], index["w"])}
+        assert not CupLengthResult(4, True, "generator-bars", fake, algebra=A).verify()
+        # Genuine bars verify, but only as zero-divisors of A's own square.
+        real = zcl_full(A)
+        assert real.value == 4 and real.verify()
+        assert not CupLengthResult(
+            4, True, "generator-bars", real.witness, algebra=surface_ring(2, QQ)
+        ).verify()
+
+    def test_each_distinct_witness_factor_is_checked_once(self, monkeypatch):
+        calls = []
+        image = cuplength.diagonal_image
+
+        def counted(T, vec):
+            calls.append(id(vec))
+            return image(T, vec)
+
+        monkeypatch.setattr(cuplength, "diagonal_image", counted)
+        res = zcl_full(so_ring(12, F2))  # six parts, each a power of one bar
+        assert len(res.witness) == 24 and len(calls) == 6
+        calls.clear()
+        res = zcl_full(surface_ring(2, QQ))  # four distinct bars
+        assert len(calls) == len({id(w) for w in res.witness}) == 4
 
     def test_each_factor_part_is_verified_once(self, monkeypatch):
         calls = Counter()
@@ -711,7 +750,7 @@ class TestWitnessContract:
     def test_verify_rejects_zero_product(self):
         A = rp_ring(3)
         a = generator(A, "a")
-        dead = CupLengthResult(2, True, "search", [a * a, a * a])
+        dead = CupLengthResult(2, True, "search", [a * a, a * a], algebra=A)
         assert not dead.verify()
 
     def test_describe_formats_each_distinct_factor_once(self, monkeypatch):

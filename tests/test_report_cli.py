@@ -65,6 +65,11 @@ class TestRingCommand:
         )
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("family", ["cp", "t", "s"])
+    def test_empty_catalog_ring_is_refused(self, run_cli, family):
+        code, out, err = run_cli(["ring", f"{family}:0:char0", "--no-timing"])
+        assert (code, out, err) == (1, "", f"error: {family} requires n >= 1, got 0\n")
+
     @pytest.mark.parametrize(
         "ring",
         [
@@ -630,6 +635,17 @@ class TestExamplesCommand:
         assert code == 2
         assert "NO" in out
         assert "note (t3):" in out
+
+    def test_budget_zero_warns_under_each_row_in_text(self, run_cli):
+        code, out, _ = run_cli(["examples", "rp1", "t3", "--budget", "0", "--no-timing"])
+        assert code == 2
+        warning = (
+            "zero-divisor search budget exhausted: entries noting it use a searched"
+            " lower value, so the lower end may rise with a larger --budget"
+        )
+        assert [line for line in out.splitlines() if line.startswith("warning")] == [
+            f"warning (rp1): {warning}", f"warning (t3): {warning}"
+        ]
 
     def test_json_mode(self, run_cli):
         code, out, _ = run_cli(["examples", "rp1", "--json", "--no-timing"])

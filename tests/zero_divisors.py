@@ -9,7 +9,7 @@ this is not an independent reference.
 from __future__ import annotations
 
 from frametc.algebra import Algebra, Element, ProductAlgebra
-from frametc.cuplength import _bars
+from frametc.cuplength import bar
 
 
 class ZeroDivisorBasis:
@@ -35,12 +35,12 @@ class ZeroDivisorBasis:
 def zero_divisor_generators(A: Algebra) -> ZeroDivisorBasis:
     """Construct m̄ = 1⊗m − m⊗1 for each positive-degree basis class m.
 
-    Each element is verified to lie in the kernel of the multiplication map.
-    Bars are ordered by (degree, basis index).
+    Bars are ordered by (degree, basis index); the tests check that each
+    lies in the kernel of the multiplication map.
     """
     T = ProductAlgebra(A, A)
     order = sorted(
         (i for i in range(A.dim) if A.degree(i) > 0),
         key=lambda i: (A.degree(i), i),
     )
-    return ZeroDivisorBasis(A, T, _bars(T, order), order)
+    return ZeroDivisorBasis(A, T, [bar(T, A.basis_element(i)) for i in order], order)
