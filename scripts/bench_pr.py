@@ -35,7 +35,7 @@ one process at a time, in this order:
   each ``src/frametc/*.py`` and their total, the CPU count and the Python
   version.
 
-A full run takes about fifteen minutes on two CPUs.
+A full run takes about ten minutes on two CPUs.
 """
 
 from __future__ import annotations
