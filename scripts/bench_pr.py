@@ -97,7 +97,7 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 compile(source, sys.argv[1], "exec")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
-# An exec keeps the peak RSS of the process it replaces, so the probe is
+# An exec keeps the peak RSS of the process it replaces, so COMPILE_PROBE is
 # forked from a shell (the trailing ":" keeps the shell from exec-ing the
 # probe in its place): its peak starts at the shell's RSS, not this script's.
 FROM_SHELL = ["sh", "-c", '"$@"; :', "sh"]
