@@ -8,14 +8,15 @@ It prints one line per end-to-end metric of each workload (the median over
 seeds 1-3 of ``bench/run.py``), one per off-benchmark row and measure (the
 median of its samples) and one per module's compile step: the value of A,
 the value of B and their ratio B/A.  A row gives a line for each of
-``wall_s`` (as measured), ``wall_s_ref`` (at the reference host's speed,
-taken beside each child as ``bench/run.py`` takes it) and ``peak_rss_mb``
-that both records carry, so a record without per-child speeds is compared
-on its measured times only.  A line is flagged when the change is above
-``THRESHOLD`` (10 %) and also larger than the spread, max - min, of each
-side: over the seeds for a workload, over the samples for a row.  A record
-that keeps one sample per row has no spread there, and a compile step is
-one median, so the 10 % alone decides.
+``wall_s_ref`` (at the reference host's speed, taken beside each child as
+``bench/run.py`` takes it), ``peak_rss_mb`` and, in records older than
+BENCH_30, ``wall_s`` (as measured) that both records carry.  A compile step
+(``compile_alloc_kb``) is compared only with another record's exact step,
+never with the RSS steps of older records.  A line is flagged when the
+change is above ``THRESHOLD`` (10 %) and also larger than the spread, max -
+min, of each side: over the seeds for a workload, over the samples for a
+row.  A compile step is exact, and a record that keeps one sample per row
+has no spread there, so the 10 % alone decides.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def row_stats(record: dict) -> dict:
 
 
 def compile_stats(record: dict) -> dict:
-    """(compile module, peak_rss_kb) -> (step, step, step) for each module."""
-    steps = record.get("compile_peak_rss_kb", {})
-    return {(f"compile {name}", "peak_rss_kb"): (kb, kb, kb) for name, kb in steps.items()}
+    """(compile module, alloc_kb) -> (step, step, step) for each module."""
+    steps = record.get("compile_alloc_kb", {})
+    return {(f"compile {name}", "alloc_kb"): (kb, kb, kb) for name, kb in steps.items()}
 
 
 def compare(a: tuple, b: tuple) -> tuple:

@@ -12,28 +12,30 @@ one process at a time, in this order:
 * the final JSON line of ``bench/run.py --workload W --seed S --seconds 25
   --trace 0`` for every workload in ``BENCHMARK.json`` and seeds 1-3;
 * one ``--trace 1 --seed 1`` record per workload;
+* the commit, the SHA-256 of ``src/frametc``, the Python version, the CPU
+  count and model, as the first of those runs to print its ``provenance``
+  line gave them;
 * each off-benchmark invocation in ``INVOCATIONS``, ``SAMPLES`` times, one
   sample of every row per round, each in a fresh interpreter timed as
   ``bench/run.py`` times its children: the measured checkout's ``spawn``,
   imported read-only and called from a small ``PROBE`` interpreter, runs the
   child beside a calibration thread on its CPU.  Each sample gives the
-  child's wall time less that thread's share (``wall_s``), the same time at
-  the reference host's speed (``wall_s_ref``), that ``speed`` and the
-  child's peak RSS (``peak_rss_mb``), and each row the median, min and max
-  of each;
+  child's wall time less that thread's share at the reference host's speed
+  (``wall_s_ref``, the scale of the benchmark's own ``wall_s``), that
+  ``speed`` and the child's peak RSS (``peak_rss_mb``), and each row the
+  median, min and max of each;
 * whether the children compiled ``frametc`` cold: ``PYTHONDONTWRITEBYTECODE``
   and whether ``src/frametc/__pycache__`` existed before the benchmark runs
   and after the off-benchmark rows;
-* the compile step of each ``src/frametc/*.py``: how much compiling its
-  source raises a fresh ``python3 -S`` interpreter's peak RSS
-  (``resource.getrusage`` around ``compile()``), the median of
-  ``COMPILE_SAMPLES`` interpreters, in KiB;
+* the compile step of each ``src/frametc/*.py``: the peak KiB that
+  ``tracemalloc`` sees ``compile()`` allocate for its source in a fresh
+  ``python3 -S`` interpreter (``compile_alloc_kb``), the same on every run
+  of the same source;
 * the Tier-1 pass and fail counts and wall time;
 * ``python3 -c pass``, timed as the rows, ``STARTUP_SAMPLES`` times, with
   the same summary (``python_c_pass``);
-* the commit, the SHA-256 of ``src/frametc``, the line count (``wc -l``) of
-  each ``src/frametc/*.py`` and their total, the CPU count and the Python
-  version.
+* whether ``src`` differs from the commit, and the line count (``wc -l``)
+  of each ``src/frametc/*.py`` and their total.
 
 A full run takes about ten minutes on two CPUs.
 """
@@ -42,10 +44,8 @@ from __future__ import annotations
 
 import argparse
 import glob
-import hashlib
 import json
 import os
-import platform
 import re
 import statistics
 import subprocess
@@ -59,17 +59,16 @@ SECONDS = 25  # run length of every bench/run.py run
 CHILD_TIMEOUT_S = 300
 SAMPLES = 5  # of each off-benchmark invocation
 STARTUP_SAMPLES = 9
-COMPILE_SAMPLES = 3  # interpreters per module's compile step
 CLI = "import sys; from frametc.cli import main; sys.exit(main())"
 # Loads the measured checkout's bench/run.py, pins itself off the child's CPU
 # as ``run_e2e`` does, and runs the command after its timeout and work-dir
 # arguments with ``spawn``: the child shares its CPU with a calibration
 # thread for its whole life.  Prints the exit code, the child's wall time
-# less the calibration thread's share (``wall_s``), that time at the
-# reference host's speed (``wall_s_ref``, as bench/run.py scales its
-# children), the speed and the child's peak RSS as JSON.  A child's peak RSS
-# counts the pages its parent held at fork, so the fork is made from this
-# small interpreter, not from the script.
+# less the calibration thread's share at the reference host's speed
+# (``wall_s_ref``, as bench/run.py scales its children), the speed and the
+# child's peak RSS as JSON.  A child's peak RSS counts the pages its parent
+# held at fork, so the fork is made from this small interpreter, not from
+# the script.
 PROBE = r"""
 import importlib.util, json, os, sys
 spec = importlib.util.spec_from_file_location("bench_run", os.path.join("bench", "run.py"))
@@ -81,26 +80,25 @@ sys.setswitchinterval(0.001)
 res = run.spawn(sys.argv[3:], sys.argv[2], float(sys.argv[1]), cpus[0])
 print(json.dumps({
     "exit": res["code"],
-    "wall_s": round(res["solo_wall"], 4),
     "wall_s_ref": round(res["solo_wall"] * res["speed"], 4),
     "speed": round(res["speed"], 4),
     "peak_rss_mb": round(res["rss_mb"], 2),
 }))
 """
-# Prints how many KiB compiling the file named by its argument adds to this
-# interpreter's peak RSS.
+# Prints the peak KiB that compiling the file named by its argument
+# allocates.  The first compile() sets up the parser's own state, so the
+# traced one counts only what this source needs.
 COMPILE_PROBE = r"""
-import resource, sys
+import sys, tracemalloc
 with open(sys.argv[1], encoding="utf-8") as fh:
     source = fh.read()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+compile("pass", "<parser>", "exec")
+tracemalloc.start()
 compile(source, sys.argv[1], "exec")
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(tracemalloc.get_traced_memory()[1] // 1024)
 """
-# An exec keeps the peak RSS of the process it replaces, so COMPILE_PROBE is
-# forked from a shell (the trailing ":" keeps the shell from exec-ing the
-# probe in its place): its peak starts at the shell's RSS, not this script's.
-FROM_SHELL = ["sh", "-c", '"$@"; :', "sh"]
+# The keys of a bench/run.py ``provenance`` line that a record keeps.
+PROVENANCE = ("commit", "src_sha256", "python", "nproc", "cpu_model")
 # Off-benchmark invocations: the "where the time goes" rows of ROADMAP.md.
 # An argv item that is a key of the script's input files stands for that
 # file, written to a temp dir: "T10_TABLE" is t:10:char2 written out as a
@@ -164,7 +162,7 @@ def summary(samples: list) -> dict:
     """Exit code, and median, min and max of each measure of samples."""
     exits = sorted({row["exit"] for row in samples})
     out = {"exit": exits[0] if len(exits) == 1 else exits, "samples": len(samples)}
-    for key in ("wall_s", "wall_s_ref", "speed", "peak_rss_mb"):
+    for key in ("wall_s_ref", "speed", "peak_rss_mb"):
         values = [row[key] for row in samples]
         out[key] = statistics.median(values)
         out[key + "_min"] = min(values)
@@ -181,31 +179,44 @@ def bytecode_state(root: str) -> dict:
 
 
 def compile_steps(root: str) -> dict:
-    """Median KiB that compiling each ``src/frametc/*.py`` adds to a fresh peak RSS."""
-    steps = {}
-    for path in sorted(glob.glob(os.path.join(root, "src", "frametc", "*.py"))):
-        runs = [
-            int(subprocess.run(
-                [*FROM_SHELL, sys.executable, "-S", "-c", COMPILE_PROBE, path],
-                capture_output=True, text=True, check=True,
-            ).stdout)
-            for _ in range(COMPILE_SAMPLES)
-        ]
-        steps[os.path.basename(path)] = statistics.median(runs)
-    return steps
+    """Peak KiB that compiling each ``src/frametc/*.py`` allocates, by basename."""
+    return {
+        os.path.basename(path): int(subprocess.run(
+            [sys.executable, "-S", "-c", COMPILE_PROBE, path],
+            capture_output=True, text=True, check=True,
+        ).stdout)
+        for path in sorted(glob.glob(os.path.join(root, "src", "frametc", "*.py")))
+    }
 
 
-def bench_line(root: str, workload: str, seed: int, trace: int) -> dict:
-    """The final JSON line of one ``bench/run.py`` run."""
+def bench_line(root: str, workload: str, seed: int, trace: int) -> tuple:
+    """The final JSON line of one ``bench/run.py`` run and its provenance (or None)."""
     cmd = [
         sys.executable, os.path.join(root, "bench", "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
+    prov = next((json.loads(line.split(" ", 1)[1]) for line in lines
+                 if line.startswith("provenance ")), None)
     if proc.returncode != 0 or not lines:
-        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return json.loads(lines[-1])
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}, prov
+    return json.loads(lines[-1]), prov
+
+
+def benchmark_runs(root: str, workloads: list) -> dict:
+    """Seeds 1-3 and one traced run of each workload, with the first provenance printed."""
+    provs = []
+
+    def run(workload: str, seed: int, trace: int) -> dict:
+        line, prov = bench_line(root, workload, seed, trace)
+        provs.append(prov)
+        return line
+
+    out = {"benchmark": {w: {f"seed{s}": run(w, s, 0) for s in SEEDS} for w in workloads}}
+    out["traced"] = {w: run(w, 1, 1) for w in workloads}
+    first = next((p for p in provs if p), {})
+    return {**out, **{key: first.get(key) for key in PROVENANCE}}
 
 
 def tier1(root: str, env: dict) -> dict:
@@ -221,20 +232,6 @@ def tier1(root: str, env: dict) -> dict:
         "wall_s": round(wall, 2),
         "summary": tail,
     }
-
-
-def source_sha256(root: str) -> str:
-    """SHA-256 over the relative path and bytes of every file in src/frametc."""
-    top = os.path.join(root, "src", "frametc")
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in os.walk(top):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            digest.update(os.path.relpath(path, top).encode() + b"\0")
-            with open(path, "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
 
 
 def source_lines(root: str) -> dict:
@@ -265,10 +262,7 @@ def main(argv=None) -> int:
 
     record = {"pr": args.pr, "seconds": SECONDS}
     bytecode = {"before": bytecode_state(root)}
-    record["benchmark"] = {
-        w: {f"seed{s}": bench_line(root, w, s, 0) for s in SEEDS} for w in workloads
-    }
-    record["traced"] = {w: bench_line(root, w, 1, 1) for w in workloads}
+    record.update(benchmark_runs(root, workloads))
 
     samples = [[] for _ in INVOCATIONS]
     with tempfile.TemporaryDirectory() as tmp:
@@ -285,18 +279,14 @@ def main(argv=None) -> int:
     ]
     bytecode["after_rows"] = bytecode_state(root)
     record["bytecode"] = bytecode
-    record["compile_peak_rss_kb"] = compile_steps(root)
+    record["compile_alloc_kb"] = compile_steps(root)
 
     record["tier1"] = tier1(root, env)
     record["python_c_pass"] = summary(
         [timed_child([sys.executable, "-c", "pass"], root) for _ in range(STARTUP_SAMPLES)]
     )
-    record["commit"] = git(root, "rev-parse", "HEAD")
     record["dirty"] = bool(git(root, "status", "--porcelain", "--", "src"))
-    record["src_sha256"] = source_sha256(root)
     record["src_lines"] = source_lines(root)
-    record["nproc"] = os.cpu_count()
-    record["python"] = platform.python_version()
 
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)

@@ -105,9 +105,27 @@ def test_round_scaled_times_are_never_compared_with_per_child_ones():
 
 def test_one_line_per_module_compile_step():
     before, after = record([1.0] * 3, 1.0, 0.9, 1.1), record([1.0] * 3, 1.0, 0.9, 1.1)
-    before["compile_peak_rss_kb"] = {"cli.py": 1280, "cuplength.py": 1152, "gone.py": 256}
-    after["compile_peak_rss_kb"] = {"cli.py": 1280, "cuplength.py": 1024}
+    before["compile_alloc_kb"] = {"cli.py": 1016, "cuplength.py": 800, "gone.py": 12}
+    after["compile_alloc_kb"] = {"cli.py": 1016, "cuplength.py": 676}
     assert bench_compare.report(before, after)[-2:] == [
-        "compile cli.py peak_rss_kb: 1280 -> 1280 (x1.000)",
-        "compile cuplength.py peak_rss_kb: 1152 -> 1024 (x0.889)  FLAG",
+        "compile cli.py alloc_kb: 1016 -> 1016 (x1.000)",
+        "compile cuplength.py alloc_kb: 800 -> 676 (x0.845)  FLAG",
     ]
+
+
+def test_exact_compile_steps_are_never_compared_with_rss_steps():
+    # An older record's steps are RSS growth in 128 KB pages; a newer one's
+    # are exact allocations: no line compares the two, either way round.
+    old, new = record([1.0] * 3, 1.0, 0.9, 1.1), record([1.0] * 3, 1.0, 0.9, 1.1)
+    old["compile_peak_rss_kb"] = {"cli.py": 1280}
+    new["compile_alloc_kb"] = {"cli.py": 1016}
+    for a, b in ((old, new), (new, old)):
+        assert not [line for line in bench_compare.report(a, b) if line.startswith("compile")]
+
+
+def test_equal_exact_compile_steps_never_flag():
+    steps = {"__init__.py": 12, "algebra.py": 1090, "cli.py": 1016}
+    before, after = record([1.0] * 3, 1.0, 0.9, 1.1), record([1.0] * 3, 1.0, 0.9, 1.1)
+    before["compile_alloc_kb"], after["compile_alloc_kb"] = steps, dict(steps)
+    lines = [line for line in bench_compare.report(before, after) if line.startswith("compile")]
+    assert len(lines) == 3 and all(line.endswith("(x1.000)") for line in lines)
