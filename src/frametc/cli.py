@@ -15,13 +15,16 @@ bounds, exhausted search budgets, disagreeing examples).  ``--threads`` is
 accepted for interface stability and validated, but computations are
 single-threaded and the flag never changes output; combined with
 ``--no-timing`` this makes runs byte-for-byte reproducible.
+
+One table, ``_COMMANDS``, describes the interface.  ``_plain`` reads a plain
+command line without importing argparse (4.5 ms a call); ``_argparser`` builds
+argparse from the table for help, usage errors and every other command line.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
-import re
 import sys
 import time
 from types import SimpleNamespace
@@ -105,143 +108,82 @@ _COMMANDS = {
         _COMMON_OPTIONS,
     ),
 }
-# A leading "-" marks an option, except on a negative number.
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-def _wrap(head: str, words: list, width: int = 79) -> str:
-    """``head`` followed by ``words``, wrapped under the end of ``head``."""
-    lines, line = [], head
-    for word in words:
-        if len(line) + len(word) > width and len(line) > len(head):
-            lines.append(line.rstrip())
-            line = " " * len(head)
-        line += word + " "
-    lines.append(line.rstrip())
-    return "\n".join(lines)
+def _argparser(command: Optional[str] = None):
+    """The argparse parser of ``_COMMANDS``, or the subparser of one command.
 
-
-def _usage(command: Optional[str]) -> str:
-    if command is None:
-        return "usage: frametc [-h] {" + ",".join(_COMMANDS) + "} ..."
-    _, (name, many, _), options = _COMMANDS[command]
-    words = ["[-h]"] + [
-        f"[{flag}]" if kind is None else f"[{flag} {flag[2:].upper()}]"
-        for flag, kind, _, _ in options
-    ]
-    words.append(f"[{name} ...]" if many else name)
-    return _wrap(f"usage: frametc {command} ", words)
-
-
-def _help(command: Optional[str]) -> str:
-    if command is None:
-        blocks = [_usage(None), _wrap("", _DESCRIPTION.split())]
-        return "\n\n".join(blocks + [_help(c) for c in _COMMANDS])
-    about, (name, _, positional_help), options = _COMMANDS[command]
-    rows = [(name, positional_help), ("-h, --help", "show this help message and exit")]
-    rows += [
-        (flag if kind is None else f"{flag} {flag[2:].upper()}", text)
-        for flag, kind, _, text in options
-    ]
-    return "\n".join(
-        [_usage(command), "", about, ""]
-        + [_wrap(f"  {left:<22}", text.split()) for left, text in rows]
-    )
-
-
-def _usage_error(command: Optional[str], message: str) -> NoReturn:
-    print(_usage(command), f"frametc: error: {message}", sep="\n", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _option(command: Optional[str], arg: str, flags: tuple):
-    """How an argument reads, as argparse reads it.
-
-    None for a value or positional argument; otherwise (flag, value given
-    after "=" or None), where flag is None for an unknown option.  A long
-    option may be shortened to any prefix that names only it.
+    A usage error prints ``usage: ...`` and ``frametc: error: ...`` on stderr
+    and exits 2.
     """
-    if arg == "-h":
-        return "--help", None
-    if arg.startswith("--") and arg != "--":
-        name, eq, value = arg.partition("=")
-        hits = [flag for flag in flags if flag.startswith(name)]
-        if len(hits) > 1 and name not in hits:
-            _usage_error(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
-        if hits:
-            return (name if name in hits else hits[0]), (value if eq else None)
-    if arg[:1] != "-" or arg == "-" or _NEGATIVE_NUMBER.match(arg) or " " in arg:
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            self.exit(2, f"frametc: error: {message}\n")
+
+    class HelpAll(argparse.Action):
+        def __call__(self, parser, *_):
+            print("\n".join(p.format_help() for p in [parser, *sub.choices.values()]), end="")
+            parser.exit()
+
+    parser = Parser(prog="frametc", description=_DESCRIPTION, add_help=False)
+    parser.add_argument("-h", "--help", action=HelpAll, nargs=0, default=argparse.SUPPRESS,
+                        help="show the help of every command and exit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (about, (positional, many, positional_help), options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about, description=about)
+        p.add_argument(positional, nargs="*" if many else None, help=positional_help)
+        for flag, kind, default, text in options:
+            if kind is None:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=kind, default=default, help=text)
+    return parser if command is None else sub.choices[command]
+
+
+def _plain(argv: list) -> Optional[SimpleNamespace]:
+    """``argv`` read as argparse reads it if it is plain, else None: the
+    command first, every option in full, each valued option followed by a
+    value that does not start with "-", and the positional values in one run.
+    """
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    return None, None
-
-
-def _parse_args(argv: list) -> SimpleNamespace:
-    """Parse ``argv`` as argparse parses the interface ``_COMMANDS`` describes.
-
-    Options may come before or after the positional argument, ``--`` ends
-    them, and the last of a repeated option wins.  ``-h``/``--help`` prints
-    the help and exits 0; a usage error exits 2.
-    """
-    unrecognized = []
-    at = 0
-    while at < len(argv):  # before the command, only -h/--help is an option
-        read = _option(None, argv[at], ("--help",))
-        if read is None:
-            break
-        if read[0]:
-            print(_help(None))
-            raise SystemExit(0)
-        unrecognized.append(argv[at])
-        at += 1
-    if at == len(argv):
-        _usage_error(None, "the following arguments are required: command")
-    command = argv[at]
-    if command not in _COMMANDS:
-        choices = ", ".join(repr(c) for c in _COMMANDS)
-        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    _, (name, many, _), options = _COMMANDS[command]
-    flags = ("--help",) + tuple(flag for flag, _, _, _ in options)
+    _, (name, many, _), options = _COMMANDS[argv[0]]
     kinds = {flag: kind for flag, kind, _, _ in options}
-    values = {flag: default for flag, _, default, _ in options}
+    args = {flag[2:].replace("-", "_"): default for flag, _, default, _ in options}
     positional = []
-    closed = False  # a positional argument takes one unbroken run of values
-    rest = iter(argv[at + 1:])
+    closed = False  # an option after the positional values ends their run
+    rest = iter(argv[1:])
     for arg in rest:
-        read = None if arg == "--" else _option(command, arg, flags)
-        if read is None:  # after "--", every argument is positional
-            for value in list(rest) if arg == "--" else [arg]:
-                if not positional or (many and not closed):
-                    positional.append(value)
-                else:
-                    unrecognized.append(value)
+        if arg[:1] != "-":
+            if closed:
+                return None
+            positional.append(arg)
             continue
+        if arg not in kinds:
+            return None
         closed = bool(positional)
-        flag, value = read
-        if flag is None:
-            unrecognized.append(arg)
-        elif flag == "--help":
-            print(_help(command))
-            raise SystemExit(0)
-        elif kinds[flag] is None:
-            if value is not None:
-                _usage_error(command, f"argument {flag}: ignored explicit argument {value!r}")
-            values[flag] = True
-        else:
-            if value is None:
-                value = next(rest, "--")
-                if value == "--" or _option(command, value, flags) is not None:
-                    _usage_error(command, f"argument {flag}: expected one argument")
+        value = True
+        if kinds[arg] is not None:
+            value = next(rest, "-")
+            if value[:1] == "-":
+                return None
             try:
-                values[flag] = kinds[flag](value)
+                value = kinds[arg](value)
             except ValueError:
-                _usage_error(command, f"argument {flag}: invalid int value: {value!r}")
-    if not (positional or many):
-        _usage_error(command, f"the following arguments are required: {name}")
-    if unrecognized:
-        _usage_error(None, f"unrecognized arguments: {' '.join(unrecognized)}")
-    args = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+                return None
+        args[arg[2:].replace("-", "_")] = value
+    if not many and len(positional) != 1:
+        return None
     args[name] = positional if many else positional[0]
-    return SimpleNamespace(command=command, **args)
+    return SimpleNamespace(command=argv[0], **args)
+
+
+def _parse_args(argv: list):
+    """The arguments ``argv`` gives; argparse reads any that ``_plain`` does not."""
+    return _plain(argv) or _argparser().parse_args(argv)
 
 
 # Each command returns (renderer, payload, warned); ``main`` times it, prints
@@ -334,7 +276,7 @@ def main(argv: Optional[list] = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     for flag, least in (("threads", 1), ("budget", 0), ("capacity", 1)):
         if getattr(args, flag) < least:
-            _usage_error(args.command, f"--{flag} must be >= {least}")
+            _argparser(args.command).error(f"--{flag} must be >= {least}")
     command = {"ring": _cmd_ring, "frame-bundle": _cmd_frame_bundle, "examples": _cmd_examples}
     t0 = time.monotonic()
     try:

@@ -6,7 +6,7 @@ Two kinds of field are supported and both are exact:
   `fractions.Fraction` enters only with a non-integral input such as a
   table's ``"p/q"`` constant (``coerce`` turns integral ones into ints), and
   `fractions` is imported only where one is built or tested;
-* prime characteristic p, realized as Python ints in ``range(p)``.
+* prime characteristic p <= ``MAX_CHARACTERISTIC``, as Python ints in ``range(p)``.
 
 Zero and one are ``0`` and ``1`` in every field, and a coefficient is zero
 exactly when it is falsy.
@@ -29,6 +29,10 @@ Coeff = Union[int, "Fraction"]
 
 class FieldError(ValueError):
     """Invalid field description (non-prime characteristic, bad syntax)."""
+
+
+# The largest characteristic: trial division proves it prime in about 23k steps.
+MAX_CHARACTERISTIC = 2**31 - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -54,6 +58,10 @@ class Field:
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic: int):
+        if characteristic > MAX_CHARACTERISTIC:
+            raise FieldError(
+                f"characteristic {characteristic} exceeds the limit {MAX_CHARACTERISTIC}"
+            )
         if characteristic != 0 and not _is_prime(characteristic):
             raise FieldError(
                 f"characteristic must be 0 or a prime, got {characteristic}"

@@ -1,12 +1,17 @@
-"""The option table in ``frametc.cli`` parses as the argparse interface it
-replaced: same attribute values, or exit 2 on both sides."""
+"""The command line that ``frametc.cli`` reads, checked against an argparse
+parser of the documented interface built here: same attribute values, or
+exit 2 on both sides.  ``cli._plain`` reads the plain command lines without
+importing argparse, and must never read one otherwise than argparse does."""
 
 import argparse
 import contextlib
 import io
+import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frametc import cli
 from frametc.algebra import DEFAULT_CAPACITY
@@ -140,3 +145,43 @@ def test_help_names_every_option_and_compute_item(argv, capsys):
             assert word in out, (command, word)
     for item in cli._COMPUTE_CHOICES:
         assert item in out
+
+
+# Every command; every flag in full, shortened and with "="; the other
+# option-like tokens; and values: negative, padded, non-int and plain.
+FLAGS = sorted({flag for _, options in DOCUMENTED.values() for flag in options})
+TOKENS = (
+    list(DOCUMENTED)
+    + FLAGS
+    + [flag[:4] for flag in FLAGS]
+    + [f"{flag}=3" for flag in FLAGS]
+    + ["--", "-", "-h", "-x", "-5", " 7 ", "1.5", "rp:3", "s2", "rp1", "t2", "9"]
+)
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(
+    head=st.lists(st.sampled_from(list(DOCUMENTED)), max_size=1),
+    tail=st.lists(st.sampled_from(TOKENS), max_size=7),
+)
+def test_plain_reader_never_disagrees_with_argparse(head, tail):
+    argv = head + tail
+    plain = cli._plain(argv)
+    if plain is not None:
+        assert vars(plain) == parse(reference_parser().parse_args, argv)
+
+
+def test_every_benchmark_call_is_plain(monkeypatch, tmp_path):
+    # No benchmark child imports argparse: each argv the workloads run is
+    # one that ``_plain`` reads.
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    import workloads
+
+    try:
+        for workload in workloads.WORKLOADS:
+            for seed in (1, 2, 3):
+                for inv in workloads.invocations(workload, seed, str(tmp_path)):
+                    assert cli._plain(inv["argv"]) is not None, inv["argv"]
+    finally:
+        for name in ("workloads", "reencode"):
+            sys.modules.pop(name, None)

@@ -8,6 +8,7 @@ from frametc.fields import (
     F2,
     Field,
     FieldError,
+    MAX_CHARACTERISTIC,
     QQ,
     field_from_json,
     field_of,
@@ -143,9 +144,15 @@ class TestConstructionAndIdentity:
         with pytest.raises(FieldError):
             Field(bad)
 
-    @pytest.mark.parametrize("good", [0, 2, 3, 5, 97])
+    @pytest.mark.parametrize("good", [0, 2, 3, 5, 97, MAX_CHARACTERISTIC])
     def test_valid_characteristics(self, good):
         assert Field(good).characteristic == good
+
+    @pytest.mark.parametrize("big", [2**31 + 11, 2**61 - 1])
+    def test_characteristic_past_the_limit_rejected(self, big):
+        # Both are prime; the limit is checked before primality.
+        with pytest.raises(FieldError, match=f"exceeds the limit {MAX_CHARACTERISTIC}"):
+            Field(big)
 
     def test_interning_and_equality(self):
         assert field_of(2) is field_of(2)

@@ -91,20 +91,47 @@ def _reach(argvs: list) -> dict:
     return json.loads(out)
 
 
+def _fresh(probe: str, *args: str):
+    """What ``probe`` prints as JSON, run in a fresh ``python3 -S``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frametc.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *args],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    return json.loads(out)
+
+
 def test_cli_import_loads_every_layer_and_no_heavy_module():
     probe = (
         "import json, sys; import frametc.cli; "
         "print(json.dumps(sorted(sys.modules)))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frametc.__file__))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    ).stdout
-    loaded = set(json.loads(out))
+    loaded = set(_fresh(probe))
     assert not loaded & set(HEAVY_MODULES)
     assert {f"frametc.{name}" for name in LAYERS} <= loaded
+
+
+# Runs ``frametc.cli.main`` on the argv given as JSON and prints its exit code,
+# its stdout and every module loaded by then.
+MAIN_PROBE = r"""
+import contextlib, io, json, sys
+from frametc.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))
+"""
+
+
+def test_a_plain_call_loads_no_heavy_module():
+    argv = ["ring", "so:8:char2", "--compute", "cl,zcl-full", "--json", "--no-timing"]
+    code, out, loaded = _fresh(MAIN_PROBE, json.dumps(argv))
+    assert code == 0 and not set(loaded) & set(HEAVY_MODULES)
+    # "--comp" is a prefix, which argparse reads; the answer is the same.
+    argv = ["ring", "--comp", "cl,zcl-full", "so:8:char2", "--json", "--no-timing"]
+    prefixed = _fresh(MAIN_PROBE, json.dumps(argv))
+    assert prefixed[:2] == [0, out] and "argparse" in prefixed[2]
 
 
 DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")

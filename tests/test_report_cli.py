@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from frametc.catalog import MAX_GENERATORS, rp_ring, sphere_ring
-from frametc.fields import F2
+from frametc.fields import F2, MAX_CHARACTERISTIC
 from frametc.cuplength import MAX_WITNESS, cup_length, zcl_full
 from helpers import ring_to_json
 
@@ -449,6 +449,23 @@ class TestRingCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert f"at most {MAX_GENERATORS} generators" in proc.stderr
+
+    def test_characteristic_past_the_limit_is_refused_at_once(self):
+        # Trial division would prove 2**61 - 1 prime in about 1.5e9 steps;
+        # the field refuses it before trying, in a child held to 5 s.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "frametc.cli", "ring", "so:3:char2305843009213693951"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"error: characteristic {2**61 - 1} exceeds the limit {MAX_CHARACTERISTIC}\n"
+        )
 
 
 class TestFrameBundleCommand:
