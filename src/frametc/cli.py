@@ -17,7 +17,7 @@ single-threaded and the flag never changes output; combined with
 ``--no-timing`` this makes runs byte-for-byte reproducible.
 
 One table, ``_COMMANDS``, describes the interface.  ``_plain`` reads a plain
-command line without importing argparse (4.5 ms a call); ``_argparser`` builds
+command line without importing argparse (5 ms a call); ``_argparser`` builds
 argparse from the table for help, usage errors and every other command line.
 """
 
