@@ -123,6 +123,9 @@ def _argparser(command: Optional[str] = None):
             self.print_usage(sys.stderr)
             self.exit(2, f"frametc: error: {message}\n")
 
+        def _get_formatter(self):  # 78 columns, whatever COLUMNS says
+            return self.formatter_class(prog=self.prog, width=78)
+
     class HelpAll(argparse.Action):
         def __call__(self, parser, *_):
             print("\n".join(p.format_help() for p in [parser, *sub.choices.values()]), end="")

@@ -3,16 +3,12 @@
 Three quantities, in increasing strength on the zero-divisor side:
 
 * ``cup_length(A)`` — longest nonzero product from the positive-degree part.
-  Closed form for monomial encodings (g^(q−1) for each generator g of
-  truncation q, in its own algebra); the generator-product search below
-  otherwise.  The test suite runs that search on monomial rings too, as a
-  cross-check of the closed form.
 * ``zcl_basic(A)`` — longest nonzero product of *basic* zero-divisors
   ``m̄ = 1⊗m − m⊗1`` in A⊗A, m running over positive-degree basis classes.
 * ``zcl_full(A)`` — cup length of the whole zero-divisor ideal
   Z = ker(A⊗A → A).
 
-Both zero-divisor values come from one engine, a search over products of
+Both zero-divisor values equal the longest nonzero product of
 *generator* bars.  Let Z = ker(μ: A⊗A → A).  Any kernel element
 Σ c·x⊗y equals Σ c·(x⊗1)·ȳ, so the bars of basis classes generate Z as an
 ideal, and the identity 1⊗ab − ab⊗1 = (1⊗a)·b̄ + ā·(b⊗1) reduces every bar
@@ -21,10 +17,8 @@ exactly when some product of k generator bars is nonzero.  Generator bars
 are basic bars, hence zcl_basic = zcl_full = the longest nonzero product of
 generator bars (the basic zero-divisor setting of Farber, *Topological
 complexity of motion planning*, DCG 29, 2003).  The generators come from
-the algebra's ``generators()``: the generator monomials of a monomial
-encoding, and for a table the basis classes that stay independent of its
-stored products A+·A+ in their degree.  A table ring's axiom check already
-found them, so the searches reuse that list.
+the algebra's ``generators()``; a table ring's axiom check already found
+them, as the classes independent of A+·A+ in their degree.
 
 One search answers both sides.  Every product of positive-degree classes
 is a sum of products of generators, and a nonzero product of k or more
@@ -38,39 +32,40 @@ is zero once k·d passes the top degree, so no product is longer than
 top degree // (least element degree), and the search stops when it finds
 one of that length.
 
-Monomial algebras take a per-generator route for cl and zcl.  A monomial
-algebra is the tensor product of its one-generator algebras K[g]/g^q, and
-over a field both invariants are additive across tensor factors.  Top
-classes multiply to a top class, and a product of more than cl(A)+cl(B)
-positive-degree elements of A⊗B expands into terms with more than cl(A)
-such factors in A or more than cl(B) in B.  Likewise, with
+Monomial rings take formulas for cl and zcl and table rings the search,
+which ``zcl_basic`` runs on any ring and the tests run against each formula.
+A monomial algebra is the tensor product of its one-generator algebras
+K[g]/g^q, and over a field both invariants are additive across tensor
+factors.  Top classes multiply to a top class, and a product of more than
+cl(A)+cl(B) positive-degree elements of A⊗B expands into terms with more
+than cl(A) such factors in A or more than cl(B) in B.  Likewise, with
 Z(A⊗B) = Z_A·(B⊗B) + (A⊗A)·Z_B, a product of more than zcl(A)+zcl(B)
 zero-divisors always overruns one of the two factors.  Each generator gets
-one part, computed in K[g]/g^q for cl and in its tensor square for zcl, and
-neither A nor A⊗A is multiplied in: each part's witness is checked in its
-own algebra, which is exact because, over a field, a tensor product of
-nonzero elements is nonzero.  Both routes are cross-checked against
-independent oracles by the test suite, never only against each other.
+one part, g^(q−1) in K[g]/g^q for cl and the longest nonzero power of
+bar(g) in its square for zcl, checked there alone: over a field, a tensor
+product of nonzero elements is nonzero.
 
 Every result carries a witness that is re-multiplied and checked nonzero
 before it is returned, once, by the public entry that returns it; each
-distinct factor of a zcl witness is also checked to be a zero-divisor.
-Budget-limited searches return ``exact=False`` and their value is then only
-a lower bound; callers that need upper bounds must reject inexact results.
-A cl witness of more than ``MAX_WITNESS`` factors is refused before it is
+distinct factor of a zcl witness is also checked to be a zero-divisor, and
+an exact product to vanish times any one of them.  Budget-limited searches,
+and zcl parts charged the nodes the search makes, return ``exact=False``: a
+lower bound, which callers that need upper bounds reject.  A monomial
+witness of more than ``MAX_WITNESS`` factors is refused before any part is
 built.  ``report.describe`` formats a result for printing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import comb
 from typing import Optional
 
 from . import linalg
-from .algebra import Algebra, Element, MonomialAlgebra, ProductAlgebra
+from .algebra import Algebra, Element, GeneratorSpec, MonomialAlgebra, ProductAlgebra
 
 DEFAULT_BUDGET = 500_000
-MAX_WITNESS = 500_000  # factors in a cl witness, which is listed and printed in full
+MAX_WITNESS = 500_000  # factors in a witness, which is listed and printed in full
 
 
 class WitnessTooLongError(ValueError):
@@ -109,8 +104,9 @@ class CupLengthResult:
         """Re-multiply the witness and confirm a nonzero product of the stated length.
 
         A factor outside ``algebra`` must be a zero-divisor of its tensor
-        square, each distinct one checked once.  A factored result
-        re-verifies its parts, in generator order, and their sum.
+        square, each distinct one checked once, and an exact product must
+        vanish times any one of them.  A factored result re-verifies its
+        parts, in generator order, and their sum.
         """
         if self.parts:
             return (
@@ -125,7 +121,8 @@ class CupLengthResult:
         if len(self.witness) != self.value:
             return False
         A = self.algebra
-        for w in {id(w): w for w in self.witness}.values():
+        factors = {id(w): w for w in self.witness}.values()
+        for w in factors:
             T = w.algebra
             if T is not A and not (
                 isinstance(T, ProductAlgebra) and T.left is A and T.right is A
@@ -139,7 +136,7 @@ class CupLengthResult:
             return False
         if self.witness_product is not None and prod != self.witness_product:
             return False
-        return True
+        return not self.exact or all((prod * w).is_zero for w in factors)
 
 
 def _checked(result: CupLengthResult) -> CupLengthResult:
@@ -165,19 +162,14 @@ def cup_length(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     if not isinstance(A, MonomialAlgebra):
         gens = [A.basis_element(i) for i in A.generators()]
         return _checked(_longest_product(A, A, gens, budget, "search"))
-    value = sum(g.truncation - 1 for g in A.gens)
-    if value > MAX_WITNESS:
-        raise WitnessTooLongError(
-            f"the cl witness would have {value} factors; at most MAX_WITNESS = "
-            f"{MAX_WITNESS} are listed"
-        )
-    return _checked(_by_generator(A, _top_power, "closed-form", budget))
+    values = _within_max_witness("cl", [g.truncation - 1 for g in A.gens])
+    return _checked(_by_generator(A, values, _top_power, "closed-form", budget))
 
 
-def _top_power(B: MonomialAlgebra, budget: int) -> CupLengthResult:
-    """cl of K[g]/g^q: q − 1 factors g, whose product g^(q−1) is the top class."""
-    g, top = B.basis_element(1), B.basis_element(B.dim - 1)
-    return CupLengthResult(B.dim - 1, True, "closed-form", [g] * (B.dim - 1), top, algebra=B)
+def _top_power(B: MonomialAlgebra, k: int, budget: int) -> CupLengthResult:
+    """cl of K[g]/g^q: k = q − 1 factors g, whose product g^k is the top class."""
+    g, top = B.basis_element(1), B.basis_element(k)
+    return CupLengthResult(k, True, "closed-form", [g] * k, top, algebra=B)
 
 
 # -- zero-divisors ----------------------------------------------------------------
@@ -314,37 +306,82 @@ def zero_divisor_ideal_basis(T: ProductAlgebra) -> tuple[list[dict], list[int]]:
     return vectors, degrees
 
 
-def _by_generator(A: MonomialAlgebra, part, method: str, budget: int) -> CupLengthResult:
-    """Sum of ``part`` over the one-generator algebras of A, one part each.
+def _within_max_witness(invariant: str, values: list[int]) -> list[int]:
+    """The part values of a factored witness, refused past ``MAX_WITNESS`` factors."""
+    if sum(values) > MAX_WITNESS:
+        raise WitnessTooLongError(
+            f"the {invariant} witness would have {sum(values)} factors; at most "
+            f"MAX_WITNESS = {MAX_WITNESS} are listed"
+        )
+    return values
 
-    Exact for cl and zcl by additivity across tensor factors (module
-    docstring).  Each part gets what is left of the node budget; the
-    caller's check re-verifies each part in its own algebra or square.
+
+def _bar_power_length(g: GeneratorSpec, p: int) -> int:
+    """zcl of K[g]/g^q, p = char K, h = q − 1: the largest k with bar(g)^k ≠ 0.
+
+    bar(g)^k = Σ (−1)^i C(k, i) g^i ⊗ g^(k−i) over i in [k − h, h], so k = 1
+    for odd g and p ≠ 2, and 2h over Q (Farber, DCG 29, 2003).  Over F_p it
+    is the largest i + j with i, j ≤ h that adds without a carry in base p
+    (Lucas, Kummer): a digit d of h gives 2d, or p − 1 once it or a higher
+    digit has 2d ≥ p.  For p = 2 that is 2^bitlen(h) − 1
+    (Farber–Tabachnikov–Yuzvinsky, IMRN 2003).
     """
-    parts: list[CupLengthResult] = []
-    nodes = 0
-    for g in A.gens:
-        p = part(MonomialAlgebra(A.field, [g]), max(budget - nodes, 0))
+    h = g.truncation - 1
+    if g.degree % 2 and p != 2:
+        return 1
+    if p == 0:
+        return 2 * h
+    k, unit = 0, 1
+    while h:
+        h, d = divmod(h, p)
+        k = unit * p - 1 if 2 * d >= p else k + 2 * d * unit
+        unit *= p
+    return k
+
+
+def _bar_power(B: MonomialAlgebra, k: int, budget: int) -> CupLengthResult:
+    """zcl of K[g]/g^q: k factors bar(g), their product from the binomial formula."""
+    h = B.dim - 1
+    # The search's nodes: the last one finds bar(g)^(k+1) = 0, unless k is 2h.
+    nodes = k + 1 if k < 2 * h else k
+    if nodes > budget:  # the search's flagged prefix
+        k, nodes = budget, budget + 1
+    T, f = ProductAlgebra(B, B), B.field
+    product, lo = {}, max(0, k - h)
+    c = comb(k, lo)
+    for i in range(lo, min(k, h) + 1):  # c = C(k, i)
+        product[T.pair_index(i, k - i)] = f.mul(f.sign_to_coeff(i), c)
+        c = c * (k - i) // (i + 1)
+    witness = [bar(T, B.basis_element(1))] * k
+    product = Element(T, product) if k else None
+    return CupLengthResult(k, nodes <= budget, "generator-bars", witness, product, nodes, algebra=B)
+
+
+def _by_generator(A: MonomialAlgebra, values, part, method: str, budget: int) -> CupLengthResult:
+    """Sum of ``part(B, values[i], budget left)`` over the algebras B of each
+    generator i of A: exact for cl and zcl by additivity across tensor
+    factors (module docstring).  The caller's check re-verifies each part.
+    """
+    parts, nodes = [], 0
+    for g, k in zip(A.gens, values):
+        p = part(MonomialAlgebra(A.field, [g]), k, max(budget - nodes, 0))
         nodes += p.nodes
         parts.append(p)
-    return CupLengthResult(
-        sum(p.value for p in parts),
-        all(p.exact for p in parts),
-        method,
-        [w for p in parts for w in p.witness],
-        nodes=nodes,
-        parts=parts,
-        algebra=A,
-    )
+    value, exact = sum(p.value for p in parts), all(p.exact for p in parts)
+    witness = [w for p in parts for w in p.witness]
+    return CupLengthResult(value, exact, method, witness, nodes=nodes, parts=parts, algebra=A)
 
 
 def zcl_full(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     """Cup length of the full zero-divisor ideal Z = ker(A⊗A → A).
 
-    Monomial encodings take the factorization route, any other encoding the
-    generator-bar search.  No dimension cap applies beyond the one ``A`` was
-    built under; an exhausted node budget gives ``exact=False``.
+    A monomial encoding answers by generator, the longest nonzero power of
+    bar(g) in each K[g]/g^q, and a table encoding by the generator-bar
+    search; the budget and ``MAX_WITNESS`` act as in :func:`cup_length`.
+    No dimension cap applies beyond the one ``A`` was built under.
     """
     if isinstance(A, MonomialAlgebra):
-        return _checked(_by_generator(A, _generator_bar_search, "factorization", budget))
+        p = A.field.characteristic
+        values = _within_max_witness("zcl", [_bar_power_length(g, p) for g in A.gens])
+        return _checked(_by_generator(A, values, _bar_power, "factorization", budget))
     return _checked(_generator_bar_search(A, budget))

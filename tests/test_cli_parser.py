@@ -131,20 +131,26 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["ring", "--help"], ["ring", "rp:3", "-h"]])
-def test_help_names_every_option_and_compute_item(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 0
-    out, err = capsys.readouterr()
-    assert err == "" and out.startswith("usage: frametc ")
-    commands = DOCUMENTED if argv == ["--help"] else ["ring"]
-    for command in commands:
-        positional, options = DOCUMENTED[command]
-        assert f"usage: frametc {command} " in out
-        for word in ["-h, --help", positional, *options]:
-            assert word in out, (command, word)
-    for item in cli._COMPUTE_CHOICES:
-        assert item in out
+def test_help_names_every_option_and_compute_item(argv, capsys, monkeypatch):
+    # Help is 78 columns wide whatever COLUMNS says, so no word is split.
+    outs = set()
+    for columns in ("60", "77", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: frametc "), columns
+        commands = DOCUMENTED if argv == ["--help"] else ["ring"]
+        for command in commands:
+            positional, options = DOCUMENTED[command]
+            assert f"usage: frametc {command} " in out
+            for word in ["-h, --help", positional, *options]:
+                assert word in out, (columns, command, word)
+        for item in cli._COMPUTE_CHOICES:
+            assert item in out, (columns, item)
+        outs.add(out)
+    assert len(outs) == 1
 
 
 # Every command; every flag in full, shortened and with "="; the other

@@ -439,6 +439,91 @@ class TestZclFull:
         assert res.verify()
 
 
+def one_generator_rings(largest_q):
+    """K[g]/g^q for K of characteristic 0, 2, 3, 5 and 7, |g| = 1..4, q = 2..largest_q.
+
+    An odd generator over a field of odd or zero characteristic squares to
+    zero, so it takes q = 2 only.
+    """
+    for p in (0, 2, 3, 5, 7):
+        for degree in range(1, 5):
+            odd = degree % 2 and p != 2
+            for q in (2,) if odd else range(2, largest_q + 1):
+                yield MonomialAlgebra(field_of(p), [GeneratorSpec("g", degree, q)])
+
+
+class TestBarPowerFormula:
+    """zcl of a monomial ring is read per generator from a formula
+    (``cuplength._bar_power_length``); these tests check it against the
+    generator-bar search and the brute-force oracle, which share nothing with
+    it beyond the basis multiplication."""
+
+    def test_agrees_with_the_search_in_value_nodes_and_witness(self):
+        cases = 0
+        for B in one_generator_rings(64):
+            for budget in (cuplength.DEFAULT_BUDGET, 0, 1, 3, 7):
+                searched = cuplength._checked(cuplength._generator_bar_search(B, budget))
+                (part,) = zcl_full(B, budget).parts
+                shape = (B.field.characteristic, B.gens[0].degree, B.dim, budget)
+                assert (part.value, part.exact, part.nodes) == (
+                    searched.value, searched.exact, searched.nodes
+                ), shape
+                assert report.describe(part) == report.describe(searched), shape
+                cases += 1
+        assert cases == 3820
+
+    def test_agrees_with_the_oracle(self):
+        for B in one_generator_rings(8):
+            shape = (B.field.characteristic, B.gens[0].degree, B.dim)
+            assert zcl_full(B).value == brute_force_cl(B, "zero-divisor-full"), shape
+
+    def test_monomial_rings_never_search(self, entries, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched a monomial ring")
+
+        monkeypatch.setattr(cuplength, "_longest_product", refuse)
+        answered = 0
+        for entry in entries:
+            if isinstance(entry.algebra, MonomialAlgebra):
+                for invariant in (cup_length, zcl_full):
+                    res = invariant(entry.algebra)
+                    assert res.exact and res.verify(), (entry.entry_id, invariant.__name__)
+                answered += 1
+        assert answered == len(entries) - 6  # all but the six surfaces
+
+    def test_products_made_are_one_per_factor(self, monkeypatch):
+        # The chain re-multiplication makes value − 1 products per part, and
+        # the check from above one more.  The search made 5,552 by itself.
+        calls = []
+        mul_vec = ProductAlgebra.mul_vec
+
+        def counted(T, u, v):
+            calls.append(1)
+            return mul_vec(T, u, v)
+
+        monkeypatch.setattr(ProductAlgebra, "mul_vec", counted)
+        res = zcl_full(so_ring(1000, F2))
+        assert (res.value, res.exact) == (5052, True)
+        assert len(calls) <= res.value + len(res.parts)
+
+    def test_witness_at_the_limit_answers_and_one_factor_more_is_refused(self, monkeypatch):
+        # so:12:char2 has zcl 24 over six generators; cp:3:char0 has zcl 6.
+        for A, value in ((so_ring(12, F2), 24), (cp_ring(3, QQ), 6)):
+            monkeypatch.setattr(cuplength, "MAX_WITNESS", value)
+            assert zcl_full(A).value == value
+            monkeypatch.setattr(cuplength, "MAX_WITNESS", value - 1)
+            built = []
+            monkeypatch.setattr(cuplength, "_by_generator", lambda *a: built.append(a))
+            for budget in (cuplength.DEFAULT_BUDGET, 3):
+                with pytest.raises(
+                    cuplength.WitnessTooLongError,
+                    match=f"zcl witness would have {value} factors; at most MAX_WITNESS",
+                ):
+                    zcl_full(A, budget)
+            assert built == []  # refused before any part is built
+            monkeypatch.undo()
+
+
 def embedded_witness_product(A: MonomialAlgebra, res):
     """Re-multiply a factored witness inside the full tensor square of A.
 
@@ -528,6 +613,11 @@ class TestFactorWitnesses:
                 1, True, b3.method, b3.witness, b1.witness_product, algebra=b3.algebra
             )
             assert not factored(A, res, [b1, wrong]).verify()
+            # One factor short: b1^6 and bar(b1)^6 stay nonzero times one more
+            # factor, so the part may claim a lower bound but not an exact value.
+            for exact in (True, False):
+                short = CupLengthResult(6, exact, b1.method, b1.witness[:-1], algebra=b1.algebra)
+                assert factored(A, res, [short, b3]).verify() is not exact
             # Values that do not add up, and a witness that is not the parts'.
             assert not factored(A, res, [b1, b3], value=9).verify()
             mixed = factored(A, res, [b1, b3])

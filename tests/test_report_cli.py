@@ -370,6 +370,27 @@ class TestRingCommand:
             f"MAX_WITNESS = {MAX_WITNESS} are listed\n"
         )
 
+    def test_zcl_witness_past_the_limit_is_refused_at_once(self):
+        # zcl(RP^n; F2) = 2^bitlen(n) − 1 is read from a formula, so a witness
+        # past MAX_WITNESS is refused before any part is built, whatever the
+        # budget, as cl is.  The bar search used to run on past 20 s.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        for budget in ([], ["--budget", "10"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "frametc.cli", "ring", "rp:99999999999999999999",
+                 "--compute", "zcl-full", "--no-timing", *budget],
+                capture_output=True,
+                text=True,
+                timeout=5,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            assert (proc.returncode, proc.stdout) == (1, ""), budget
+            assert proc.stderr == (
+                f"error: the zcl witness would have {2**67 - 1} factors; at most "
+                f"MAX_WITNESS = {MAX_WITNESS} are listed\n"
+            ), budget
+
     def test_so_ring_too_long_to_print_is_refused(self, run_cli):
         # so:n:char2 has dimension 2^(n-1): 2^14284 has 4300 digits, the
         # most Python prints by default, and 2^14285 has 4301.  The limit is
