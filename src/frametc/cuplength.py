@@ -347,13 +347,13 @@ def _bar_power(B: MonomialAlgebra, k: int, budget: int) -> CupLengthResult:
     if nodes > budget:  # the search's flagged prefix
         k, nodes = budget, budget + 1
     T, f = ProductAlgebra(B, B), B.field
-    product, lo = {}, max(0, k - h)
+    terms, lo = {}, max(0, k - h)
     c = comb(k, lo)
     for i in range(lo, min(k, h) + 1):  # c = C(k, i)
-        product[T.pair_index(i, k - i)] = f.mul(f.sign_to_coeff(i), c)
+        terms[T.pair_index(i, k - i)] = f.mul(f.sign_to_coeff(i), c)
         c = c * (k - i) // (i + 1)
     witness = [bar(T, B.basis_element(1))] * k
-    product = Element(T, product) if k else None
+    product = Element(T, terms) if k else None
     return CupLengthResult(k, nodes <= budget, "generator-bars", witness, product, nodes, algebra=B)
 
 
