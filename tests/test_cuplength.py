@@ -493,7 +493,7 @@ class TestBarPowerFormula:
 
     def test_products_made_are_one_per_factor(self, monkeypatch):
         # The chain re-multiplication makes value − 1 products per part, and
-        # the check from above one more.  The search made 5,552 by itself.
+        # the check from above one more; no search multiplies.
         calls = []
         mul_vec = ProductAlgebra.mul_vec
 

@@ -373,7 +373,7 @@ class TestRingCommand:
     def test_zcl_witness_past_the_limit_is_refused_at_once(self):
         # zcl(RP^n; F2) = 2^bitlen(n) − 1 is read from a formula, so a witness
         # past MAX_WITNESS is refused before any part is built, whatever the
-        # budget, as cl is.  The bar search used to run on past 20 s.
+        # budget, as cl is.
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         for budget in ([], ["--budget", "10"]):
