@@ -17,6 +17,13 @@ change is above ``THRESHOLD`` (10 %) and also larger than the spread, max -
 min, of each side: over the seeds for a workload, over the samples for a
 row.  A compile step is exact, and a record that keeps one sample per row
 has no spread there, so the 10 % alone decides.
+
+Compare only records taken in one session.  Host speed drifts between
+sessions by more than the reference-speed scaling absorbs: one commit
+recorded in two sessions flagged 15 of 54 lines against itself.  To measure a
+change, record the parent again in the same session, with
+``scripts/bench_pr.py --pr N --root <clone of the parent>``, and compare
+with that record.
 """
 
 from __future__ import annotations

@@ -29,9 +29,11 @@ Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
   exact category fall silent.  One memo computes it once per k per report,
   for every rule.
 * zcl(SO(n); K) and zcl(M; K) — ``zcl_full``, the witnessed zero-divisor cup
-  length, searched at most once per (field, ring) per report through one
-  memo.  Every rule reading a value shares it, and when the node budget runs
-  out every entry using it carries the same note.
+  length, computed at most once per (field, ring) per report through one
+  memo and shared by every rule reading it.  SO(n) is monomial and read
+  from a formula, so only a table ring of M can run out of the node budget;
+  then every entry using it carries the same note.  A ring refused over one
+  field gives a warning and drops only the entries that need it.
 
 ``lower-tncz`` prints its fiber term as ``zcl''(SO(n))``: the zero-divisor
 cup length of H*(SO(n); K) counted through zero-divisors that lift to F(M).
@@ -53,6 +55,7 @@ verifies it; for n >= 4 its entries carry a note saying so.
 from __future__ import annotations
 
 from functools import cache
+from typing import Optional
 
 from .algebra import DEFAULT_CAPACITY
 from .catalog import so_ring
@@ -113,11 +116,19 @@ def compute_bounds(
     cat = cache(lambda k: cup_length(so(k, F2)).value + 1)
 
     @cache
-    def zcl(fld: Field, who: str) -> tuple[int, list]:
-        """zcl over fld of M or of SO(n): (value, notes), noting an exhausted budget."""
+    def zcl(fld: Field, who: str) -> Optional[tuple[int, list]]:
+        """zcl over fld of M or of SO(n): (value, notes), noting an exhausted
+        budget; None, with a warning, if the ring or its witness is refused."""
         nonlocal starved
-        ring = descriptor.ring(fld, capacity) if who == "M" else so(n, fld)
-        res = zcl_full(ring, budget=budget)
+        try:
+            ring = descriptor.ring(fld, capacity) if who == "M" else so(n, fld)
+            res = zcl_full(ring, budget=budget)
+        except (ValueError, OSError) as exc:
+            warnings.append(
+                f"zcl({who}) over {fld.token()} refused: {exc}; the entries "
+                "that need it are left out"
+            )
+            return None
         if res.exact:
             return res.value, []
         starved = True
@@ -224,8 +235,10 @@ def compute_bounds(
          "zcl", "M is parallelizable"),
     ):
         for fld in fields:
-            zm, notes = zcl(fld, "M")
-            zso, so_notes = zcl(fld, f"SO({n})")
+            zcl_m, zcl_so = zcl(fld, "M"), zcl(fld, f"SO({n})")
+            if zcl_m is None or zcl_so is None:
+                continue
+            (zm, notes), (zso, so_notes) = zcl_m, zcl_so
             value = zso + zm + 1
             add(
                 rule,
@@ -245,7 +258,10 @@ def compute_bounds(
     m = n // 2
     bump = 2 * m + 1 if m % 2 == 0 else 2 * m
     for fld in odd_tncz if m >= 1 else []:
-        zm, notes = zcl(fld, "M")
+        zcl_m = zcl(fld, "M")
+        if zcl_m is None:
+            continue
+        zm, notes = zcl_m
         value = zm + bump
         add(
             "lower-dim-theorem",

@@ -48,11 +48,11 @@ product of nonzero elements is nonzero.
 Every result carries a witness that is re-multiplied and checked nonzero
 before it is returned, once, by the public entry that returns it; each
 distinct factor of a zcl witness is also checked to be a zero-divisor, and
-an exact product to vanish times any one of them.  Budget-limited searches,
-and zcl parts charged the nodes the search makes, return ``exact=False``: a
-lower bound, which callers that need upper bounds reject.  A monomial
-witness of more than ``MAX_WITNESS`` factors is refused before any part is
-built.  ``report.describe`` formats a result for printing.
+an exact product to vanish times any one of them.  Only the search reads
+the node budget; one that runs out returns ``exact=False``: a lower bound,
+which callers that need upper bounds reject.  A monomial witness of more
+than ``MAX_WITNESS`` factors is refused before any part is built.
+``report.describe`` formats a result for printing.
 """
 
 from __future__ import annotations
@@ -163,10 +163,10 @@ def cup_length(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
         gens = [A.basis_element(i) for i in A.generators()]
         return _checked(_longest_product(A, A, gens, budget, "search"))
     values = _within_max_witness("cl", [g.truncation - 1 for g in A.gens])
-    return _checked(_by_generator(A, values, _top_power, "closed-form", budget))
+    return _checked(_by_generator(A, values, _top_power, "closed-form"))
 
 
-def _top_power(B: MonomialAlgebra, k: int, budget: int) -> CupLengthResult:
+def _top_power(B: MonomialAlgebra, k: int) -> CupLengthResult:
     """cl of K[g]/g^q: k = q − 1 factors g, whose product g^k is the top class."""
     g, top = B.basis_element(1), B.basis_element(k)
     return CupLengthResult(k, True, "closed-form", [g] * k, top, algebra=B)
@@ -339,13 +339,9 @@ def _bar_power_length(g: GeneratorSpec, p: int) -> int:
     return k
 
 
-def _bar_power(B: MonomialAlgebra, k: int, budget: int) -> CupLengthResult:
+def _bar_power(B: MonomialAlgebra, k: int) -> CupLengthResult:
     """zcl of K[g]/g^q: k factors bar(g), their product from the binomial formula."""
     h = B.dim - 1
-    # The search's nodes: the last one finds bar(g)^(k+1) = 0, unless k is 2h.
-    nodes = k + 1 if k < 2 * h else k
-    if nodes > budget:  # the search's flagged prefix
-        k, nodes = budget, budget + 1
     T, f = ProductAlgebra(B, B), B.field
     terms, lo = {}, max(0, k - h)
     c = comb(k, lo)
@@ -354,22 +350,17 @@ def _bar_power(B: MonomialAlgebra, k: int, budget: int) -> CupLengthResult:
         c = c * (k - i) // (i + 1)
     witness = [bar(T, B.basis_element(1))] * k
     product = Element(T, terms) if k else None
-    return CupLengthResult(k, nodes <= budget, "generator-bars", witness, product, nodes, algebra=B)
+    return CupLengthResult(k, True, "generator-bars", witness, product, algebra=B)
 
 
-def _by_generator(A: MonomialAlgebra, values, part, method: str, budget: int) -> CupLengthResult:
-    """Sum of ``part(B, values[i], budget left)`` over the algebras B of each
-    generator i of A: exact for cl and zcl by additivity across tensor
-    factors (module docstring).  The caller's check re-verifies each part.
+def _by_generator(A: MonomialAlgebra, values, part, method: str) -> CupLengthResult:
+    """Sum of ``part(B, values[i])`` over the algebras B of each generator i
+    of A: exact for cl and zcl by additivity across tensor factors (module
+    docstring).  The caller's check re-verifies each part.
     """
-    parts, nodes = [], 0
-    for g, k in zip(A.gens, values):
-        p = part(MonomialAlgebra(A.field, [g]), k, max(budget - nodes, 0))
-        nodes += p.nodes
-        parts.append(p)
-    value, exact = sum(p.value for p in parts), all(p.exact for p in parts)
+    parts = [part(MonomialAlgebra(A.field, [g]), k) for g, k in zip(A.gens, values)]
     witness = [w for p in parts for w in p.witness]
-    return CupLengthResult(value, exact, method, witness, nodes=nodes, parts=parts, algebra=A)
+    return CupLengthResult(sum(values), True, method, witness, parts=parts, algebra=A)
 
 
 def zcl_full(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
@@ -383,5 +374,5 @@ def zcl_full(A: Algebra, budget: int = DEFAULT_BUDGET) -> CupLengthResult:
     if isinstance(A, MonomialAlgebra):
         p = A.field.characteristic
         values = _within_max_witness("zcl", [_bar_power_length(g, p) for g in A.gens])
-        return _checked(_by_generator(A, values, _bar_power, "factorization", budget))
+        return _checked(_by_generator(A, values, _bar_power, "factorization"))
     return _checked(_generator_bar_search(A, budget))

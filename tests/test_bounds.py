@@ -28,6 +28,13 @@ DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "descriptors")
 RP7 = os.path.join(DESCRIPTOR_DIR, "rp7.json")
 
 
+def table_torus() -> dict:
+    """The t2 descriptor with the torus written as a table ring, which is searched."""
+    with open(os.path.join(DESCRIPTOR_DIR, "t2.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    return {**obj, "cohomology": {"char=0": "sigma:1:char0", "char=2": "sigma:1:char2"}}
+
+
 @pytest.fixture(scope="module")
 def reports():
     return {key: compute_bounds(example_descriptor(key)) for key in EXAMPLE_KEYS}
@@ -151,29 +158,33 @@ class TestRuleOutputs:
         assert not any("parity bump" in note for note in entry.get("notes", []))
 
     def test_exhausted_budget_is_noted_on_every_searched_entry(self, reports):
-        # A zero node budget leaves every zero-divisor value a lower bound:
-        # the entries that use one must say so, and the interval can only
-        # get weaker, never stronger.
-        starved = compute_bounds(example_descriptor("t2"), budget=0)
+        # A zero node budget leaves the searched zcl(M) of a table ring a
+        # lower bound: the entries that use it must say so, and the interval
+        # can only get weaker, never stronger.  zcl(SO(2)) is read from its
+        # formula, which no budget bounds.
+        starved = compute_bounds(ManifoldDescriptor(table_torus()), budget=0)
         (lo, hi), (t2_lo, t2_hi) = starved["interval"], reports["t2"]["interval"]
-        assert lo <= t2_lo and hi == t2_hi
+        assert lo < t2_lo and hi == t2_hi
+        assert compute_bounds(ManifoldDescriptor(table_torus()))["interval"] == [t2_lo, t2_hi]
         for entry in starved["entries"]:
-            if entry["rule"] in ("lower-tncz", "lower-dim-theorem"):
-                assert any("budget exhausted for M" in n for n in entry.get("notes", []))
-            if entry["rule"] == "lower-tncz":
-                assert any("budget exhausted for SO(2)" in n for n in entry.get("notes", []))
+            notes = entry.get("notes", [])
+            if entry["rule"] in ("lower-tncz", "lower-parallelizable", "lower-dim-theorem"):
+                assert any("budget exhausted for M" in n for n in notes)
+            assert not any("budget exhausted for SO(2)" in n for n in notes)
         for field in ("char=0", "char=2"):
             notes = by_rule(starved, "lower-parallelizable", field=field).get("notes", [])
             assert any("budget exhausted for M" in n for n in notes)
-            assert any("budget exhausted for SO(2)" in n for n in notes)
         for entry in reports["t2"]["entries"]:
             assert not any("budget exhausted" in n for n in entry.get("notes", []))
 
-    def test_starved_fiber_value_is_shared(self, run_cli):
-        # lower-tncz and lower-parallelizable read one zcl(SO(7)) search, so
-        # a starved budget gives both the same value and the same note, and
-        # the cl route behind cat(SO(7)) has no budget to starve.
-        code, out, _ = run_cli(["frame-bundle", RP7, "--budget", "0", "--json", "--no-timing"])
+    def test_starved_m_value_is_shared(self, run_cli, tmp_path):
+        # lower-tncz, lower-parallelizable and lower-dim-theorem read one
+        # zcl(M) search, so a starved budget gives them the same value and
+        # the same note, and the cl route behind cat(SO(2)) has no budget to
+        # starve.
+        path = tmp_path / "table_torus.json"
+        path.write_text(json.dumps(table_torus()))
+        code, out, _ = run_cli(["frame-bundle", str(path), "--budget", "0", "--json", "--no-timing"])
         assert code == 2
         report = json.loads(out)
         assert report["interval"] == interval_from_entries(report)
@@ -182,9 +193,11 @@ class TestRuleOutputs:
             par = by_rule(report, "lower-parallelizable", field=field)
             assert tncz["value"] == par["value"]
             assert tncz.get("notes", []) == par.get("notes", [])
-            assert any("budget exhausted for SO(7)" in n for n in tncz.get("notes", []))
+            assert tncz["notes"] == [bounds._BUDGET_NOTE.format("M")]
+        dim = by_rule(report, "lower-dim-theorem", field="char=0")
+        assert dim["notes"] == by_rule(report, "lower-tncz", field="char=0")["notes"]
         upper = by_rule(report, "upper-parallelizable")
-        assert "cat(SO(7)) + TC(M) - 1 = 12 + 8 - 1" in upper["statement"]
+        assert "cat(SO(2)) + TC(M) - 1 = 2 + 3 - 1" in upper["statement"]
 
     def test_each_fiber_ring_is_built_once(self, monkeypatch):
         built = []

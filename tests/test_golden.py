@@ -33,7 +33,8 @@ CASES = {
         ]
         for name in DESCRIPTORS
     },
-    # A starved search: every zero-divisor entry carries its budget note.
+    # --budget 0: a table ring's search starves, and every entry using it
+    # carries its budget note; monomial rings print as at the default budget.
     **{
         f"frame-bundle-{name}-budget0.json": [
             "frame-bundle", os.path.join(DESCRIPTOR_DIR, f"{name}.json"),

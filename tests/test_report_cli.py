@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from frametc.algebra import MonomialAlgebra
 from frametc.catalog import MAX_GENERATORS, rp_ring, sphere_ring
 from frametc.fields import F2, MAX_CHARACTERISTIC
 from frametc.cuplength import MAX_WITNESS, cup_length, zcl_full
@@ -99,8 +100,9 @@ class TestRingCommand:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_exhausted_budget_is_a_warning_exit(self, run_cli):
+        # Only a table ring is searched, so only it can run out of budget.
         code, out, _ = run_cli(
-            ["ring", "so:5:char2", "--compute", "zcl-basic",
+            ["ring", "sigma:2:char2", "--compute", "zcl-basic",
              "--budget", "3", "--no-timing"]
         )
         assert code == 2
@@ -109,12 +111,30 @@ class TestRingCommand:
 
     def test_exhausted_budget_on_zcl_full_is_a_warning_exit(self, run_cli):
         code, out, _ = run_cli(
-            ["ring", "so:5:char2", "--compute", "zcl-full",
+            ["ring", "sigma:2:char2", "--compute", "zcl-full",
              "--budget", "3", "--no-timing"]
         )
         assert code == 2
         assert "zcl-full budget exhausted" in out
         assert "lower bound (budget exhausted)" in out
+
+    def test_monomial_rings_print_alike_at_every_budget(self, run_cli, entries):
+        # cl and zcl of a monomial ring come from formulas, which no budget
+        # bounds: the same bytes and exit code at budget 0, 1 and the default.
+        checked = 0
+        for entry in entries:
+            if not isinstance(entry.algebra, MonomialAlgebra):
+                continue
+            for mode in ([], ["--json"]):
+                argv = ["ring", entry.entry_id, "--compute", "cl,zcl-basic,zcl-full",
+                        "--no-timing", *mode]
+                default = run_cli(argv)
+                assert default[0] == 0, (entry.entry_id, mode)
+                for budget in ("0", "1"):
+                    starved = run_cli(argv + ["--budget", budget])
+                    assert starved == default, (entry.entry_id, budget, mode)
+            checked += 1
+        assert checked == len(entries) - 6  # all but the six surfaces
 
     def test_exhausted_budget_on_cl_is_a_warning_exit(self, run_cli):
         code, out, _ = run_cli(
@@ -651,15 +671,41 @@ class TestFrameBundleCommand:
         assert json.loads(out)["interval"] == [257, 2145]
 
     def test_exhausted_budget_is_a_warning_exit(self, run_cli):
-        path = os.path.join(os.path.dirname(DESCRIPTOR), "t2.json")
+        # The genus-2 surface is a table ring, whose zcl is searched.
+        path = os.path.join(os.path.dirname(DESCRIPTOR), "sigma2.json")
         code, out, _ = run_cli(["frame-bundle", path, "--budget", "0", "--json"])
         payload = json.loads(out)
         assert code == 2
-        assert payload["interval"] == [2, 4]  # a valid but starved interval
+        assert payload["interval"] == [2, 6]  # a valid but starved interval
         assert len(payload["warnings"]) == 1
         assert "budget exhausted" in payload["warnings"][0]
         code, out, _ = run_cli(["frame-bundle", path, "--json"])
         assert code == 0 and json.loads(out)["warnings"] == []
+
+    def test_a_refused_ring_keeps_the_other_fields_entries(self, run_cli, tmp_path):
+        # so:20004 has 10,002 generators, past MAX_GENERATORS; only the
+        # char=2 entries need it, and they alone are left out.
+        both = {
+            "name": "M", "dim": 2, "tncz_fields": ["char=0", "char=2"],
+            "cohomology": {"char=0": "s:2:char0", "char=2": "so:20004:char2"},
+        }
+        char0 = {**both, "cohomology": {"char=0": "s:2:char0"}}
+        runs = []
+        for name, obj in (("both", both), ("char0", char0)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(obj))
+            runs.append(run_cli(["frame-bundle", str(path), "--json", "--no-timing"]))
+        (code, out, err), (code0, out0, _) = runs
+        assert (code, err, code0) == (2, "", 0)
+        payload, expected = json.loads(out), json.loads(out0)
+        assert payload["warnings"] == [
+            "zcl(M) over char=2 refused: so:20004 has 10002 generators; the catalog "
+            f"builds rings of at most {MAX_GENERATORS} generators; the entries that "
+            "need it are left out"
+        ]
+        assert payload["entries"] == expected["entries"]
+        assert payload["interval"] == expected["interval"] == [4, 6]
+        assert {e.get("field") for e in payload["entries"]} == {None, "char=0"}
 
 
 class TestExamplesCommand:
@@ -675,14 +721,17 @@ class TestExamplesCommand:
         assert "note (t3):" in out
 
     def test_budget_zero_warns_under_each_row_in_text(self, run_cli):
-        code, out, _ = run_cli(["examples", "rp1", "t3", "--budget", "0", "--no-timing"])
+        # The surfaces are table rings, searched; rp1's rings take formulas.
+        code, out, _ = run_cli(
+            ["examples", "rp1", "sigma2", "sigma3", "--budget", "0", "--no-timing"]
+        )
         assert code == 2
         warning = (
             "zero-divisor search budget exhausted: entries noting it use a searched"
             " lower value, so the lower end may rise with a larger --budget"
         )
         assert [line for line in out.splitlines() if line.startswith("warning")] == [
-            f"warning (rp1): {warning}", f"warning (t3): {warning}"
+            f"warning (sigma2): {warning}", f"warning (sigma3): {warning}"
         ]
 
     def test_json_mode(self, run_cli):
