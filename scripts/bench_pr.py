@@ -116,6 +116,7 @@ INVOCATIONS = (
     ["ring", "so:1000:char2", "--compute", "cl"],
     ["ring", "so:2000:char2", "--compute", "cl"],
     ["ring", "so:4000:char2", "--compute", "zcl-full"],
+    ["ring", "rp:4000", "--compute", "zcl-full"],
     ["ring", "t:3000:char0", "--compute", "cl"],
     ["ring", "t:3000:char0", "--compute", "zcl-full"],
     ["ring", "T10_TABLE", "--compute", "cl"],

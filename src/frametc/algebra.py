@@ -40,7 +40,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
 
-from .fields import Coeff, Field
+from .fields import Field
 
 DEFAULT_CAPACITY = 4096
 # A monomial ring keeps one stride per generator, and stride i has as many
@@ -395,9 +395,8 @@ class ProductAlgebra(Algebra):
         """Product of two vectors, multiplied factor by factor.
 
         Each pair of terms gives (x1⊗y1)(x2⊗y2) = (-1)^{|y1||x2|} x1x2⊗y1y2
-        from the factors' ``mul_basis``.  Nothing is stored per pair: a
-        factor product with the unit is not looked up (every bar term has
-        one) and a coefficient 1 is not multiplied by.
+        from the factors' ``mul_basis``.  Nothing is stored per pair, and
+        each term's degree parity is read once per call.
         """
         f = self.field
         left, right = self.left, self.right
@@ -411,37 +410,21 @@ class ProductAlgebra(Algebra):
             i1, j1 = divmod(x, n)
             odd = right.degree(j1) % 2
             for i2, j2, odd2, cy in vterms:
-                lterms = _factor_terms(left, i1, i2)
+                lterms = left.mul_basis(i1, i2)
                 if not lterms:
                     continue
-                rterms = _factor_terms(right, j1, j2)
-                c = _times(f, cx, cy)
-                if odd and odd2:
-                    c = f.neg(c)
-                for k, a in lterms:
-                    ca = _times(f, c, a)
+                rterms = right.mul_basis(j1, j2).items()
+                c = f.neg(f.mul(cx, cy)) if odd and odd2 else f.mul(cx, cy)
+                for k, a in lterms.items():
+                    ca = f.mul(c, a)
                     for l, b in rterms:
                         key = k * n + l
-                        acc = f.add(out.get(key, 0), _times(f, ca, b))
+                        acc = f.add(out.get(key, 0), f.mul(ca, b))
                         if not acc:
                             out.pop(key, None)
                         else:
                             out[key] = acc
         return out
-
-
-def _factor_terms(A: Algebra, i: int, j: int):
-    """Terms (k, c) of the basis product i·j in A; a unit factor is not looked up."""
-    if i == A.unit_index:
-        return ((j, 1),)
-    if j == A.unit_index:
-        return ((i, 1),)
-    return A.mul_basis(i, j).items()
-
-
-def _times(f: Field, c: Coeff, a: Coeff) -> Coeff:
-    """c·a, without multiplying when a is 1."""
-    return c if a == 1 else f.mul(c, a)
 
 
 def __getattr__(name: str):

@@ -20,20 +20,19 @@ lower side defaults to the trivial TC >= 1 and an empty upper side is null.
 Per-field loops run over the descriptor's fields in ascending characteristic,
 so reports are deterministic.
 
-Fiber ingredients, all read from the cup-length engine on ``so_ring(n, K)``:
+The ring invariants below are read from the cup-length engine through one
+memo, at most once per (invariant, field, ring) per report for every rule.
+A ring or witness it refuses gives a warning and drops only the entries
+that need it.
 
-* cl(SO(n); F2) — ``cup_length``, which on the monomial encoding is the top
-  monomial: exact, witnessed, and free of any search budget.
-* cat(SO(k)) = cl(SO(k); F2) + 1, known exact for k <= ``EXACT_CAT_SO_MAX``
-  (10); beyond that cl + 1 is only a lower bound and the rules that need an
-  exact category fall silent.  One memo computes it once per k per report,
-  for every rule.
+* cat(SO(k)) = cl(SO(k); F2) + 1, cl read by ``cup_length`` from the top
+  monomial: exact, witnessed, and free of any search budget.  It is known
+  exact for k <= ``EXACT_CAT_SO_MAX`` (10); beyond that it is only a lower
+  bound and the rules that need an exact category fall silent.
 * zcl(SO(n); K) and zcl(M; K) — ``zcl_full``, the witnessed zero-divisor cup
-  length, computed at most once per (field, ring) per report through one
-  memo and shared by every rule reading it.  SO(n) is monomial and read
-  from a formula, so only a table ring of M can run out of the node budget;
-  then every entry using it carries the same note.  A ring refused over one
-  field gives a warning and drops only the entries that need it.
+  length.  SO(n) is monomial and read from a formula, so only a table ring
+  of M can run out of the node budget; then every entry using it carries
+  the same note.
 
 ``lower-tncz`` prints its fiber term as ``zcl''(SO(n))``: the zero-divisor
 cup length of H*(SO(n); K) counted through zero-divisors that lift to F(M).
@@ -112,20 +111,20 @@ def compute_bounds(
     warnings: list = []
     starved = False  # set when a zero-divisor search runs out of budget
     so = cache(so_ring)  # H*(SO(k); K), built once per (k, K)
-    # cl(SO(k); F2) + 1 = cat(SO(k)) for k <= EXACT_CAT_SO_MAX; once per k
-    cat = cache(lambda k: cup_length(so(k, F2)).value + 1)
 
     @cache
-    def zcl(fld: Field, who: str) -> Optional[tuple[int, list]]:
-        """zcl over fld of M or of SO(n): (value, notes), noting an exhausted
-        budget; None, with a warning, if the ring or its witness is refused."""
+    def invariant(name: str, fld: Field, k: Optional[int] = None) -> Optional[tuple]:
+        """``name`` ("cl" or "zcl") over fld of M, or of SO(k) if k is given:
+        (value, notes), noting an exhausted budget; None, with a warning, if
+        the ring or its witness is refused."""
         nonlocal starved
+        who = "M" if k is None else f"SO({k})"
         try:
-            ring = descriptor.ring(fld, capacity) if who == "M" else so(n, fld)
-            res = zcl_full(ring, budget=budget)
+            ring = descriptor.ring(fld, capacity) if k is None else so(k, fld)
+            res = (cup_length if name == "cl" else zcl_full)(ring, budget=budget)
         except (ValueError, OSError) as exc:
             warnings.append(
-                f"zcl({who}) over {fld.token()} refused: {exc}; the entries "
+                f"{name}({who}) over {fld.token()} refused: {exc}; the entries "
                 "that need it are left out"
             )
             return None
@@ -133,6 +132,10 @@ def compute_bounds(
             return res.value, []
         starved = True
         return res.value, [_BUDGET_NOTE.format(who)]
+
+    def cat(k: int) -> Optional[int]:  # cl(SO(k); F2) + 1, exact for k <= EXACT_CAT_SO_MAX
+        cl = invariant("cl", F2, k)
+        return cl and cl[0] + 1
 
     def add(rule, kind, value, statement, field=None, assumptions=None, notes=None):
         """Append one entry; field, assumptions and notes only when non-empty."""
@@ -201,8 +204,8 @@ def compute_bounds(
     # frame-bundle-lie-group: F(M) is itself a connected Lie group SO(k), and
     # for a connected Lie group TC = cat; k must satisfy dim SO(k) = dim F(M).
     k = descriptor.frame_bundle_k
-    if k is not None:
-        lo = cat(k)
+    lo = None if k is None else cat(k)
+    if lo is not None:
         group = f"F(M) is the Lie group SO({k})"
         add(
             "frame-bundle-lie-group",
@@ -235,7 +238,7 @@ def compute_bounds(
          "zcl", "M is parallelizable"),
     ):
         for fld in fields:
-            zcl_m, zcl_so = zcl(fld, "M"), zcl(fld, f"SO({n})")
+            zcl_m, zcl_so = invariant("zcl", fld), invariant("zcl", fld, n)
             if zcl_m is None or zcl_so is None:
                 continue
             (zm, notes), (zso, so_notes) = zcl_m, zcl_so
@@ -258,7 +261,7 @@ def compute_bounds(
     m = n // 2
     bump = 2 * m + 1 if m % 2 == 0 else 2 * m
     for fld in odd_tncz if m >= 1 else []:
-        zcl_m = zcl(fld, "M")
+        zcl_m = invariant("zcl", fld)
         if zcl_m is None:
             continue
         zm, notes = zcl_m

@@ -57,7 +57,7 @@ bounds, examples, linalg, manifold, table = map(
 
 from .algebra import DEFAULT_CAPACITY, CapacityError  # noqa: E402
 from .catalog import resolve_ring  # noqa: E402
-from .cuplength import DEFAULT_BUDGET, cup_length, zcl_full  # noqa: E402
+from .cuplength import DEFAULT_BUDGET, WitnessTooLongError, cup_length, zcl_full  # noqa: E402
 from .fields import parse_field  # noqa: E402
 from .report import describe, render_bounds, render_examples, render_ring  # noqa: E402
 
@@ -216,6 +216,7 @@ def _cmd_ring(args):
             )
     results: dict = {}
     warnings: list = []
+    refused = None  # the first item past MAX_WITNESS; each one is a warning
     zcl = None  # zcl-basic and zcl-full are equal; one search answers both
     for w in wanted:
         if w in ("basis", "poincare") and algebra.dim > args.capacity:
@@ -230,17 +231,20 @@ def _cmd_ring(args):
         elif w == "poincare":
             results["poincare"] = algebra.poincare_polynomial()
         else:
-            if w == "cl":
-                res = cup_length(algebra, budget=args.budget)
-            elif zcl is None:
-                res = zcl = zcl_full(algebra, budget=args.budget)
-            else:
-                res = zcl
+            try:
+                if w == "cl":
+                    res = cup_length(algebra, budget=args.budget)
+                else:
+                    res = zcl = zcl or zcl_full(algebra, budget=args.budget)
+            except WitnessTooLongError as exc:
+                refused = refused or exc
+                warnings.append(f"--compute {w}: {exc}")
+                continue
             results[w] = describe(res)
             if not res.exact:
                 warnings.append(f"{w} budget exhausted; reported value is a lower bound")
-    if not results:  # every item was refused
-        raise CapacityError(warnings[0])
+    if not results:  # every item was refused: exit 1, on a witness refusal first
+        raise refused or CapacityError(warnings[0])
     payload = {
         "ring": {
             "id": ring_id,

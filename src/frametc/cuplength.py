@@ -45,10 +45,10 @@ one part, g^(q−1) in K[g]/g^q for cl and the longest nonzero power of
 bar(g) in its square for zcl, checked there alone: over a field, a tensor
 product of nonzero elements is nonzero.
 
-Every result carries a witness that is re-multiplied and checked nonzero
-before it is returned, once, by the public entry that returns it; each
-distinct factor of a zcl witness is also checked to be a zero-divisor, and
-an exact product to vanish times any one of them.  Only the search reads
+Every result carries a witness that is re-multiplied (runs of one factor by
+repeated squaring) and checked nonzero before it is returned, once, by the
+public entry that returns it; zcl factors must be zero-divisors, and an
+exact product must vanish times each of them.  Only the search reads
 the node budget; one that runs out returns ``exact=False``: a lower bound,
 which callers that need upper bounds reject.  A monomial witness of more
 than ``MAX_WITNESS`` factors is refused before any part is built.
@@ -58,7 +58,10 @@ than ``MAX_WITNESS`` factors is refused before any part is built.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import reduce
+from itertools import groupby
 from math import comb
+from operator import mul
 from typing import Optional
 
 from . import linalg
@@ -103,10 +106,12 @@ class CupLengthResult:
     def verify(self) -> bool:
         """Re-multiply the witness and confirm a nonzero product of the stated length.
 
-        A factor outside ``algebra`` must be a zero-divisor of its tensor
-        square, each distinct one checked once, and an exact product must
-        vanish times any one of them.  A factored result re-verifies its
-        parts, in generator order, and their sum.
+        Each run of one repeated factor is raised to its length by repeated
+        squaring, and the runs are multiplied in witness order.  A factor
+        outside ``algebra`` must be a zero-divisor of its tensor square,
+        checked once per run, and an exact product must vanish times any one
+        of them.  A factored result re-verifies its parts, in generator order,
+        and their sum.
         """
         if self.parts:
             return (
@@ -121,22 +126,26 @@ class CupLengthResult:
         if len(self.witness) != self.value:
             return False
         A = self.algebra
-        factors = {id(w): w for w in self.witness}.values()
-        for w in factors:
+        runs = [list(run) for _, run in groupby(self.witness, key=id)]
+        for w in (run[0] for run in runs):
             T = w.algebra
             if T is not A and not (
                 isinstance(T, ProductAlgebra) and T.left is A and T.right is A
                 and not diagonal_image(T, w.coeffs)
             ):
                 return False
-        prod = self.witness[0]
-        for w in self.witness[1:]:
-            prod = prod * w
-        if prod.is_zero:
+        prod = reduce(mul, (_power(run[0], len(run)) for run in runs))
+        if prod.is_zero or self.witness_product not in (None, prod):
             return False
-        if self.witness_product is not None and prod != self.witness_product:
-            return False
-        return not self.exact or all((prod * w).is_zero for w in factors)
+        return not self.exact or all((prod * run[0]).is_zero for run in runs)
+
+
+def _power(w: Element, k: int) -> Element:
+    """w^k for k >= 1, by repeated squaring."""
+    if k == 1:
+        return w
+    half = _power(w * w, k // 2)
+    return half * w if k % 2 else half
 
 
 def _checked(result: CupLengthResult) -> CupLengthResult:

@@ -10,6 +10,7 @@ identities checked symbolically in the tests themselves.
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from math import comb
 
 import pytest
@@ -40,10 +41,10 @@ from frametc.cuplength import (
 )
 from frametc.fields import F2, QQ, field_of
 from frametc.linalg import Echelon
-from frametc.table import TableAlgebra
+from frametc.table import TableAlgebra, ring_from_json
 from closed_forms import korbas_cl
-from helpers import degrees, generator, labels, searched_cl, tensor
-from oracle import brute_force_cl
+from helpers import degrees, generator, labels, ring_to_json, searched_cl, tensor
+from oracle import _tmul, brute_force_cl
 from test_algebra import table_from
 from zero_divisors import zero_divisor_generators
 
@@ -504,9 +505,10 @@ class TestBarPowerFormula:
                 answered += 1
         assert answered == len(entries) - 6  # all but the six surfaces
 
-    def test_products_made_are_one_per_factor(self, monkeypatch):
-        # The chain re-multiplication makes value − 1 products per part, and
-        # the check from above one more; no search multiplies.
+    def test_products_made_are_logarithmic_per_part(self, monkeypatch):
+        # Each part is one run bar(g)^k, raised by repeated squaring:
+        # bitlen(k) − 1 squares and popcount(k) − 1 products, and the check
+        # from above one more.  No search multiplies.
         calls = []
         mul_vec = ProductAlgebra.mul_vec
 
@@ -517,7 +519,8 @@ class TestBarPowerFormula:
         monkeypatch.setattr(ProductAlgebra, "mul_vec", counted)
         res = zcl_full(so_ring(1000, F2))
         assert (res.value, res.exact) == (5052, True)
-        assert len(calls) <= res.value + len(res.parts)
+        ks = [p.value for p in res.parts]
+        assert len(calls) == sum(k.bit_length() + k.bit_count() - 1 for k in ks)
 
     def test_witness_at_the_limit_answers_and_one_factor_more_is_refused(self, monkeypatch):
         # so:12:char2 has zcl 24 over six generators; cp:3:char0 has zcl 6.
@@ -728,6 +731,71 @@ class TestChain:
             assert cl.value <= zb.value <= zf.value, entry.entry_id
 
 
+def oracle_pairs(x: Element) -> dict:
+    """x in the oracle's (i, j)-pair form: an element of a tensor square B⊗B
+    as its pairs, and an element x of B as x⊗1, since (x⊗1)(y⊗1) = xy⊗1."""
+    P = x.algebra
+    if isinstance(P, ProductAlgebra):
+        return {P.split_index(i): c for i, c in x.coeffs.items()}
+    return {(i, P.unit_index): c for i, c in x.coeffs.items()}
+
+
+def oracle_power(w: Element, k: int) -> dict:
+    """w^k by k − 1 products in the oracle's own pair arithmetic ``_tmul``."""
+    B = w.algebra.left if isinstance(w.algebra, ProductAlgebra) else w.algebra
+    x = out = oracle_pairs(w)
+    for _ in range(k - 1):
+        out = _tmul(B, out, x, B.field.characteristic)
+    return out
+
+
+class TestRepeatedSquaring:
+    """``verify`` raises each run of a witness to its length by repeated
+    squaring, ``cuplength._power``.  Checked here apart from ``verify``,
+    against a left-to-right chain and ``oracle_power``, on every run of
+    every cl and zcl witness of small rings."""
+
+    @staticmethod
+    def rings():
+        yield from (rp_ring(n) for n in range(1, 65))
+        for p in (0, 2, 3, 5):
+            yield from (cp_ring(n, field_of(p)) for n in range(1, 25))
+        yield from (so_ring(n, F2) for n in range(1, 17))
+        # rp:7 written out as a table: its searched witnesses repeat one class.
+        yield ring_from_json(ring_to_json(table_from(rp_ring(7))))
+
+    def test_squared_runs_match_the_chain_and_the_oracle(self):
+        lengths = Counter()
+        for A in self.rings():
+            for res in (cup_length(A), zcl_full(A)):
+                for part in res.parts or [res]:
+                    powers = []
+                    for _, run in groupby(part.witness, key=id):
+                        run = list(run)
+                        w, k = run[0], len(run)
+                        chain = w
+                        for _ in range(k - 1):
+                            chain = chain * w
+                        squared = cuplength._power(w, k)
+                        assert squared == chain, (A, part.method, k)
+                        assert oracle_pairs(squared) == oracle_power(w, k), (A, k)
+                        powers.append(squared)
+                        lengths[type(A).__name__, res.method] = max(
+                            k, lengths[type(A).__name__, res.method]
+                        )
+                    if powers:
+                        product = powers[0]
+                        for power in powers[1:]:
+                            product = product * power
+                        assert product == part.witness_product
+        assert lengths == {
+            ("MonomialAlgebra", "closed-form"): 64,  # rp:64
+            ("MonomialAlgebra", "factorization"): 127,  # zcl(rp:64) = 2^7 − 1
+            ("TableAlgebra", "search"): 7,
+            ("TableAlgebra", "generator-bars"): 7,
+        }
+
+
 class TestWitnessContract:
     def test_every_result_verifies(self, small_entries):
         for entry in small_entries[:10]:
@@ -760,6 +828,31 @@ class TestWitnessContract:
             algebra=res.algebra,
         )
         assert not wrong_product.verify()
+        # A run one factor too long or too short fails, whether the stated
+        # value keeps its length or follows the witness: by the count, by a
+        # zero product, by the stated product or by the check from above.
+        A, tried = rp_ring(7), 0
+        for res in (cup_length(A), zcl_full(A), cup_length(table_from(A)),
+                    zcl_full(table_from(A)), zcl_full(cp_ring(3, QQ)), zcl_full(so_ring(8, F2))):
+            for part in res.parts or [res]:
+                w, k = part.witness, part.value
+                if k < 2:
+                    continue
+                for witness, value in ((w + w[:1], k), (w[:-1], k), (w + w[:1], k + 1),
+                                       (w[:-1], k - 1)):
+                    for product in (part.witness_product, None):
+                        assert not CupLengthResult(
+                            value, True, part.method, witness, product, algebra=part.algebra
+                        ).verify(), (part.method, len(witness), value)
+                        tried += 1
+        assert tried == 8 * 7
+        # The check from above reads every run: in F2[a, b]/(a^3, b^2), a·b ≠ 0
+        # and a·b·b = 0, but a·b·a ≠ 0, so neither order of a, b is exact.
+        A = table_from(MonomialAlgebra(F2, [GeneratorSpec("a", 1, 3), GeneratorSpec("b", 1)]))
+        a, b = (A.basis_element(labels(A).index(x)) for x in "ab")
+        for witness in ([a, b], [b, a]):
+            assert not CupLengthResult(2, True, "search", witness, algebra=A).verify()
+            assert CupLengthResult(2, False, "search", witness, algebra=A).verify()
 
     def test_verify_rejects_a_zcl_witness_of_non_zero_divisors(self):
         # a1⊗1 · b1⊗1 · 1⊗a2 · 1⊗b2 = ±w⊗w is nonzero in A⊗A, but no factor

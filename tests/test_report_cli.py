@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from frametc.algebra import MonomialAlgebra
+from frametc.algebra import DEFAULT_CAPACITY, MonomialAlgebra
 from frametc.catalog import MAX_GENERATORS, rp_ring, sphere_ring
 from frametc.fields import F2, MAX_CHARACTERISTIC
 from frametc.cuplength import MAX_WITNESS, cup_length, zcl_full
@@ -411,6 +411,46 @@ class TestRingCommand:
                 f"MAX_WITNESS = {MAX_WITNESS} are listed\n"
             ), budget
 
+    def test_witness_refusal_keeps_the_other_items(self, run_cli):
+        # zcl(CP^300000; Q) = 600000 is past MAX_WITNESS and refused; cl =
+        # 300000 is not, and stays.  Only a command whose every item is
+        # refused exits 1, with the refusal of the first witness.
+        refused = (
+            "the zcl witness would have 600000 factors; at most "
+            f"MAX_WITNESS = {MAX_WITNESS} are listed"
+        )
+        argv = ["ring", "cp:300000:char0", "--json", "--no-timing", "--compute"]
+        code, out, err = run_cli(argv + ["zcl-full,cl,basis,zcl-basic"])
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert list(payload["results"]) == ["cl"]
+        assert payload["results"]["cl"]["value"] == 300000
+        assert payload["warnings"] == [
+            f"--compute zcl-full: {refused}",
+            f"--compute basis: dimension 300001 exceeds capacity {DEFAULT_CAPACITY}",
+            f"--compute zcl-basic: {refused}",
+        ]
+        for items in ("zcl-full", "basis,zcl-full", "zcl-basic,poincare,zcl-full"):
+            assert run_cli(argv + [items]) == (1, "", f"error: {refused}\n"), items
+
+    def test_long_zcl_witness_verifies_at_once(self):
+        # zcl(RP^20000; F2) = 2^15 − 1 = 32767 bars of one generator.  Raised
+        # by repeated squaring, the witness verifies in well under 5 s; a
+        # chain of 32766 products of up to 20001 terms took 17 s.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "frametc.cli", "ring", "rp:20000",
+             "--compute", "zcl-full", "--json", "--no-timing"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        zcl = json.loads(proc.stdout)["results"]["zcl-full"]
+        assert (zcl["value"], zcl["exact"], len(zcl["witness"])) == (32767, True, 32767)
+
     def test_so_ring_too_long_to_print_is_refused(self, run_cli):
         # so:n:char2 has dimension 2^(n-1): 2^14284 has 4300 digits, the
         # most Python prints by default, and 2^14285 has 4301.  The limit is
@@ -706,6 +746,27 @@ class TestFrameBundleCommand:
         assert payload["entries"] == expected["entries"]
         assert payload["interval"] == expected["interval"] == [4, 6]
         assert {e.get("field") for e in payload["entries"]} == {None, "char=0"}
+
+    def test_a_refused_lie_group_keeps_the_other_entries(self, run_cli, tmp_path):
+        # F(M) = SO(20004) needs cl(SO(20004); F2), whose ring of 10,002
+        # generators is refused: its entries are left out, and the entries
+        # that need no ring stay.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"name": "big", "dim": 20003, "spin": True, "frame_bundle_lie_group": "so:20004"}
+        ))
+        code, out, err = run_cli(["frame-bundle", str(path), "--json", "--no-timing"])
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert payload["warnings"] == [
+            "cl(SO(20004)) over char=2 refused: so:20004 has 10002 generators; the "
+            f"catalog builds rings of at most {MAX_GENERATORS} generators; the entries "
+            "that need it are left out"
+        ]
+        assert [e["rule"] for e in payload["entries"]] == [
+            "upper-farber", "upper-free-action", "lower-spin"
+        ]
+        assert payload["interval"] == [20003, 200090010]
 
 
 class TestExamplesCommand:
