@@ -15,6 +15,27 @@ from frametc.cuplength import MAX_WITNESS, cup_length, zcl_full
 from helpers import ring_to_json
 
 DESCRIPTOR = os.path.join(os.path.dirname(__file__), "..", "descriptors", "s2.json")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def cli_child(argv, timeout, memory_mb=None):
+    """Run ``frametc.cli`` with argv in a child held to ``timeout`` seconds
+    and, if given, ``memory_mb`` of address space.  The child does not see
+    pytest's ``pythonpath``, so ``src`` goes first on its PYTHONPATH."""
+    path = os.pathsep.join([SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+
+    def cap_memory():
+        limit = memory_mb * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "frametc.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=cap_memory if memory_mb else None,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestRingCommand:
@@ -368,21 +389,10 @@ class TestRingCommand:
         # cl(CP^n; Q) = n.  For n = 30,000,000 the witness list was built,
         # re-multiplied and printed, past 40 s and 700 MB; now the call
         # exits 1 in a child held to 100 MB of address space and 5 s.
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        limit = 100 * 2**20
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "frametc.cli", "ring", "cp:30000000:char0",
-             "--compute", "cl", "--no-timing"],
-            capture_output=True,
-            text=True,
+        proc = cli_child(
+            ["ring", "cp:30000000:char0", "--compute", "cl", "--no-timing"],
             timeout=5,
-            preexec_fn=cap_memory,
-            env={**os.environ, "PYTHONPATH": path},
+            memory_mb=100,
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (
@@ -394,16 +404,11 @@ class TestRingCommand:
         # zcl(RP^n; F2) = 2^bitlen(n) − 1 is read from a formula, so a witness
         # past MAX_WITNESS is refused before any part is built, whatever the
         # budget, as cl is.
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         for budget in ([], ["--budget", "10"]):
-            proc = subprocess.run(
-                [sys.executable, "-m", "frametc.cli", "ring", "rp:99999999999999999999",
-                 "--compute", "zcl-full", "--no-timing", *budget],
-                capture_output=True,
-                text=True,
+            proc = cli_child(
+                ["ring", "rp:99999999999999999999", "--compute", "zcl-full",
+                 "--no-timing", *budget],
                 timeout=5,
-                env={**os.environ, "PYTHONPATH": path},
             )
             assert (proc.returncode, proc.stdout) == (1, ""), budget
             assert proc.stderr == (
@@ -437,15 +442,8 @@ class TestRingCommand:
         # zcl(RP^20000; F2) = 2^15 − 1 = 32767 bars of one generator.  Raised
         # by repeated squaring, the witness verifies in well under 5 s; a
         # chain of 32766 products of up to 20001 terms took 17 s.
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-m", "frametc.cli", "ring", "rp:20000",
-             "--compute", "zcl-full", "--json", "--no-timing"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            env={**os.environ, "PYTHONPATH": path},
+        proc = cli_child(
+            ["ring", "rp:20000", "--compute", "zcl-full", "--json", "--no-timing"], timeout=5
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         zcl = json.loads(proc.stdout)["results"]["zcl-full"]
@@ -512,21 +510,7 @@ class TestRingCommand:
             gens = [{"name": f"x{i}", "degree": 1} for i in range(MAX_GENERATORS + 1)]
             with open(ring, "w", encoding="utf-8") as fh:
                 json.dump({"field": {"char": 2}, "type": "monomial", "generators": gens}, fh)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        limit = 100 * 2**20
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "frametc.cli", "ring", ring, "--no-timing"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            preexec_fn=cap_memory,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = cli_child(["ring", ring, "--no-timing"], timeout=10, memory_mb=100)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert f"at most {MAX_GENERATORS} generators" in proc.stderr
@@ -534,15 +518,7 @@ class TestRingCommand:
     def test_characteristic_past_the_limit_is_refused_at_once(self):
         # Trial division would prove 2**61 - 1 prime in about 1.5e9 steps;
         # the field refuses it before trying, in a child held to 5 s.
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-m", "frametc.cli", "ring", "so:3:char2305843009213693951"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = cli_child(["ring", "so:3:char2305843009213693951"], timeout=5)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (
             f"error: characteristic {2**61 - 1} exceeds the limit {MAX_CHARACTERISTIC}\n"
@@ -861,15 +837,6 @@ class TestCommonFlags:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        # The child does not see pytest's ``pythonpath``; put ``src`` first.
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-m", "frametc.cli", "ring", "rp:3", "--no-timing"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = cli_child(["ring", "rp:3", "--no-timing"], timeout=120)
         assert proc.returncode == 0
         assert "cl: 3" in proc.stdout
