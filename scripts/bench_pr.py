@@ -112,6 +112,8 @@ INVOCATIONS = (
     ["examples"],
     ["ring", "cp:300:char0", "--compute", "zcl-full"],
     ["ring", "cp:600:char0", "--compute", "zcl-full"],
+    # The largest characteristic: there exact sums grow most before a clean.
+    ["ring", "cp:600:char2147483647", "--compute", "zcl-full"],
     ["ring", "sigma:600:char0", "--compute", "cl,zcl-full"],
     ["ring", "so:1000:char2", "--compute", "cl"],
     ["ring", "so:2000:char2", "--compute", "cl"],

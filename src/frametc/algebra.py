@@ -187,18 +187,15 @@ class Algebra:
     # -- products ------------------------------------------------------------
 
     def mul_vec(self, u: dict, v: dict) -> dict:
-        f = self.field
+        """Product of two vectors: exact sums of the term products from
+        ``mul_basis``, reduced once by :meth:`Field.clean`."""
         out: dict = {}
         for i, ci in u.items():
             for j, cj in v.items():
-                cij = f.mul(ci, cj)
+                cij = ci * cj
                 for k, s in self.mul_basis(i, j).items():
-                    acc = f.add(out.get(k, 0), f.mul(cij, s))
-                    if not acc:
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
-        return out
+                    out[k] = out.get(k, 0) + cij * s
+        return self.field.clean(out)
 
     # -- axiom checking --------------------------------------------------------
 
@@ -218,10 +215,12 @@ class Algebra:
         g·w with deg w < deg x, since the generators span a complement of
         A+·A+ in each degree and (g·w)·b = g·(w·b); so, by induction on deg x,
         ((g·w)·y)·z = (g·(w·y))·z = g·((w·y)·z) = g·(w·(y·z)) = (g·w)·(y·z).
-        Triples the grading settles are skipped: those with deg g + deg y +
-        (least positive degree) above the top degree, and those with g·y = 0
-        and y·z = 0, where both sides are 0.  So z runs only over the classes
-        with y·z ≠ 0 or x·z ≠ 0 for a term x of g·y.
+        The check is row-wise: one pass per generator g and class y builds
+        both sides for every z at once, as maps ``{(z, k): coefficient}`` of
+        exact sums, cleans each once and compares them.  Classes y that the
+        grading settles are skipped: those with deg g + deg y + (least
+        positive degree) above the top degree.  Only the z with y·z ≠ 0 or
+        x·z ≠ 0 for a term x of g·y add terms; for the others both sides are 0.
         Raises InvalidPresentationError naming the first offender; for
         associativity, the first failing (g, y, z) in generator order, then
         y index, then z index.  The method is defined here, not on
@@ -232,7 +231,6 @@ class Algebra:
         f = self.field
         table = self._table
         degs, labels = self._degrees, self._labels
-        signs = (1, f.sign_to_coeff(1))  # (-1)**(even), (-1)**(odd)
         # One visit per unordered pair: if (j, i) passes both checks then
         # prod_ij = ±prod_ji, so (i, j) passes too.  The first offender of
         # the full row-major loop therefore has i <= j, and is found here.
@@ -244,9 +242,8 @@ class Algebra:
                     raise InvalidPresentationError(
                         f"product {labels[i]}·{labels[j]} violates grading"
                     )
-            sign = signs[degs[i] * degs[j] % 2]
-            prod_ji = table.get((j, i), _NO_TERMS)
-            expect = {k: f.mul(sign, c) for k, c in prod_ji.items()}
+            sign = -1 if degs[i] * degs[j] % 2 else 1
+            expect = f.clean({k: sign * c for k, c in table.get((j, i), _NO_TERMS).items()})
             if prod_ij != expect:
                 raise InvalidPresentationError(
                     f"graded commutativity fails on {labels[i]}, {labels[j]}"
@@ -263,18 +260,23 @@ class Algebra:
                 room = top - least - degs[g]
                 ys[degs[g]] = [y for y, d in enumerate(degs) if y != unit and d <= room]
             for y in ys[degs[g]]:
-                prod_gy = table.get((g, y), _NO_TERMS)
-                zs = set(partners[y])
-                for x in prod_gy:
-                    zs.update(partners[x])
-                for z in sorted(zs):
-                    left = self.mul_vec(prod_gy, {z: 1})
-                    right = self.mul_vec({g: 1}, table.get((y, z), _NO_TERMS))
-                    if left != right:
-                        raise InvalidPresentationError(
-                            "associativity fails on "
-                            f"{labels[g]}, {labels[y]}, {labels[z]}"
-                        )
+                left: dict = {}  # (g·y)·z
+                for x, c in table.get((g, y), _NO_TERMS).items():
+                    for z in partners[x]:
+                        for k, s in table[(x, z)].items():
+                            left[z, k] = left.get((z, k), 0) + c * s
+                right: dict = {}  # g·(y·z)
+                for z in partners[y]:
+                    for w, c in table[(y, z)].items():
+                        for k, s in table.get((g, w), _NO_TERMS).items():
+                            right[z, k] = right.get((z, k), 0) + c * s
+                left, right = f.clean(left), f.clean(right)
+                if left != right:
+                    z = min(z for (z, _), _ in left.items() ^ right.items())
+                    raise InvalidPresentationError(
+                        "associativity fails on "
+                        f"{labels[g]}, {labels[y]}, {labels[z]}"
+                    )
 
 
 class MonomialAlgebra(Algebra):
@@ -396,9 +398,9 @@ class ProductAlgebra(Algebra):
 
         Each pair of terms gives (x1⊗y1)(x2⊗y2) = (-1)^{|y1||x2|} x1x2⊗y1y2
         from the factors' ``mul_basis``.  Nothing is stored per pair, and
-        each term's degree parity is read once per call.
+        each term's degree parity is read once per call.  The coefficients
+        are exact sums, reduced once by :meth:`Field.clean`.
         """
-        f = self.field
         left, right = self.left, self.right
         n = right.dim
         vterms = []
@@ -414,17 +416,13 @@ class ProductAlgebra(Algebra):
                 if not lterms:
                     continue
                 rterms = right.mul_basis(j1, j2).items()
-                c = f.neg(f.mul(cx, cy)) if odd and odd2 else f.mul(cx, cy)
+                c = -cx * cy if odd and odd2 else cx * cy
                 for k, a in lterms.items():
-                    ca = f.mul(c, a)
+                    ca = c * a
                     for l, b in rterms:
                         key = k * n + l
-                        acc = f.add(out.get(key, 0), f.mul(ca, b))
-                        if not acc:
-                            out.pop(key, None)
-                        else:
-                            out[key] = acc
-        return out
+                        out[key] = out.get(key, 0) + ca * b
+        return self.field.clean(out)
 
 
 def __getattr__(name: str):

@@ -152,7 +152,7 @@ def surface_ring(g: int, field: Field = F2, capacity: int = DEFAULT_CAPACITY) ->
     products: dict[tuple[int, int], dict] = {}
     for i in range(1, g + 1):
         products[(i, g + i)] = {w: 1}
-        products[(g + i, i)] = {w: field.neg(1)}
+        products[(g + i, i)] = {w: -1}
     return table.TableAlgebra(field, names, degrees, products, capacity=capacity)
 
 
@@ -180,7 +180,9 @@ def parse_catalog_id(text: str) -> tuple[str, int, Optional[Field]]:
             f"unknown ring family {family!r}; known: {', '.join(sorted(_FAMILIES))}"
         )
     try:
-        param = int(param_s)
+        if not (param_s.isascii() and param_s.isdigit()):  # no sign, "_" or space
+            raise ValueError(param_s)
+        param = int(param_s)  # or past int's digit limit
     except ValueError:
         raise CatalogError(f"bad parameter {param_s!r} in catalog id {text!r}")
     field: Optional[Field] = None

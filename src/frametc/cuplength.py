@@ -187,30 +187,23 @@ def _top_power(B: MonomialAlgebra, k: int) -> CupLengthResult:
 def diagonal_image(T: ProductAlgebra, vec: dict) -> dict:
     """Image of a tensor-square vector under the multiplication map A⊗A → A."""
     A = T.left
-    f = A.field
     out: dict = {}
     for k, c in vec.items():
         i, j = T.split_index(k)
         for m, s in A.mul_basis(i, j).items():
-            acc = f.add(out.get(m, 0), f.mul(c, s))
-            if not acc:
-                out.pop(m, None)
-            else:
-                out[m] = acc
-    return out
+            out[m] = out.get(m, 0) + c * s
+    return A.field.clean(out)
 
 
 def bar(T: ProductAlgebra, u: Element) -> Element:
     """The zero-divisor 1⊗u − u⊗1 associated with u, inside the tensor square."""
-    A = T.left
-    f = A.field
-    unit = A.unit_index
+    unit = T.left.unit_index
     coeffs: dict = {}
     for i, c in u.coeffs.items():
         k = T.pair_index(unit, i)
-        coeffs[k] = f.add(coeffs.get(k, 0), c)
+        coeffs[k] = coeffs.get(k, 0) + c
         k = T.pair_index(i, unit)
-        coeffs[k] = f.sub(coeffs.get(k, 0), c)
+        coeffs[k] = coeffs.get(k, 0) - c
     return Element(T, coeffs)
 
 
@@ -351,11 +344,11 @@ def _bar_power_length(g: GeneratorSpec, p: int) -> int:
 def _bar_power(B: MonomialAlgebra, k: int) -> CupLengthResult:
     """zcl of K[g]/g^q: k factors bar(g), their product from the binomial formula."""
     h = B.dim - 1
-    T, f = ProductAlgebra(B, B), B.field
+    T = ProductAlgebra(B, B)
     terms, lo = {}, max(0, k - h)
     c = comb(k, lo)
     for i in range(lo, min(k, h) + 1):  # c = C(k, i)
-        terms[T.pair_index(i, k - i)] = f.mul(f.sign_to_coeff(i), c)
+        terms[T.pair_index(i, k - i)] = -c if i % 2 else c
         c = c * (k - i) // (i + 1)
     witness = [bar(T, B.basis_element(1))] * k
     product = Element(T, terms) if k else None

@@ -9,7 +9,10 @@ Two kinds of field are supported and both are exact:
 * prime characteristic p <= ``MAX_CHARACTERISTIC``, as Python ints in ``range(p)``.
 
 Zero and one are ``0`` and ``1`` in every field, and a coefficient is zero
-exactly when it is falsy.
+exactly when it is falsy.  A coefficient is reduced in one place only:
+:meth:`Field.coerce`, for one value, and :meth:`Field.clean`, for a sparse
+vector.  Every product elsewhere adds up exact Python sums and cleans the
+result once.
 
 No floating point is used anywhere in this package.  A field is addressed in
 text form as ``char=0`` or ``char=P`` (the form the CLI's ``--field`` flag
@@ -134,7 +137,7 @@ class Field:
 
     def sign_to_coeff(self, exponent: int) -> Coeff:
         """(-1)**exponent as a field element."""
-        return self.neg(1) if exponent % 2 else 1
+        return self.coerce(-1) if exponent % 2 else 1
 
     # -- text form ------------------------------------------------------------
 
@@ -160,14 +163,16 @@ def parse_field(text: str) -> Field:
     elif t.startswith("char"):
         t = t[4:]
     try:
-        p = int(t)
+        if not (t.isascii() and t.isdigit()):  # no sign, "_" or space
+            raise ValueError(t)
+        p = int(t)  # or past int's digit limit
     except ValueError:
         raise FieldError(f"cannot parse field {text!r}; expected e.g. char=0 or char=2")
     return field_of(p)
 
 
 def field_from_json(obj) -> Field:
-    if isinstance(obj, dict) and "char" in obj and isinstance(obj["char"], int):
+    if isinstance(obj, dict) and type(obj.get("char")) is int:  # JSON true is no integer
         return field_of(obj["char"])
     if isinstance(obj, str):
         return parse_field(obj)

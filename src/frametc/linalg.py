@@ -11,9 +11,11 @@ Elimination is one fraction-free step for every field::
 and every step's result is renormalized.  Over char 0 that keeps a row a
 *primitive integer* vector (scaled by the lcm of denominators, divided by
 the content gcd, leading coefficient positive), so the hot loops run on
-ints only while staying exact; over char p it reduces mod p and drops the
-zeros.  Over char p a pivot is scaled to 1 when it is stored, so there the
-step is ``row - row[c] * piv``.
+ints only while staying exact; over char p it is :meth:`Field.clean`, which
+reduces mod p and drops the zeros.  Over char p a pivot is scaled to 1 by
+:meth:`Field.invert` when it is stored, so there the step is
+``row - row[c] * piv``.  No coefficient is reduced here but through
+:class:`Field`.
 
 The echelon keeps one row per pivot column (pivot = smallest column index of
 the row), which is enough for exact rank and span-membership tests; rows are
@@ -51,27 +53,22 @@ class Echelon:
     # -- internal helpers ----------------------------------------------------
 
     def _norm(self, vec: Vec) -> Vec:
-        p = self.field.characteristic
-        if p == 0:
-            den = lcm(*(c.denominator for c in vec.values()))
-            ints = {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
-            if not ints:
-                return ints
-            g = gcd(*ints.values())
-            if ints[min(ints)] < 0:
-                g = -g
-            return {k: v // g for k, v in ints.items()}
-        return {k: c % p for k, c in vec.items() if c % p}
+        if self.field.characteristic:
+            return self.field.clean(vec)
+        den = lcm(*(c.denominator for c in vec.values()))
+        ints = {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
+        if not ints:
+            return ints
+        g = gcd(*ints.values())
+        if ints[min(ints)] < 0:
+            g = -g
+        return {k: v // g for k, v in ints.items()}
 
     def _eliminate(self, vec: Vec, col: int) -> Vec:
+        """The fraction-free step; :meth:`_norm` drops the zeros it leaves."""
         piv = self.rows[col]
         a, b = vec[col], piv[col]
-        out = {}
-        for k in vec.keys() | piv.keys():
-            c = b * vec.get(k, 0) - a * piv.get(k, 0)
-            if c:
-                out[k] = c
-        return out
+        return {k: b * vec.get(k, 0) - a * piv.get(k, 0) for k in vec.keys() | piv.keys()}
 
     # -- public API ------------------------------------------------------------
 
@@ -88,10 +85,10 @@ class Echelon:
         if not vec:
             return False, vec
         piv = min(vec)
-        p = self.field.characteristic
-        if p != 0:
-            inv = pow(vec[piv], -1, p)
-            vec = {k: (c * inv) % p for k, c in vec.items()}
+        f = self.field
+        if f.characteristic:
+            inv = f.invert(vec[piv])
+            vec = f.clean({k: c * inv for k, c in vec.items()})
         self.rows[piv] = vec
         return True, vec
 

@@ -217,6 +217,6 @@ def ring_from_json(
             except KeyError as e:
                 raise InvalidPresentationError(f"unknown basis name {e.args[0]!r}")
             terms = products.setdefault(key, {})
-            terms[k] = field.add(terms.get(k, 0), _coeff_from_json(c, field))
+            terms[k] = terms.get(k, 0) + _coeff_from_json(c, field)  # TableAlgebra cleans
         return TableAlgebra(field, names, degrees, products, capacity=capacity)
     raise InvalidPresentationError(f"unknown ring type {kind!r} (monomial or table)")

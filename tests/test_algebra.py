@@ -20,7 +20,7 @@ from frametc.algebra import (
 )
 from frametc.catalog import catalog_ring, rp_ring, so_ring, surface_ring, torus_ring
 from frametc.cuplength import cup_length, zcl_basic, zcl_full
-from frametc.fields import F2, QQ
+from frametc.fields import F2, QQ, field_of
 from frametc.table import TableAlgebra, ring_from_json
 from helpers import degrees, generator, labels, negated, ring_to_json, tensor
 from oracle import _tmul
@@ -802,8 +802,9 @@ class TestAxiomChecker:
         assert str(exc.value) == outcome(reference_check_axioms, A)
 
     def test_skipped_triples_change_no_outcome(self):
-        tables = [catalog_ring(f"sigma:{g}:char{p}")[1] for g in (1, 2, 3) for p in (0, 2)]
+        tables = [catalog_ring(f"sigma:{g}:char{p}")[1] for g in (1, 2, 3) for p in (0, 2, 3)]
         tables += [reencode(catalog_ring(r)[1], seed) for r in SOURCES for seed in SEEDS]
+        tables.append(reencode(catalog_ring("sigma:3:char3")[1], 0))  # signs ≡ 2 mod 3
         tables.append(table_from(torus_ring(6, QQ)))  # 64 classes
         outcomes = []
         for t, A in enumerate(tables):
@@ -814,6 +815,24 @@ class TestAxiomChecker:
         assert None in outcomes
         for kind in ("graded commutativity", "associativity"):
             assert any(o and o.startswith(kind) for o in outcomes), kind
+
+    @pytest.mark.parametrize("field", [QQ, field_of(3)])
+    def test_least_failing_z_is_named(self, field):
+        # x·y = u, u·z1 = v1 and u·z2 = v2, but y·z1 = y·z2 = 0: (x, y, z1)
+        # and (x, y, z2) both fail.  The table lists z2's products first.
+        names = ["1", "x", "y", "z1", "z2", "u", "v1", "v2"]
+        degrees = [0, 2, 2, 2, 2, 4, 6, 6]
+        x, y, z1, z2, u, v1, v2 = range(1, 8)
+        products = {
+            (u, z2): {v2: 1}, (z2, u): {v2: 1}, (u, z1): {v1: 1}, (z1, u): {v1: 1},
+            (x, y): {u: 1}, (y, x): {u: 1},
+        }
+        with pytest.raises(InvalidPresentationError) as exc:
+            TableAlgebra(field, names, degrees, products)
+        assert str(exc.value) == "associativity fails on x, y, z1"
+        assert str(exc.value) == outcome(
+            reference_check_axioms, UncheckedTable(field, names, degrees, products)
+        )
 
     def test_perturbed_so7_tables_are_refused(self):
         # H*(SO(7); F2) as a 64-class table, with one product x·y = y·x moved

@@ -177,7 +177,12 @@ class TestCatalogIds:
         assert parse_catalog_id("t:2") == ("t", 2, None)
 
     @pytest.mark.parametrize(
-        "bad", ["so", "so:5:char2:extra", "nope:1", "so:x", "so:5:weird"]
+        "bad",
+        # int() would read the parameters 5_0, -3, +5, " 5" and \u0665 as
+        # 50, -3, 5, 5 and 5.
+        ["so", "so:5:char2:extra", "nope:1", "so:x", "so:5:weird", "so:5_0:char2",
+         "so:-3:char2", "so:+5", "so: 5", "so:\u0665",
+         pytest.param("so:" + "9" * 5000, id="past-int-digit-limit")],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):  # CatalogError or FieldError

@@ -758,7 +758,7 @@ class TestRepeatedSquaring:
     @staticmethod
     def rings():
         yield from (rp_ring(n) for n in range(1, 65))
-        for p in (0, 2, 3, 5):
+        for p in (0, 2, 3, 5, 2147483647):  # the last: the largest raw sums
             yield from (cp_ring(n, field_of(p)) for n in range(1, 25))
         yield from (so_ring(n, F2) for n in range(1, 17))
         # rp:7 written out as a table: its searched witnesses repeat one class.

@@ -173,9 +173,15 @@ class TestParsingAndJson:
     def test_parse_field(self, text, char):
         assert parse_field(text).characteristic == char
 
-    @pytest.mark.parametrize("bad", ["charx", "char=", "F2", ""])
+    @pytest.mark.parametrize(
+        "bad",
+        # int() would read 0_2, -1, +3, " 2" and the Arabic-Indic digits
+        # \u0663 and \u0667 as 2, -1, 3, 2, 3 and 7.
+        ["charx", "char=", "F2", "", "char=0_2", "char=-1", "char=+3", "char= 2",
+         "char=\u0663", "\u0667", pytest.param("2" * 5000, id="past-int-digit-limit")],
+    )
     def test_parse_field_rejects(self, bad):
-        with pytest.raises(FieldError):
+        with pytest.raises(FieldError, match="^cannot parse field "):
             parse_field(bad)
 
     def test_token_round_trip(self):
@@ -190,3 +196,6 @@ class TestParsingAndJson:
             field_from_json({"characteristic": 2})
         with pytest.raises(FieldError):
             field_from_json(2)
+        for flag in (False, True):  # JSON booleans; false would read as char 0
+            with pytest.raises(FieldError, match="^cannot parse field from "):
+                field_from_json({"char": flag})

@@ -42,8 +42,13 @@ UNREACHED_BY_DESIGN = {
     "cuplength.zcl_basic",
     "cuplength.zero_divisor_ideal_basis",
     "linalg.kernel_of_map",
-    "fields.Field.invert",
     "algebra.ProductAlgebra.mul_basis",
+    # Its FIELD_OPS: every product sums exactly and reduces through
+    # Field.clean, so the package no longer calls these.
+    "fields.Field.add",
+    "fields.Field.sub",
+    "fields.Field.mul",
+    "fields.Field.neg",
     # cl and zcl answer a monomial ring by formula; only zcl_basic and the
     # tests' whole-ring cross-checks search its generators.
     "algebra.MonomialAlgebra.generators",
