@@ -43,8 +43,8 @@ UNREACHED_BY_DESIGN = {
     "cuplength.zero_divisor_ideal_basis",
     "linalg.kernel_of_map",
     "algebra.ProductAlgebra.mul_basis",
-    # Its FIELD_OPS: every product sums exactly and reduces through
-    # Field.clean, so the package no longer calls these.
+    # Its FIELD_OPS less coerce and invert: every product sums exactly and
+    # reduces through Field.clean.
     "fields.Field.add",
     "fields.Field.sub",
     "fields.Field.mul",
